@@ -2,8 +2,8 @@
 
 Coefficient lists are ascending (index = exponent) with no trailing zeros;
 the zero polynomial is the empty list.  Everything here is exact integer
-arithmetic; callers clear rational denominators before entering and restore
-them on the way out.
+arithmetic; callers clear rational denominators before entering
+(``clear_denominators``) and restore them on the way out.
 
 Two pieces deserve a note:
 
@@ -19,8 +19,17 @@ Two pieces deserve a note:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Iterable
 
 _SCHOOLBOOK_CUTOFF = 2048  # len(a)*len(b) at or below this: plain double loop
+
+
+def clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Rationals -> (integers, d) with value_i = integer_i / d, d the lcm."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def trim(c: list[int]) -> list[int]:
@@ -66,16 +75,6 @@ def _conv_schoolbook(a, b, limit):
     return out
 
 
-try:  # optional accelerator for very large packed products
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = None
-
-# below ~64 kB per operand CPython's Karatsuba is fine and conversion
-# overhead is not worth it
-_GMP_BYTES = 1 << 16
-
-
 def _pack_biased(c, bias_bits, stride_bytes):
     """Pack c[i] + 2^bias_bits (always nonnegative) into one big integer."""
     bias = 1 << bias_bits
@@ -113,10 +112,7 @@ def conv(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
 
     pa = _pack_biased(a, bits_a, stride_bytes)
     pb = _pack_biased(b, bits_b, stride_bytes)
-    if _mpz is not None and min(la, lb) * stride_bytes > _GMP_BYTES:
-        prod = int(_mpz(pa) * _mpz(pb))
-    else:
-        prod = pa * pb
+    prod = pa * pb
     prod_bytes = prod.to_bytes((n + 1) * stride_bytes, "little")
 
     # prefix sums for the bias corrections

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotARoot, RamifiedBranch
+from .errors import NotARoot, RamifiedBranch, VerificationFailed
 from .polynomials import Poly
 from .rationals import coerce_rational
 from .series import TruncSeries, _conv_frac
@@ -100,7 +100,10 @@ def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
         m2 = min(2 * m, n)
         h = m2 - m
         if gm < h:
-            assert h <= 2 * gm
+            if h > 2 * gm:
+                raise VerificationFailed(
+                    f"one Newton lift cannot take 1/P_y from order {gm} to {h}"
+                )
             dval = _eval_poly_at_series(pyc, f[:h], h)
             ar = _conv_frac(dval, g, h)
             two_minus = [2 - ar[0]] + [-x for x in ar[1:]]

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from scipy import integrate
 
+from .config import DEFAULTS
 from .errors import InsufficientTerms, NonPositiveArgument, NotOdd
 from .series import TruncSeries, cauchy_mul, compose_scale, hadamard_mul, reciprocal
 
@@ -166,8 +167,8 @@ def rational_hadamard(f: ExpPolyRational, g: ExpPolyRational) -> ExpPolyRational
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    nodes: int = 64
-    tolerance: float = 1e-10
+    nodes: int = DEFAULTS.laguerre_nodes
+    tolerance: float = DEFAULTS.quad_tolerance
 
     def __post_init__(self):
         if self.nodes < 8:

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebraic import Annihilator, expand_branch
-from .config import Defaults
+from .config import DEFAULTS
 from .errors import BudgetTooSmall, PrimeDividesDenominator
 from .series import TruncSeries
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -53,7 +53,7 @@ class ResidueSequence:
 
 def reduce_mod(f: TruncSeries, p: int, r: int = 1) -> ResidueSequence:
     """Coefficients of f mod p^r, via modular inverse of the denominators."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("exponent r must be at least 1")
@@ -122,25 +122,31 @@ class KernelAutomaton:
         }
 
     def to_dot(self) -> str:
-        lines = [
-            "digraph kernel {",
-            "  rankdir=LR;",
-            f'  label="base {self.q}, mod {self.modulus}, {self.status}";',
-        ]
-        for i, st in enumerate(self.states):
-            lines.append(f'  s{i} [label="s{i}\\n(k={st.k}, j={st.j})"];')
-        for i, st in enumerate(self.states):
-            for d, t in enumerate(st.transitions):
-                if t is None:
-                    lines.append(
-                        f'  u{i}_{d} [label="?", shape=plaintext];'
-                    )
-                    lines.append(f'  s{i} -> u{i}_{d} '
-                                 f'[label="{d}", style=dashed];')
-                else:
-                    lines.append(f'  s{i} -> s{t} [label="{d}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        return automaton_dot(self.to_json_dict())
+
+
+def automaton_dot(aut: dict) -> str:
+    """Graphviz DOT view of an automaton in its JSON form; unresolved
+    transitions point at dashed '?' nodes."""
+    lines = [
+        "digraph kernel {",
+        "  rankdir=LR;",
+        f'  label="base {aut["q"]}, mod {aut["modulus"]}, {aut["status"]}";',
+    ]
+    for st in aut["states"]:
+        i = st["id"]
+        lines.append(f'  s{i} [label="s{i}\\n(k={st["k"]}, j={st["j"]})"];')
+    for st in aut["states"]:
+        i = st["id"]
+        for d, t in enumerate(st["transitions"]):
+            if t is None:
+                lines.append(f'  u{i}_{d} [label="?", shape=plaintext];')
+                lines.append(f'  s{i} -> u{i}_{d} '
+                             f'[label="{d}", style=dashed];')
+            else:
+                lines.append(f'  s{i} -> s{t} [label="{d}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def kernel_closure(s: ResidueSequence, q: int,
@@ -286,10 +292,11 @@ def christol_report(ann: Annihilator, p: int, r: int = 1,
     if q is None:
         q = p
     if budgets is None:
-        budgets = KernelBudgets(max_states=4096,
-                                max_depth=Defaults().depth_for_base(q),
-                                fingerprint_length=64)
-    automaton = None
+        budgets = KernelBudgets(max_states=DEFAULTS.max_states,
+                                max_depth=DEFAULTS.depth_for_base(q),
+                                fingerprint_length=DEFAULTS.fingerprint_length)
+    if budgets.max_depth < 1:
+        raise BudgetTooSmall("the depth budget must allow at least one attempt")
     for depth in range(1, budgets.max_depth + 1):
         attempt = KernelBudgets(budgets.max_states, depth,
                                 budgets.fingerprint_length)

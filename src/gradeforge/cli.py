@@ -11,13 +11,14 @@ budget.  GRADEFORGE_CONFIG may name a JSON file overriding defaults;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
 
 from .algebraic import Annihilator
 from .analytic import QuadratureConfig, euler_report, optics_identity_check
-from .automata import KernelBudgets, christol_report
+from .automata import KernelBudgets, automaton_dot, christol_report, is_prime
 from .catalog import BuiltinSeries, builtin_names
 from .config import Defaults, load_defaults
 from .descriptors import (
@@ -26,20 +27,18 @@ from .descriptors import (
     descriptor_from_tokens,
     expand_descriptor,
     materialize,
+    read_json_arg,
 )
 from .diagonals import diagonal_witness, product_witness
 from .errors import GradeforgeError, SchemaError
 from .holonomic import PRecurrence, hadamard_recurrence
 from .obstruction import obstruction_report
+from .polynomials import rows_text
 from .rationals import format_rational, parse_rational
 from .series import hadamard_mul
 
 
 # -- shared helpers -----------------------------------------------------------
-
-def _descriptor(kind: str, payload: str) -> SeriesDescriptor:
-    return descriptor_from_tokens(kind, payload)
-
 
 def _annihilator_of(desc: SeriesDescriptor) -> Annihilator:
     obj = materialize(desc)
@@ -65,31 +64,19 @@ def _recurrence_of(desc: SeriesDescriptor) -> PRecurrence:
     )
 
 
-def _read_json_arg(arg: str, what: str):
-    text = arg
-    if arg.startswith("@"):
-        try:
-            with open(arg[1:], encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read {what} file {arg[1:]}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
-
-
 # -- command handlers ---------------------------------------------------------
 
 def _cmd_expand(args, cfg: Defaults) -> dict:
     terms = args.terms if args.terms is not None else cfg.terms
-    series = expand_descriptor(_descriptor(args.kind, args.payload), terms)
+    series = expand_descriptor(
+        descriptor_from_tokens(args.kind, args.payload), terms
+    )
     return coeffs_json(series)
 
 
 def _cmd_hadamard(args, cfg: Defaults) -> dict:
-    da = _descriptor(args.kind_a, args.payload_a)
-    db = _descriptor(args.kind_b, args.payload_b)
+    da = descriptor_from_tokens(args.kind_a, args.payload_a)
+    db = descriptor_from_tokens(args.kind_b, args.payload_b)
     terms = args.terms if args.terms is not None else cfg.terms
     product = hadamard_mul(
         expand_descriptor(da, terms), expand_descriptor(db, terms)
@@ -103,7 +90,9 @@ def _cmd_hadamard(args, cfg: Defaults) -> dict:
 
 def _cmd_obstruct(args, cfg: Defaults) -> dict:
     terms = args.terms if args.terms is not None else cfg.terms
-    f = expand_descriptor(_descriptor(args.kind, args.payload), terms)
+    f = expand_descriptor(
+        descriptor_from_tokens(args.kind, args.payload), terms
+    )
     report = obstruction_report(
         f,
         window=args.window if args.window is not None else cfg.window,
@@ -117,12 +106,19 @@ def _cmd_obstruct(args, cfg: Defaults) -> dict:
 
 
 def _cmd_modp(args, cfg: Defaults) -> dict:
-    ann = _annihilator_of(_descriptor(args.kind, args.payload))
-    if args.p < 2:
-        raise SchemaError("--p must be at least 2")
-    if args.r < 1:
-        raise SchemaError("--r must be at least 1")
+    if not is_prime(args.p):
+        raise SchemaError("--p must be a prime")
     q = args.base if args.base is not None else args.p
+    for flag, value, least in (
+        ("--r", args.r, 1),
+        ("--base", q, 2),
+        ("--max-states", args.max_states, 1),
+        ("--depth", args.depth, 1),
+        ("--fingerprint-length", args.fingerprint_length, 1),
+    ):
+        if value is not None and value < least:
+            raise SchemaError(f"{flag} must be at least {least}")
+    ann = _annihilator_of(descriptor_from_tokens(args.kind, args.payload))
     budgets = KernelBudgets(
         max_states=(
             args.max_states if args.max_states is not None else cfg.max_states
@@ -141,7 +137,7 @@ def _cmd_modp(args, cfg: Defaults) -> dict:
 
 
 def _cmd_diagonal(args, cfg: Defaults) -> dict:
-    ann = _annihilator_of(_descriptor(args.kind, args.payload))
+    ann = _annihilator_of(descriptor_from_tokens(args.kind, args.payload))
     order = args.order if args.order is not None else cfg.diagonal_order
     witness = diagonal_witness(ann, verified_order=order)
     if args.square:
@@ -166,7 +162,7 @@ def _cmd_euler(args, cfg: Defaults) -> dict:
 
 
 def _parse_plates(arg: str) -> list[tuple[Fraction, Fraction]]:
-    rows = _read_json_arg(arg, "plate list")
+    rows = read_json_arg(arg, "plate list")
     if not isinstance(rows, list) or not rows:
         raise SchemaError("plates must be a nonempty list of [a, n] pairs")
     plates = []
@@ -189,7 +185,9 @@ def _parse_plates(arg: str) -> list[tuple[Fraction, Fraction]]:
 
 def _cmd_optics(args, cfg: Defaults) -> dict:
     terms = args.terms if args.terms is not None else cfg.terms
-    series = expand_descriptor(_descriptor(args.kind, args.payload), terms)
+    series = expand_descriptor(
+        descriptor_from_tokens(args.kind, args.payload), terms
+    )
     plates = _parse_plates(args.plates)
     gap = optics_identity_check(plates, series, terms)
     return {
@@ -210,18 +208,8 @@ def _table_coeffs(data: dict) -> str:
         lines.append("")
         lines.append(f"recurrence of order {rec['order']}, base index {rec['n0']}")
         for i, dense in enumerate(rec["coeffs"]):
-            parts = []
-            for k, c in enumerate(dense):
-                if c == "0":
-                    continue
-                if k == 0:
-                    parts.append(c)
-                else:
-                    mono = "n" if k == 1 else f"n^{k}"
-                    head = "" if c == "1" else "-" if c == "-1" else f"{c}*"
-                    parts.append(f"{head}{mono}")
-            poly = " + ".join(parts).replace("+ -", "- ") or "0"
-            lines.append(f"  p_{i}(n) = {poly}")
+            rows = [[k, c] for k, c in enumerate(dense) if c != "0"]
+            lines.append(f"  p_{i}(n) = {rows_text(rows, ['n'])}")
         lines.append(f"  initial: {' '.join(rec['initial'])}")
     return "\n".join(lines)
 
@@ -262,40 +250,16 @@ def _table_modp(data: dict) -> str:
     return "\n".join(lines)
 
 
-def _monomial(exponents, names) -> str:
-    parts = [
-        f"{names[i]}^{e}" if e > 1 else names[i]
-        for i, e in enumerate(exponents) if e
-    ]
-    return "*".join(parts)
-
-
-def _table_poly_rows(rows, nvars: int) -> str:
-    if nvars == 2:
-        names = ["x", "y"]
-    else:
-        names = [f"{'x' if i % 2 == 0 else 'y'}{i // 2 + 1}" for i in range(nvars)]
-    parts = []
-    for row in rows:
-        mono = _monomial(row[:-1], names)
-        coeff = row[-1]
-        if mono:
-            prefix = "" if coeff == "1" else "-" if coeff == "-1" else f"{coeff}*"
-            parts.append(f"{prefix}{mono}")
-        else:
-            parts.append(coeff)
-    return " + ".join(parts).replace("+ -", "- ") or "0"
-
-
 def _table_diagonal(data: dict) -> str:
     w = data["witness"]
-    nvars = 2 * w["d"]
+    names = (["x", "y"] if w["d"] == 1
+             else [f"{v}{i}" for i in range(1, w["d"] + 1) for v in "xy"])
     lines = [
         f"factors         {w['d']}",
         f"verified order  {w['verified_order']}",
         f"constant shift  {w['constant_shift']}",
-        f"numerator       {_table_poly_rows(w['R']['num'], nvars)}",
-        f"denominator     {_table_poly_rows(w['R']['den'], nvars)}",
+        f"numerator       {rows_text(w['R']['num'], names)}",
+        f"denominator     {rows_text(w['R']['den'], names)}",
         "diagonal        " + " ".join(data["diagonal"]),
     ]
     return "\n".join(lines)
@@ -319,30 +283,6 @@ def _table_optics(data: dict) -> str:
         f"exact        {'yes' if data['exact'] else 'no'}",
         f"discrepancy  {data['discrepancy']}",
     ])
-
-
-def _dot_from_data(data: dict) -> str:
-    """DOT view of a modp report, matching KernelAutomaton.to_dot."""
-    aut = data["automaton"]
-    lines = [
-        "digraph kernel {",
-        "  rankdir=LR;",
-        f'  label="base {aut["q"]}, mod {aut["modulus"]}, {data["status"]}";',
-    ]
-    for st in aut["states"]:
-        lines.append(
-            f'  s{st["id"]} [label="s{st["id"]}\\n(k={st["k"]}, j={st["j"]})"];'
-        )
-    for st in aut["states"]:
-        for d, t in enumerate(st["transitions"]):
-            if t is None:
-                lines.append(f'  u{st["id"]}_{d} [label="?", shape=plaintext];')
-                lines.append(f'  s{st["id"]} -> u{st["id"]}_{d} '
-                             f'[label="{d}", style=dashed];')
-            else:
-                lines.append(f'  s{st["id"]} -> s{t} [label="{d}"];')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 _COMMANDS = {
@@ -452,6 +392,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _integers_of_any_size():
+    """Lift CPython's cap on int<->str digits while a command runs, so exact
+    coefficients of any size render and re-read (the cap only exists from
+    Python 3.10.7 on)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -464,13 +420,14 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 2
         handler, table = _COMMANDS[args.command]
-        data = handler(args, cfg)
-        if getattr(args, "dot", False):
-            print(_dot_from_data(data))
-        elif args.json:
-            print(json.dumps(data, indent=2))
-        else:
-            print(table(data))
+        with _integers_of_any_size():
+            data = handler(args, cfg)
+            if getattr(args, "dot", False):
+                print(automaton_dot(data["automaton"]))
+            elif args.json:
+                print(json.dumps(data, indent=2))
+            else:
+                print(table(data))
         return 0
     except GradeforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -478,7 +435,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
 
 if __name__ == "__main__":
     sys.exit(main())

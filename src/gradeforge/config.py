@@ -45,6 +45,9 @@ class Defaults:
         return dataclasses.asdict(self)
 
 
+#: The field defaults; the one source for every library-level default.
+DEFAULTS = Defaults()
+
 _INT_FIELDS = frozenset(
     f.name for f in dataclasses.fields(Defaults) if f.type == "int"
 )
@@ -55,7 +58,7 @@ def load_defaults(env: dict | None = None) -> Defaults:
     source = os.environ if env is None else env
     path = source.get("GRADEFORGE_CONFIG")
     if not path:
-        return Defaults()
+        return DEFAULTS
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -80,4 +83,4 @@ def load_defaults(env: dict | None = None) -> Defaults:
         else:
             value = float(value)
         clean[key] = value
-    return Defaults(**{**dataclasses.asdict(Defaults()), **clean})
+    return dataclasses.replace(DEFAULTS, **clean)

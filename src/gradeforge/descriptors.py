@@ -17,7 +17,7 @@ from .analytic import ExpPolyRational
 from .catalog import BuiltinSeries, get_builtin
 from .errors import SchemaError, TruncationExceeded
 from .holonomic import PRecurrence, unroll
-from .polynomials import Poly
+from .polynomials import Poly, poly_rows
 from .rationals import format_rational, parse_rational
 from .series import TruncSeries
 
@@ -37,6 +37,21 @@ class SeriesDescriptor:
             )
 
 
+def read_json_arg(arg: str, what: str):
+    """Parse a command-line JSON argument: inline text, or @path to a file."""
+    text = arg
+    if arg.startswith("@"):
+        try:
+            with open(arg[1:], encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SchemaError(f"cannot read {what} file {arg[1:]}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def descriptor_from_tokens(kind: str, arg: str) -> SeriesDescriptor:
     """Build a descriptor from a (kind, argument) command-line pair.
 
@@ -45,18 +60,7 @@ def descriptor_from_tokens(kind: str, arg: str) -> SeriesDescriptor:
     """
     if kind == "builtin":
         return SeriesDescriptor(kind, arg)
-    text = arg
-    if arg.startswith("@"):
-        try:
-            with open(arg[1:], encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read descriptor file {arg[1:]}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"descriptor payload is not valid JSON: {exc}") from exc
-    return SeriesDescriptor(kind, payload)
+    return SeriesDescriptor(kind, read_json_arg(arg, "descriptor"))
 
 
 def _check_kind_label(payload: dict, expected: str) -> None:
@@ -126,13 +130,8 @@ def annihilator_from_json(payload) -> Annihilator:
 
 
 def annihilator_to_json(ann: Annihilator) -> dict:
-    from .polynomials import _grlex_key
-
-    rows = [
-        [e[0], e[1], format_rational(ann.poly.terms[e])]
-        for e in sorted(ann.poly.terms, key=_grlex_key, reverse=True)
-    ]
-    return {"kind": "algebraic", "P": rows, "y0": format_rational(ann.y0)}
+    return {"kind": "algebraic", "P": poly_rows(ann.poly),
+            "y0": format_rational(ann.y0)}
 
 
 def _exppoly_from_json(payload) -> ExpPolyRational:
@@ -192,10 +191,9 @@ def expand_descriptor(desc: SeriesDescriptor, terms: int) -> TruncSeries:
         return unroll(obj, terms)
     if isinstance(obj, Annihilator):
         return expand_branch(obj, terms)
-    if isinstance(obj, ExpPolyRational):
+    if isinstance(obj, (ExpPolyRational, BuiltinSeries)):
         return obj.expand(terms)
-    assert isinstance(obj, BuiltinSeries)
-    return obj.expand(terms)
+    raise SchemaError(f"descriptor kind {desc.kind!r} names no series")
 
 
 def coeffs_json(series: TruncSeries) -> dict:

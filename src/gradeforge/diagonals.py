@@ -22,8 +22,9 @@ from .errors import (
     RamifiedAtOrigin,
     SchemaError,
     VariableCollision,
+    VerificationFailed,
 )
-from .polynomials import Poly, RatFun
+from .polynomials import Poly, RatFun, poly_rows
 from .rationals import coerce_rational, format_rational, parse_rational
 from .series import TruncSeries, hadamard_mul
 
@@ -143,15 +144,6 @@ def diagonal_extract(rat: RatFun, order: int) -> TruncSeries:
 
 # -- witnesses ----------------------------------------------------------------
 
-def _poly_terms_json(p: Poly) -> list[list]:
-    from .polynomials import _grlex_key
-
-    rows = []
-    for e in sorted(p.terms, key=_grlex_key, reverse=True):
-        rows.append([*e, format_rational(p.terms[e])])
-    return rows
-
-
 def _poly_terms_parse(rows, nvars: int, what: str) -> Poly:
     if not isinstance(rows, list):
         raise SchemaError(f"{what} must be a list of term rows")
@@ -218,8 +210,8 @@ class DiagonalWitness:
         return {
             "d": self.d,
             "R": {
-                "num": _poly_terms_json(self.R.num),
-                "den": _poly_terms_json(self.R.den),
+                "num": poly_rows(self.R.num),
+                "den": poly_rows(self.R.den),
             },
             "verified_order": self.verified_order,
             "constant_shift": format_rational(self.constant_shift),
@@ -270,9 +262,10 @@ def diagonal_witness(ann: Annihilator, verified_order: int = 10) -> DiagonalWitn
     witness = DiagonalWitness(rat, 1, verified_order, (ann,), shift)
     want = expand_branch(ann, verified_order)
     got = witness.diagonal(verified_order)
-    assert got.coeffs == want.coeffs, (
-        "diagonal disagrees with the branch expansion"
-    )
+    if got.coeffs != want.coeffs:
+        raise VerificationFailed(
+            "diagonal disagrees with the branch expansion"
+        )
     return witness
 
 
@@ -344,7 +337,8 @@ def product_witness(
     acc = factors[0].diagonal(verified_order)
     for f in factors[1:]:
         acc = hadamard_mul(acc, f.diagonal(verified_order))
-    assert out.coeffs == acc.coeffs, (
-        "product diagonal disagrees with the Hadamard product"
-    )
+    if out.coeffs != acc.coeffs:
+        raise VerificationFailed(
+            "product diagonal disagrees with the Hadamard product"
+        )
     return witness

@@ -32,6 +32,12 @@ class BudgetError(GradeforgeError):
     exit_code = 4
 
 
+class VerificationFailed(GradeforgeError):
+    """An exact self-check failed: a result disagrees with an independent
+    recomputation or breaks an invariant of its construction.  This is a
+    defect in the package, never a property of the input."""
+
+
 # -- exact algebra ----------------------------------------------------------
 
 class InexactDivision(MathPreconditionError):

@@ -32,6 +32,7 @@ from .errors import (
     NoKernel,
     SchemaError,
     UnderdeterminedRecurrence,
+    VerificationFailed,
 )
 from .polynomials import (
     Poly,
@@ -88,16 +89,9 @@ class PRecurrence:
             raise ValueError("n0 must be nonnegative")
         r = len(self.coeffs) - 1
 
-        dense: list[list[int]] = []
-        dens: list[int] = []
-        for p in self.coeffs:
-            c, d = poly_to_dense(p)
-            dense.append(c)
-            dens.append(d)
-        scale = 1
-        for d in dens:
-            scale = scale * d // math.gcd(scale, d)
-        dense = [ip.scale(c, scale // d) for c, d in zip(dense, dens)]
+        pairs = [poly_to_dense(p) for p in self.coeffs]
+        scale = math.lcm(*(d for _, d in pairs))
+        dense = [ip.scale(c, scale // d) for c, d in pairs]
         g = 0
         for c in dense:
             g = math.gcd(g, ip.content(c) if c else 0)
@@ -141,11 +135,8 @@ class PRecurrence:
         """Build from dense coefficient lists (ints, Fractions, or strings)."""
         polys = []
         for c in coeffs:
-            vals = [coerce_rational(x) for x in c]
-            den = 1
-            for v in vals:
-                den = den * v.denominator // math.gcd(den, v.denominator)
-            polys.append(dense_to_poly([int(v * den) for v in vals], den))
+            nums, den = ip.clear_denominators(coerce_rational(x) for x in c)
+            polys.append(dense_to_poly(nums, den))
         return cls(tuple(polys), n0, tuple(initial), empirical)
 
     def to_json_dict(self) -> dict:
@@ -316,9 +307,11 @@ def hadamard_recurrence(ra: PRecurrence, rb: PRecurrence) -> PRecurrence:
     v = fraction_free_left_kernel(rows)
     q_dense = []
     for k in range(rs + 1):
-        prod = v[k] * deltas[k]
-        c, den = poly_to_dense(prod)
-        assert den == 1
+        c, den = poly_to_dense(v[k] * deltas[k])
+        if den != 1:
+            raise VerificationFailed(
+                "kernel vector times shifts is not integral"
+            )
         q_dense.append(c)
 
     n0_base = max(ra.n0, rb.n0)
@@ -372,8 +365,9 @@ def guess_recurrence(f: TruncSeries, max_order: int,
         coeffs = []
         for d in range(D + 1):
             val = v[i * (D + 1) + d].constant_term()
-            assert val.denominator == 1
-            coeffs.append(int(val))
+            if val.denominator != 1:
+                raise VerificationFailed("kernel vector is not integral")
+            coeffs.append(val.numerator)
         q_dense.append(ip.trim(coeffs))
 
     def terms_of(count: int) -> list[Fraction]:

@@ -16,13 +16,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import NotSignSequence, TooSparse
 from .series import TruncSeries
 
 TRIAL_DIVISION_BOUND = 10 ** 6
-
-ZERO_EVIDENCE_THRESHOLD = 0.5
-POSITIVE_EVIDENCE_THRESHOLD = 0.1
 
 
 class PrimeSupportScan(NamedTuple):
@@ -118,8 +116,8 @@ def prime_support_scan(f: TruncSeries, window: int) -> PrimeSupportScan:
 
 
 def radius_estimate(f: TruncSeries, *,
-                    zero_threshold: float = ZERO_EVIDENCE_THRESHOLD,
-                    positive_threshold: float = POSITIVE_EVIDENCE_THRESHOLD,
+                    zero_threshold: float = DEFAULTS.zero_threshold,
+                    positive_threshold: float = DEFAULTS.positive_threshold,
                     ) -> RadiusEstimate:
     """Fit log|a_n| ~ beta·n·log n + c·n over the last half of the data.
 
@@ -208,10 +206,10 @@ class ObstructionReport:
 
 
 def obstruction_report(f: TruncSeries, *,
-                       window: int = 10,
-                       max_period: int = 60,
-                       zero_threshold: float = ZERO_EVIDENCE_THRESHOLD,
-                       positive_threshold: float = POSITIVE_EVIDENCE_THRESHOLD,
+                       window: int = DEFAULTS.window,
+                       max_period: int = DEFAULTS.max_period,
+                       zero_threshold: float = DEFAULTS.zero_threshold,
+                       positive_threshold: float = DEFAULTS.positive_threshold,
                        ) -> ObstructionReport:
     """Run all three scans and compose the verdict.
 

@@ -233,27 +233,37 @@ class Poly:
     # -- rendering -------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
         names = (
             ["n"] if self.nvars == 1
             else ["z", "y"] if self.nvars == 2
             else [f"x{i}" for i in range(self.nvars)]
         )
-        parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"{names[i]}^{k}" if k > 1 else names[i]
-                for i, k in enumerate(e) if k
-            )
-            if mono:
-                cs = "" if c == 1 else "-" if c == -1 else f"{format_rational(c)}*"
-                parts.append(f"{cs}{mono}")
-            else:
-                parts.append(format_rational(c))
-        text = " + ".join(parts).replace("+ -", "- ")
-        return text
+        return rows_text(poly_rows(self), names)
+
+
+def poly_rows(p: Poly) -> list[list]:
+    """Wire form: one [*exponents, "coeff"] row per term, grlex descending."""
+    return [
+        [*e, format_rational(p.terms[e])]
+        for e in sorted(p.terms, key=_grlex_key, reverse=True)
+    ]
+
+
+def rows_text(rows, names: Sequence[str]) -> str:
+    """Render [*exponents, "coeff"] rows as a sum, in row order."""
+    parts = []
+    for row in rows:
+        mono = "*".join(
+            f"{names[i]}^{k}" if k > 1 else names[i]
+            for i, k in enumerate(row[:-1]) if k
+        )
+        c = row[-1]
+        if mono:
+            head = "" if c == "1" else "-" if c == "-1" else f"{c}*"
+            parts.append(f"{head}{mono}")
+        else:
+            parts.append(c)
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 class RatFun:
@@ -306,13 +316,10 @@ def poly_to_dense(p: Poly) -> tuple[list[int], int]:
         raise VariableMismatch("dense form needs a univariate polynomial")
     if p.is_zero():
         return [], 1
-    deg = p.degree_in(0)
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    out = [0] * (deg + 1)
-    for e, c in p.terms.items():
-        out[e[0]] = int(c * den)
+    nums, den = ip.clear_denominators(p.terms.values())
+    out = [0] * (p.degree_in(0) + 1)
+    for (e,), c in zip(p.terms, nums):
+        out[e] = c
     return out, den
 
 
@@ -343,12 +350,8 @@ def fraction_free_left_kernel(matrix: Sequence[Sequence[Poly]]) -> list[Poly]:
     # (clearing each equation's denominators leaves the kernel unchanged).
     E: list[list[list[int]]] = []
     for k in range(cols):
-        dense = []
-        lcm_den = 1
-        for i in range(rows):
-            c, d = poly_to_dense(matrix[i][k])
-            dense.append((c, d))
-            lcm_den = lcm_den * d // math.gcd(lcm_den, d)
+        dense = [poly_to_dense(matrix[i][k]) for i in range(rows)]
+        lcm_den = math.lcm(*(d for _, d in dense))
         row = [ip.scale(c, lcm_den // d) for c, d in dense]
         g = 0
         for c in row:
@@ -431,14 +434,13 @@ def fraction_free_left_kernel(matrix: Sequence[Sequence[Poly]]) -> list[Poly]:
     # Clear denominators: split each into integer content times primitive
     # part so both lcm computations stay exact over the integers.
     split: dict[int, tuple[int, list[int]]] = {}
-    lcm_int = 1
     lcm_poly: list[int] = [1]
     for j, d in v_den.items():
         c = ip.content(d)
         p = [x // c for x in d]
         split[j] = (c, p)
-        lcm_int = lcm_int * c // math.gcd(lcm_int, c)
         lcm_poly = ip.lcm(lcm_poly, p)
+    lcm_int = math.lcm(*(c for c, _ in split.values()))
     vec: list[list[int]] = [[] for _ in range(rows)]
     for j, nj in v_num.items():
         c, p = split[j]

@@ -9,7 +9,6 @@ inputs justify.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -17,8 +16,6 @@ from typing import Iterable, Sequence
 from . import _intpoly as ip
 from .errors import ZeroConstantTerm
 from .rationals import coerce_rational
-
-_SCHOOLBOOK_LIMIT = 10_000  # len(a)*len(b) above this: integer fast path
 
 
 @dataclass(frozen=True)
@@ -52,37 +49,19 @@ def hadamard_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     return TruncSeries(tuple(x * y for x, y in zip(a.coeffs[:n], b.coeffs[:n])))
 
 
-def _all_integer(xs: Sequence[Fraction]) -> bool:
-    return all(x.denominator == 1 for x in xs)
-
-
 def _conv_frac(xs: Sequence[Fraction], ys: Sequence[Fraction],
                limit: int) -> list[Fraction]:
-    """Truncated convolution over Fraction, with an integer fast path."""
+    """Truncated convolution over Fraction, zero-padded to `limit` entries.
+
+    Denominators are cleared once per operand so the product runs in the
+    integer kernel.
+    """
     if not xs or not ys or limit <= 0:
         return []
-    big = len(xs) * len(ys) > _SCHOOLBOOK_LIMIT
-    if big or (_all_integer(xs) and _all_integer(ys)):
-        da = 1
-        for x in xs:
-            da = da * x.denominator // math.gcd(da, x.denominator)
-        db = 1
-        for y in ys:
-            db = db * y.denominator // math.gcd(db, y.denominator)
-        ia = [int(x * da) for x in xs]
-        ib = [int(y * db) for y in ys]
-        raw = ip.conv(ia, ib, limit)
-        scale = da * db
-        out = [Fraction(c, scale) for c in raw]
-        out.extend([Fraction(0)] * (limit - len(out)))
-        return out[:limit]
-    out = [Fraction(0)] * min(limit, len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        if not x or i >= limit:
-            continue
-        for j in range(min(len(ys), limit - i)):
-            if ys[j]:
-                out[i + j] += x * ys[j]
+    ia, da = ip.clear_denominators(xs)
+    ib, db = ip.clear_denominators(ys)
+    scale = da * db
+    out = [Fraction(c, scale) for c in ip.conv(ia, ib, limit)]
     out.extend([Fraction(0)] * (limit - len(out)))
     return out
 
@@ -128,7 +107,3 @@ def compose_scale(a: TruncSeries, c) -> TruncSeries:
         out.append(x * p)
         p *= c
     return TruncSeries(tuple(out))
-
-
-def pointwise_all(a: TruncSeries, predicate) -> bool:
-    return all(predicate(x) for x in a.coeffs)

@@ -284,6 +284,12 @@ def test_pipeline_report_default_budgets_close_geometric():
     assert rep.state_count == 1
 
 
+def test_pipeline_report_needs_a_depth_budget():
+    with pytest.raises(BudgetTooSmall):
+        christol_report(CORPUS_ANNIHILATORS["catalan"], 2, 1,
+                        budgets=KernelBudgets(4096, 0, 64))
+
+
 def test_pipeline_report_bad_prime_raises():
     # sqrt1p has powers of 2 in its denominators
     with pytest.raises(PrimeDividesDenominator):

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process through main()."""
 
 import json
+import sys
 
 import pytest
 
@@ -326,3 +327,44 @@ def test_json_and_table_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as info:
         main(["expand", "builtin", "exp", "--json", "--table"])
     assert info.value.code == 2
+
+
+
+# ---------------------------------------------------------------------------
+# integers past CPython's int<->str digit cap
+
+
+def test_expand_round_trips_integers_past_the_str_digit_cap(capsys, tmp_path):
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    rc, out, err = run(capsys, "expand", "builtin", "euler",
+                       "--terms", "1700", "--json")
+    assert rc == 0, err
+    # 1699! has 4,700 digits, past the default cap of 4,300
+    assert len(json.loads(out)["coeffs"][-1]) > 4300
+    path = tmp_path / "euler.json"
+    path.write_text(out)
+    rc, again, err = run(capsys, "expand", "coeffs", f"@{path}",
+                         "--terms", "1700", "--json")
+    assert rc == 0, err
+    assert again == out
+    # the cap is lifted only while a command runs
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+# ---------------------------------------------------------------------------
+# modp argument validation
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "4"),
+    ("--fingerprint-length", "0"),
+    ("--max-states", "0"),
+    ("--depth", "0"),
+    ("--base", "1"),
+])
+def test_modp_malformed_arguments_are_schema_errors(capsys, flag, value):
+    opts = {"--p": "2", "--depth": "3", flag: value}
+    argv = [token for pair in opts.items() for token in pair]
+    rc, out, err = run(capsys, "modp", "builtin", "catalan", *argv)
+    assert rc == 2
+    assert err.startswith(f"error: {flag} must be")

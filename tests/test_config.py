@@ -1,11 +1,16 @@
 """Default knobs and the JSON override file."""
 
+import inspect
 import json
 
 import pytest
 
+import gradeforge.automata as automata
 from gradeforge import Defaults, load_defaults
+from gradeforge.analytic import QuadratureConfig
+from gradeforge.catalog import CORPUS_ANNIHILATORS
 from gradeforge.errors import SchemaError
+from gradeforge.obstruction import obstruction_report, radius_estimate
 
 
 def test_default_values():
@@ -94,3 +99,29 @@ def test_override_values_are_validated_like_defaults(tmp_path):
     path.write_text(json.dumps({"max_states": -5}))
     with pytest.raises(SchemaError):
         load_defaults(env={"GRADEFORGE_CONFIG": str(path)})
+
+
+def test_library_defaults_are_the_config_fields(monkeypatch):
+    d = Defaults()
+    report = inspect.signature(obstruction_report).parameters
+    radius = inspect.signature(radius_estimate).parameters
+    assert report["window"].default == d.window
+    assert report["max_period"].default == d.max_period
+    for params in (report, radius):
+        assert params["zero_threshold"].default == d.zero_threshold
+        assert params["positive_threshold"].default == d.positive_threshold
+    assert QuadratureConfig().nodes == d.laguerre_nodes
+    assert QuadratureConfig().tolerance == d.quad_tolerance
+
+    made = []
+    real = automata.KernelBudgets
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(automata, "KernelBudgets", spy)
+    automata.christol_report(CORPUS_ANNIHILATORS["geometric"], 5)
+    assert made[0] == real(max_states=d.max_states,
+                           max_depth=d.depth_for_base(5),
+                           fingerprint_length=d.fingerprint_length)

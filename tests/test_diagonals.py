@@ -1,11 +1,16 @@
 """Rational-diagonal witnesses for branches and their Hadamard products."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gradeforge.diagonals as diagonals
 from gradeforge import (
     DiagonalWitness,
     diagonal_extract,
@@ -26,8 +31,10 @@ from gradeforge.errors import (
     RamifiedAtOrigin,
     SchemaError,
     VariableCollision,
+    VerificationFailed,
 )
 from gradeforge.polynomials import Poly, RatFun
+from gradeforge.series import TruncSeries
 
 from oracles import catalan_witness_diagonal, diagonal_from_box, rational_series_box
 
@@ -290,3 +297,68 @@ def test_witness_json_rejects_malformed_payloads(mutate):
     mutate(payload)
     with pytest.raises(SchemaError):
         DiagonalWitness.from_json_dict(payload)
+
+
+# ---------------------------------------------------------------------------
+# the verification checks fire on corrupted input, also under python -O
+
+
+def _off_by_one(series):
+    return TruncSeries(series.coeffs[:-1] + (series.coeffs[-1] + 1,))
+
+
+def test_diagonal_witness_check_rejects_a_wrong_expansion(monkeypatch):
+    real = diagonals.expand_branch
+    monkeypatch.setattr(diagonals, "expand_branch",
+                        lambda ann, n: _off_by_one(real(ann, n)))
+    with pytest.raises(VerificationFailed):
+        diagonal_witness(CORPUS_ANNIHILATORS["catalan"], 4)
+
+
+def test_product_witness_check_rejects_a_wrong_product(monkeypatch):
+    w = diagonal_witness(CORPUS_ANNIHILATORS["catalan"], 3)
+    real = diagonals.hadamard_mul
+    monkeypatch.setattr(diagonals, "hadamard_mul",
+                        lambda a, b: _off_by_one(real(a, b)))
+    with pytest.raises(VerificationFailed):
+        product_witness([w, w], 3)
+
+
+_OPTIMIZED_CHECK = """
+import gradeforge.diagonals as diagonals
+from gradeforge.catalog import CORPUS_ANNIHILATORS
+from gradeforge.errors import VerificationFailed
+from gradeforge.series import TruncSeries
+
+def off_by_one(s):
+    return TruncSeries(s.coeffs[:-1] + (s.coeffs[-1] + 1,))
+
+expand, mul = diagonals.expand_branch, diagonals.hadamard_mul
+ann = CORPUS_ANNIHILATORS["catalan"]
+fired = []
+diagonals.expand_branch = lambda a, n: off_by_one(expand(a, n))
+try:
+    diagonals.diagonal_witness(ann, 4)
+except VerificationFailed:
+    fired.append("diagonal")
+diagonals.expand_branch = expand
+w = diagonals.diagonal_witness(ann, 3)
+diagonals.hadamard_mul = lambda a, b: off_by_one(mul(a, b))
+try:
+    diagonals.product_witness([w, w], 3)
+except VerificationFailed:
+    fired.append("product")
+print(",".join(fired))
+"""
+
+
+def test_witness_checks_survive_python_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECK],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.split() == ["diagonal,product"]
