@@ -137,12 +137,13 @@ def _cmd_modp(args, cfg: Defaults) -> dict:
 
 
 def _cmd_diagonal(args, cfg: Defaults) -> dict:
+    if args.order is not None and args.order < 1:
+        raise SchemaError("--order must be at least 1")
     ann = _annihilator_of(descriptor_from_tokens(args.kind, args.payload))
     order = args.order if args.order is not None else cfg.diagonal_order
     witness = diagonal_witness(ann, verified_order=order)
     if args.square:
-        # Four variables: verification cost grows fast, so cap the order.
-        witness = product_witness([witness, witness], min(order, 8))
+        witness = product_witness([witness, witness], order)
     diag = witness.diagonal(witness.verified_order)
     return {
         "witness": witness.to_json_dict(),

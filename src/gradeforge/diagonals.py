@@ -9,10 +9,13 @@ in twice as many variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import sub
 from typing import Sequence, Union
 
+from ._intpoly import clear_denominators
 from .algebraic import Annihilator, expand_branch
 from .errors import (
     BranchNotAtZero,
@@ -85,30 +88,19 @@ def _translate_branch(p: Poly, c: Fraction) -> Poly:
 
 # -- diagonal extraction ------------------------------------------------------
 
-def _mul_capped(a: Poly, b: Poly, cap: int) -> Poly:
-    """Product with every exponent clipped at ``cap``.
-
-    Exponents only grow under multiplication by the nonnegative-exponent
-    factors used here, so dropping a monomial with some exponent > cap can
-    never affect a retained coefficient: the truncation is exact on the
-    kept monomials.
-    """
-    out: dict[tuple[int, ...], Fraction] = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if max(e) > cap:
-                continue
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return Poly(a.nvars, out)
-
-
 def diagonal_extract(rat: RatFun, order: int) -> TruncSeries:
     """Coefficients of x_1^n ... x_m^n for n < order.
 
-    Expands num/den as an exact multivariate series, inverting the
-    denominator as den(0) * (1 - Q) via the geometric series; the
-    expansion is truncated by total degree m * order.
+    Solves den * S = num for the series S over the box [0, order - 1]^m,
+    visiting the exponents in product order, which lists every e - d
+    (d >= 0, d != 0) before e.  num and den are scaled by one common
+    denominator so that every step is integer arithmetic: with d0 = den(0)
+    the solve keeps U_e = d0^(|e|+1) S_e, which satisfies
+
+        U_e = d0^|e| num_e - sum_{d != 0} den_d d0^(|d|-1) U_{e-d},
+
+    and only the diagonal entries are divided out, S_(n,...,n) =
+    U_(n,...,n) / d0^(m n + 1).  The same path serves every d0 != 0.
     """
     if order < 1:
         raise ValueError("need at least one diagonal coefficient")
@@ -119,27 +111,29 @@ def diagonal_extract(rat: RatFun, order: int) -> TruncSeries:
             f"and order {DESK_MAX_ORDER}; asked for {m} variables, "
             f"order {order}"
         )
-    d0 = rat.den.constant_term()
-    if d0 == 0:
+    if rat.den.constant_term() == 0:
         raise DenominatorVanishesAtOrigin(
             "denominator has no constant term; the series does not exist"
         )
-    cap = order - 1
-    one = Poly.const(m, 1)
-    q = Poly(m, {
-        e: -c / d0 for e, c in rat.den.terms.items()
-        if any(e) and max(e) <= cap
-    })
-    # 1/(1 - Q) = sum Q^k; Q has no constant term, so total degree >= k
-    # at step k and m * cap passes saturate every retained monomial.
-    inv = one
-    for _ in range(m * cap):
-        inv = one + _mul_capped(q, inv, cap)
-    full = _mul_capped(rat.num, inv, cap)
-    diag = tuple(
-        full.terms.get((n,) * m, Fraction(0)) / d0 for n in range(order)
-    )
-    return TruncSeries(diag)
+    ints, _ = clear_denominators([*rat.num.terms.values(),
+                                  *rat.den.terms.values()])
+    num = dict(zip(rat.num.terms, ints))
+    den = dict(zip(rat.den.terms, ints[len(rat.num.terms):]))
+    d0 = den.pop((0,) * m)
+    steps = [(d, c * d0 ** (sum(d) - 1))
+             for d, c in den.items() if max(d) < order]
+    power = [d0 ** k for k in range(m * (order - 1) + 1)]
+    u: dict[tuple[int, ...], int] = {}
+    for e in itertools.product(range(order), repeat=m):
+        acc = num.get(e, 0) * power[sum(e)]
+        for d, c in steps:
+            prev = tuple(map(sub, e, d))
+            if min(prev) >= 0:
+                acc -= c * u[prev]
+        u[e] = acc
+    return TruncSeries(tuple(
+        Fraction(u[(n,) * m], d0 ** (m * n + 1)) for n in range(order)
+    ))
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -173,6 +167,9 @@ class DiagonalWitness:
     verified_order: int
     factor_annihilators: tuple[Annihilator, ...] = ()
     constant_shift: Fraction = Fraction(0)
+    #: diagonal already extracted and checked by the constructing function
+    _checked: tuple[Fraction, ...] = field(default=(), repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -199,6 +196,8 @@ class DiagonalWitness:
 
     def diagonal(self, order: int) -> TruncSeries:
         """Complete diagonal with the recorded constant re-added at n = 0."""
+        if 0 < order <= len(self._checked):
+            return TruncSeries(self._checked[:order])
         base = diagonal_extract(self.R, order)
         if self.constant_shift == 0:
             return base
@@ -260,13 +259,12 @@ def diagonal_witness(ann: Annihilator, verified_order: int = 10) -> DiagonalWitn
         )
     rat = furstenberg_bivariate(at_zero)
     witness = DiagonalWitness(rat, 1, verified_order, (ann,), shift)
-    want = expand_branch(ann, verified_order)
-    got = witness.diagonal(verified_order)
-    if got.coeffs != want.coeffs:
+    got = witness.diagonal(verified_order).coeffs
+    if got != expand_branch(ann, verified_order).coeffs:
         raise VerificationFailed(
             "diagonal disagrees with the branch expansion"
         )
-    return witness
+    return replace(witness, _checked=got)
 
 
 def product_lift(
@@ -333,12 +331,12 @@ def product_witness(
     if all(f.factor_annihilators for f in factors):
         anns = tuple(a for f in factors for a in f.factor_annihilators)
     witness = DiagonalWitness(rat, d, verified_order, anns, with_shift - bare)
-    out = witness.diagonal(verified_order)
+    out = witness.diagonal(verified_order).coeffs
     acc = factors[0].diagonal(verified_order)
     for f in factors[1:]:
         acc = hadamard_mul(acc, f.diagonal(verified_order))
-    if out.coeffs != acc.coeffs:
+    if out != acc.coeffs:
         raise VerificationFailed(
             "product diagonal disagrees with the Hadamard product"
         )
-    return witness
+    return replace(witness, _checked=out)

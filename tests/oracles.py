@@ -144,6 +144,40 @@ def diagonal_from_box(coeffs: dict, nvars: int, order: int) -> list[Fraction]:
     return [coeffs.get((n,) * nvars, Fraction(0)) for n in range(order)]
 
 
+def _mul_capped(a: dict, b: dict, cap: int) -> dict:
+    """Product of exponent -> coefficient dicts, dropping every exponent
+    above ``cap``; exponents only grow, so the kept terms are exact."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if max(e) <= cap:
+                out[e] = out.get(e, Fraction(0)) + ca * cb
+    return out
+
+
+def geometric_series_diagonal(num: dict, den: dict, nvars: int,
+                              order: int) -> list[Fraction]:
+    """Diagonal of num/den by inverting den = den_0 (1 - Q) as sum Q^k.
+
+    Q has no constant term, so Q^k has total degree >= k and
+    nvars * (order - 1) passes saturate the box [0, order - 1]^nvars.
+    This is a different algorithm from the linear solve of
+    ``rational_series_box``.
+    """
+    zero = (0,) * nvars
+    d0 = Fraction(den[zero])
+    cap = order - 1
+    q = {e: -Fraction(c) / d0 for e, c in den.items()
+         if e != zero and max(e) <= cap}
+    inv = {zero: Fraction(1)}
+    for _ in range(nvars * cap):
+        inv = _mul_capped(q, inv, cap)
+        inv[zero] = Fraction(1)  # 1 + Q * inv; Q * inv has no constant
+    full = _mul_capped({e: Fraction(c) for e, c in num.items()}, inv, cap)
+    return [full.get((n,) * nvars, Fraction(0)) / d0 for n in range(order)]
+
+
 def catalan_witness_diagonal(order: int) -> list[Fraction]:
     """Diagonal of y(2y-1)/(x+y-1) by direct binomial expansion.
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process through main()."""
 
 import json
+import math
 import sys
 
 import pytest
@@ -216,6 +217,26 @@ def test_diagonal_square_lifts_to_four_variables(capsys):
                     "--order", "6", "--square")
     assert data["witness"]["d"] == 2
     assert data["diagonal"] == ["1", "4", "36", "400", "4900", "63504"]
+
+
+@pytest.mark.parametrize("name, closed_form", [
+    ("catalan", lambda n: math.comb(2 * n, n) // (n + 1)),
+    ("central-binomial", lambda n: math.comb(2 * n, n)),
+], ids=["catalan", "central-binomial"])
+def test_diagonal_square_returns_every_requested_term(capsys, name,
+                                                      closed_form):
+    data = run_json(capsys, "diagonal", "builtin", name,
+                    "--square", "--order", "10")
+    assert data["witness"]["verified_order"] == 10
+    assert data["diagonal"] == [str(closed_form(n) ** 2) for n in range(10)]
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_diagonal_nonpositive_order_is_a_schema_error(capsys, order):
+    rc, out, err = run(capsys, "diagonal", "builtin", "catalan",
+                       "--order", order)
+    assert rc == 2
+    assert "--order" in err
 
 
 def test_diagonal_table_prints_the_rational_function(capsys):

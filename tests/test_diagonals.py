@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradeforge.diagonals as diagonals
 from gradeforge import (
@@ -36,7 +37,13 @@ from gradeforge.errors import (
 from gradeforge.polynomials import Poly, RatFun
 from gradeforge.series import TruncSeries
 
-from oracles import catalan_witness_diagonal, diagonal_from_box, rational_series_box
+from conftest import rationals
+from oracles import (
+    catalan_witness_diagonal,
+    diagonal_from_box,
+    geometric_series_diagonal,
+    rational_series_box,
+)
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -121,6 +128,32 @@ def test_diagonal_matches_linear_solve_oracle():
         Poly(2, {k: Fraction(v) for k, v in den.items()}),
     )
     assert list(diagonal_extract(rat, 8).coeffs) == want
+
+
+@st.composite
+def small_ratfuns(draw):
+    """num/den in 2-4 variables with non-integer coefficients and a
+    constant term of den outside {0, 1, -1}."""
+    m = draw(st.integers(2, 4))
+    expos = st.tuples(*[st.integers(0, 2)] * m)
+    fractional = rationals(max_num=9, max_den=6).filter(
+        lambda c: c.denominator != 1)
+    num = draw(st.dictionaries(expos, fractional, max_size=4))
+    den = draw(st.dictionaries(expos, fractional, max_size=4))
+    den[(0,) * m] = draw(rationals(max_num=9, max_den=6).filter(
+        lambda c: c not in (0, 1, -1)))
+    return m, num, den, draw(st.integers(1, 4))
+
+
+@given(small_ratfuns())
+@settings(max_examples=60)
+def test_diagonal_matches_both_oracles_on_random_ratfuns(case):
+    m, num, den, order = case
+    got = list(diagonal_extract(RatFun(Poly(m, num), Poly(m, den)),
+                                order).coeffs)
+    box = rational_series_box(num, den, (order - 1,) * m)
+    assert got == diagonal_from_box(box, m, order)
+    assert got == geometric_series_diagonal(num, den, m, order)
 
 
 # ---------------------------------------------------------------------------
