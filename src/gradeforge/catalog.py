@@ -33,22 +33,20 @@ class BuiltinSeries:
         return TruncSeries(tuple(self.coefficient(n) for n in range(terms)))
 
 
-def _ann(poly: Poly, y0) -> Annihilator:
-    return Annihilator(poly, Fraction(y0))
-
-
 _Z = Poly.variable(2, 0)
 _Y = Poly.variable(2, 1)
 _ONE = Poly.const(2, 1)
 
 #: Annihilators for the algebraic members of the corpus (z, y variables).
 CORPUS_ANNIHILATORS: dict[str, Annihilator] = {
-    "catalan": _ann(_Z * _Y * _Y - _Y + _ONE, 1),
-    "catalan-shifted": _ann(_Y * _Y - _Y + _Z, 0),
-    "central-binomial": _ann((_ONE - Poly.const(2, 4) * _Z) * _Y * _Y - _ONE, 1),
-    "geometric": _ann((_ONE - _Z) * _Y - _ONE, 1),
-    "sqrt1p": _ann(_Y * _Y - _ONE - _Z, 1),
-    "cbrt1m": _ann(_Y * _Y * _Y - _ONE + _Z, 1),
+    "catalan": Annihilator(_Z * _Y * _Y - _Y + _ONE, 1),
+    "catalan-shifted": Annihilator(_Y * _Y - _Y + _Z, 0),
+    "central-binomial": Annihilator(
+        (_ONE - Poly.const(2, 4) * _Z) * _Y * _Y - _ONE, 1
+    ),
+    "geometric": Annihilator((_ONE - _Z) * _Y - _ONE, 1),
+    "sqrt1p": Annihilator(_Y * _Y - _ONE - _Z, 1),
+    "cbrt1m": Annihilator(_Y * _Y * _Y - _ONE + _Z, 1),
 }
 
 

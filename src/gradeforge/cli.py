@@ -152,12 +152,18 @@ def _cmd_diagonal(args, cfg: Defaults) -> dict:
 
 
 def _cmd_euler(args, cfg: Defaults) -> dict:
-    quad = QuadratureConfig(
-        nodes=args.nodes if args.nodes is not None else cfg.laguerre_nodes,
-        tolerance=(
-            args.tolerance if args.tolerance is not None else cfg.quad_tolerance
-        ),
-    )
+    if args.terms is not None and args.terms < 1:
+        raise SchemaError("--terms must be at least 1")
+    try:
+        quad = QuadratureConfig(
+            nodes=args.nodes if args.nodes is not None else cfg.laguerre_nodes,
+            tolerance=(
+                args.tolerance if args.tolerance is not None
+                else cfg.quad_tolerance
+            ),
+        )
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     terms = args.terms if args.terms is not None else cfg.branch_terms
     return euler_report(args.z, quad, terms)
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebraic import Annihilator, expand_branch
 from .analytic import ExpPolyRational
 from .catalog import BuiltinSeries, get_builtin
 from .errors import SchemaError, TruncationExceeded
 from .holonomic import PRecurrence, unroll
-from .polynomials import Poly, poly_rows
+from .polynomials import poly_from_rows, poly_rows
 from .rationals import format_rational, parse_rational
 from .series import TruncSeries
 
@@ -102,21 +101,7 @@ def annihilator_from_json(payload) -> Annihilator:
     rows = payload["P"]
     if not isinstance(rows, list) or not rows:
         raise SchemaError('"P" must be a nonempty list of [i, j, coeff] rows')
-    terms: dict[tuple[int, int], Fraction] = {}
-    for row in rows:
-        if (not isinstance(row, list) or len(row) != 3
-                or not all(isinstance(e, int) and e >= 0 for e in row[:2])
-                or isinstance(row[2], bool)
-                or not isinstance(row[2], (int, str))):
-            raise SchemaError(
-                'each "P" row must be [z-exponent, y-exponent, coeff]'
-            )
-        try:
-            c = parse_rational(str(row[2]))
-        except ValueError as exc:
-            raise SchemaError(f'"P" row {row}: {exc}') from exc
-        key = (row[0], row[1])
-        terms[key] = terms.get(key, Fraction(0)) + c
+    poly = poly_from_rows(rows, 2, '"P"')
     if isinstance(payload["y0"], bool) or not isinstance(payload["y0"], (int, str)):
         raise SchemaError('"y0" must be an integer or rational string')
     try:
@@ -124,7 +109,7 @@ def annihilator_from_json(payload) -> Annihilator:
     except ValueError as exc:
         raise SchemaError(f'"y0": {exc}') from exc
     try:
-        return Annihilator(Poly(2, terms), y0)
+        return Annihilator(poly, y0)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -27,7 +27,7 @@ from .errors import (
     VariableCollision,
     VerificationFailed,
 )
-from .polynomials import Poly, RatFun, poly_rows
+from .polynomials import Poly, RatFun, poly_from_rows, poly_rows
 from .rationals import coerce_rational, format_rational, parse_rational
 from .series import TruncSeries, hadamard_mul
 
@@ -138,25 +138,6 @@ def diagonal_extract(rat: RatFun, order: int) -> TruncSeries:
 
 # -- witnesses ----------------------------------------------------------------
 
-def _poly_terms_parse(rows, nvars: int, what: str) -> Poly:
-    if not isinstance(rows, list):
-        raise SchemaError(f"{what} must be a list of term rows")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for row in rows:
-        if (not isinstance(row, list) or len(row) != nvars + 1
-                or not all(isinstance(e, int) and e >= 0 for e in row[:-1])
-                or not isinstance(row[-1], str)):
-            raise SchemaError(
-                f"{what} term must be [{nvars} exponents..., coeff string]"
-            )
-        try:
-            c = parse_rational(row[-1])
-        except ValueError as exc:
-            raise SchemaError(f"{what}: {exc}") from exc
-        terms[tuple(row[:-1])] = terms.get(tuple(row[:-1]), Fraction(0)) + c
-    return Poly(nvars, terms)
-
-
 @dataclass(frozen=True)
 class DiagonalWitness:
     """Rational function in 2d variables whose complete diagonal is a
@@ -229,8 +210,8 @@ class DiagonalWitness:
         rat = obj["R"]
         if not isinstance(rat, dict) or set(rat) != {"num", "den"}:
             raise SchemaError('R must be an object with "num" and "den"')
-        num = _poly_terms_parse(rat["num"], 2 * d, "num")
-        den = _poly_terms_parse(rat["den"], 2 * d, "den")
+        num = poly_from_rows(rat["num"], 2 * d, "num")
+        den = poly_from_rows(rat["den"], 2 * d, "den")
         if den.is_zero():
             raise SchemaError("den must be nonzero")
         order = obj["verified_order"]

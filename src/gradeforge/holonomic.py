@@ -5,9 +5,11 @@ integer polynomial coefficients,
 
     p_0(n) a_n + p_1(n) a_{n+1} + ... + p_r(n) a_{n+r} = 0    for n >= n0,
 
-together with the initial terms a_0 .. a_{n0+r-1}.  The constructor shifts
-n0 past every integer zero of p_r, so unrolling never divides by zero and
-the stored data determines the sequence uniquely.
+together with the initial terms a_0 .. a_{n0+r-1}.  Each p_i(n) is a dense
+integer coefficient list in `_intpoly` form (ascending, no trailing zeros),
+and every polynomial computation here is `_intpoly` arithmetic.  The
+constructor shifts n0 past every integer zero of p_r, so unrolling never
+divides by zero and the stored data determines the sequence uniquely.
 
 `hadamard_recurrence` is the closure algorithm: write both inputs as
 companion systems u_{n+1} = A(n) u_n, v_{n+1} = B(n) v_n; the termwise
@@ -34,20 +36,9 @@ from .errors import (
     UnderdeterminedRecurrence,
     VerificationFailed,
 )
-from .polynomials import (
-    Poly,
-    dense_to_poly,
-    fraction_free_left_kernel,
-    poly_to_dense,
-)
+from .polynomials import fraction_free_left_kernel
 from .rationals import coerce_rational, format_rational, parse_rational
 from .series import TruncSeries
-
-
-def _shift_poly(p: Poly, k: int) -> Poly:
-    """p(n) -> p(n + k)."""
-    coeffs, den = poly_to_dense(p)
-    return dense_to_poly(ip.shift_arg(coeffs, k), den)
 
 
 def _raise_base(lead: list[int], n0: int) -> int:
@@ -62,17 +53,19 @@ def _raise_base(lead: list[int], n0: int) -> int:
 class PRecurrence:
     """Recurrence Σ p_i(n)·a_{n+i} = 0 (n >= n0) plus initial terms.
 
+    `coeffs` holds p_0 .. p_r as tuples of integers, ascending in n.
     Construction normalizes to a deterministic representative: coefficients
-    are cleared to integers, divided by their common integer content, and
-    sign-fixed so the leading coefficient of p_r is positive; n0 is raised
-    past the integer zeros of p_r; `initial` is checked against the
-    recurrence where it overlaps and trimmed to exactly n0 + r terms.
+    are divided by their common integer content and sign-fixed so the
+    leading coefficient of p_r is positive; n0 is raised past the integer
+    zeros of p_r; `initial` is checked against the recurrence where it
+    overlaps and trimmed to exactly n0 + r terms.  Rational coefficients go
+    through `from_dense`.
 
     `empirical` marks recurrences produced by guessing: true only up to the
     window they were verified on.  It is metadata, ignored by equality.
     """
 
-    coeffs: tuple[Poly, ...]
+    coeffs: tuple[tuple[int, ...], ...]
     n0: int
     initial: tuple[Fraction, ...]
     empirical: bool = field(default=False, compare=False)
@@ -81,17 +74,18 @@ class PRecurrence:
         if len(self.coeffs) < 2:
             raise ValueError("recurrence order must be at least 1")
         for p in self.coeffs:
-            if not isinstance(p, Poly) or p.nvars != 1:
-                raise ValueError("coefficients must be univariate Poly in n")
-        if not self.coeffs[-1]:
+            if (not isinstance(p, (list, tuple))
+                    or any(type(x) is not int for x in p)):
+                raise ValueError(
+                    "coefficients must be integer coefficient lists in n"
+                )
+        dense = [ip.trim(list(p)) for p in self.coeffs]
+        if not dense[-1]:
             raise ValueError("leading coefficient p_r must be nonzero")
         if self.n0 < 0:
             raise ValueError("n0 must be nonnegative")
-        r = len(self.coeffs) - 1
+        r = len(dense) - 1
 
-        pairs = [poly_to_dense(p) for p in self.coeffs]
-        scale = math.lcm(*(d for _, d in pairs))
-        dense = [ip.scale(c, scale // d) for c, d in pairs]
         g = 0
         for c in dense:
             g = math.gcd(g, ip.content(c) if c else 0)
@@ -118,9 +112,7 @@ class PRecurrence:
                     f"initial terms violate the recurrence at n = {n}"
                 )
 
-        object.__setattr__(
-            self, "coeffs", tuple(dense_to_poly(c) for c in dense)
-        )
+        object.__setattr__(self, "coeffs", tuple(map(tuple, dense)))
         object.__setattr__(self, "n0", n0)
         object.__setattr__(self, "initial", initial[:need])
 
@@ -132,21 +124,23 @@ class PRecurrence:
     def from_dense(cls, coeffs: Sequence[Sequence], n0: int,
                    initial: Sequence, empirical: bool = False
                    ) -> "PRecurrence":
-        """Build from dense coefficient lists (ints, Fractions, or strings)."""
-        polys = []
-        for c in coeffs:
-            nums, den = ip.clear_denominators(coerce_rational(x) for x in c)
-            polys.append(dense_to_poly(nums, den))
+        """Build from dense coefficient lists (ints, Fractions, or strings).
+
+        One common denominator is cleared across every p_i.
+        """
+        values = [[coerce_rational(x) for x in c] for c in coeffs]
+        nums, _ = ip.clear_denominators(x for c in values for x in c)
+        polys, start = [], 0
+        for c in values:
+            polys.append(nums[start:start + len(c)])
+            start += len(c)
         return cls(tuple(polys), n0, tuple(initial), empirical)
 
     def to_json_dict(self) -> dict:
         return {
             "kind": "holonomic",
             "order": self.order,
-            "coeffs": [
-                [format_rational(c) for c in _dense_fractions(p)]
-                for p in self.coeffs
-            ],
+            "coeffs": [[str(c) for c in p] for p in self.coeffs],
             "n0": self.n0,
             "initial": [format_rational(x) for x in self.initial],
         }
@@ -184,40 +178,34 @@ class PRecurrence:
             raise SchemaError(f"inconsistent holonomic payload: {exc}") from exc
 
 
-def _dense_fractions(p: Poly) -> list[Fraction]:
-    c, den = poly_to_dense(p)
-    return [Fraction(x, den) for x in c]
-
-
 def unroll(rec: PRecurrence, n: int) -> TruncSeries:
     """First n terms of the sequence, in exact rational arithmetic."""
     if n < 1:
         raise ValueError("need at least one term")
     r = rec.order
-    dense = [poly_to_dense(p)[0] for p in rec.coeffs]
     out = list(rec.initial[:n])
     while len(out) < n:
         m = len(out) - r
         acc = Fraction(0)
         for i in range(r):
-            acc += ip.eval_at(dense[i], m) * out[m + i]
-        out.append(-acc / ip.eval_at(dense[r], m))
+            acc += ip.eval_at(rec.coeffs[i], m) * out[m + i]
+        out.append(-acc / ip.eval_at(rec.coeffs[r], m))
     return TruncSeries(tuple(out))
 
 
-def _companion(rec: PRecurrence) -> tuple[list[list[Poly]], Poly]:
+def _companion(rec: PRecurrence
+               ) -> tuple[list[list[Sequence[int]]], Sequence[int]]:
     """Companion matrix numerators and the cleared leading coefficient.
 
     The true transition matrix is the returned matrix divided by p_r(n).
     """
     r = rec.order
-    zero = Poly.zero(1)
     lead = rec.coeffs[r]
-    mat = [[zero] * r for _ in range(r)]
+    mat: list[list[Sequence[int]]] = [[[] for _ in range(r)] for _ in range(r)]
     for i in range(r - 1):
         mat[i][i + 1] = lead
     for j in range(r):
-        mat[r - 1][j] = -rec.coeffs[j]
+        mat[r - 1][j] = ip.neg(rec.coeffs[j])
     return mat, lead
 
 
@@ -252,10 +240,7 @@ def _finish(q_dense: list[list[int]], n0_base: int,
         p1 = ip.shift_arg(q_dense[top], 1 - low)
         n0 = _raise_base(p1, max(n0_base + low - 1, 0))
         terms = terms_of(n0 + 1)
-        return PRecurrence(
-            (Poly.zero(1), dense_to_poly(ip.primitive(p1))),
-            n0, tuple(terms), empirical,
-        )
+        return PRecurrence(((), tuple(p1)), n0, tuple(terms), empirical)
     shifted = [ip.shift_arg(q_dense[k], -low) for k in range(low, top + 1)]
     g = shifted[0]
     for c in shifted[1:]:
@@ -268,9 +253,7 @@ def _finish(q_dense: list[list[int]], n0_base: int,
     n0 = _raise_base(shifted[-1], n0)
     r = len(shifted) - 1
     terms = terms_of(n0 + r)
-    return PRecurrence(
-        tuple(dense_to_poly(c) for c in shifted), n0, tuple(terms), empirical
-    )
+    return PRecurrence(tuple(shifted), n0, tuple(terms), empirical)
 
 
 def hadamard_recurrence(ra: PRecurrence, rb: PRecurrence) -> PRecurrence:
@@ -282,37 +265,33 @@ def hadamard_recurrence(ra: PRecurrence, rb: PRecurrence) -> PRecurrence:
     amat, alead = _companion(ra)
     bmat, blead = _companion(rb)
     kron = [
-        [amat[i][i2] * bmat[j][j2] for i2 in range(r) for j2 in range(s)]
+        [ip.mul(amat[i][i2], bmat[j][j2])
+         for i2 in range(r) for j2 in range(s)]
         for i in range(r) for j in range(s)
     ]
-    lead = alead * blead
+    lead = ip.mul(alead, blead)
 
-    one = Poly.const(1, 1)
-    zero = Poly.zero(1)
-    pi = [zero] * rs
-    pi[0] = one
-    rows = [list(pi)]
-    delta = one
+    pi: list[list[int]] = [[] for _ in range(rs)]
+    pi[0] = [1]
+    rows = [pi]
+    delta = [1]
     deltas = [delta]
     for _ in range(rs):
-        up = [_shift_poly(p, 1) for p in pi]
-        pi = [
-            sum((up[c] * kron[c][c2] for c in range(rs) if up[c]), zero)
-            for c2 in range(rs)
-        ]
-        delta = _shift_poly(delta, 1) * lead
-        rows.append(list(pi))
+        up = [ip.shift_arg(p, 1) for p in pi]
+        nxt = []
+        for c2 in range(rs):
+            acc: list[int] = []
+            for c in range(rs):
+                if up[c]:
+                    acc = ip.add(acc, ip.mul(up[c], kron[c][c2]))
+            nxt.append(acc)
+        pi = nxt
+        delta = ip.mul(ip.shift_arg(delta, 1), lead)
+        rows.append(pi)
         deltas.append(delta)
 
     v = fraction_free_left_kernel(rows)
-    q_dense = []
-    for k in range(rs + 1):
-        c, den = poly_to_dense(v[k] * deltas[k])
-        if den != 1:
-            raise VerificationFailed(
-                "kernel vector times shifts is not integral"
-            )
-        q_dense.append(c)
+    q_dense = [ip.mul(v[k], deltas[k]) for k in range(rs + 1)]
 
     n0_base = max(ra.n0, rb.n0)
 
@@ -345,13 +324,14 @@ def guess_recurrence(f: TruncSeries, max_order: int,
         )
     terms = f.coeffs
     npoints = f.order - R
-    rows = []
-    for i in range(R + 1):
-        for d in range(D + 1):
-            rows.append([
-                Poly.const(1, Fraction(n ** d) * terms[n + i])
-                for n in range(npoints)
-            ])
+    # One equation per n; clearing its denominators leaves the kernel as is.
+    rows: list[list[list[int]]] = [[] for _ in range((R + 1) * (D + 1))]
+    for n in range(npoints):
+        ints, _ = ip.clear_denominators(
+            terms[n + i] * n ** d for i in range(R + 1) for d in range(D + 1)
+        )
+        for row, x in zip(rows, ints):
+            row.append([x] if x else [])
     try:
         v = fraction_free_left_kernel(rows)
     except NoKernel:
@@ -364,10 +344,10 @@ def guess_recurrence(f: TruncSeries, max_order: int,
     for i in range(R + 1):
         coeffs = []
         for d in range(D + 1):
-            val = v[i * (D + 1) + d].constant_term()
-            if val.denominator != 1:
-                raise VerificationFailed("kernel vector is not integral")
-            coeffs.append(val.numerator)
+            entry = v[i * (D + 1) + d]
+            if len(entry) > 1:
+                raise VerificationFailed("kernel vector entry is not constant")
+            coeffs.append(entry[0] if entry else 0)
         q_dense.append(ip.trim(coeffs))
 
     def terms_of(count: int) -> list[Fraction]:

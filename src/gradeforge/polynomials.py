@@ -2,14 +2,14 @@
 
 Representation: sparse dict mapping exponent tuples to nonzero Fractions.
 The monomial order everywhere is graded lexicographic (total degree first,
-then leftmost variable most significant); canonical text rendering, leading
-terms, and the deterministic elimination in `fraction_free_left_kernel` all
-use it.
+then leftmost variable most significant); canonical text rendering and
+leading terms use it.
 
-`fraction_free_left_kernel` works over univariate integer polynomials using
-Bareiss elimination (exact divisions, no fractions), which is what the
-recurrence closure code needs: entries stay in the integer-polynomial ring
-instead of blowing up as reduced rational functions.
+`fraction_free_left_kernel` works over univariate integer polynomials, given
+as dense `_intpoly` coefficient lists, using Bareiss elimination (exact
+divisions, no fractions), which is what the recurrence closure code needs:
+entries stay in the integer-polynomial ring instead of blowing up as reduced
+rational functions.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .errors import (
     InexactDivision,
     NoKernel,
     PoleAtPoint,
+    SchemaError,
     VariableMismatch,
 )
-from .rationals import coerce_rational, format_rational
+from .rationals import coerce_rational, format_rational, parse_rational
 
 
 def _grlex_key(expo: tuple[int, ...]):
@@ -249,6 +250,33 @@ def poly_rows(p: Poly) -> list[list]:
     ]
 
 
+def poly_from_rows(rows, nvars: int, what: str) -> Poly:
+    """Inverse of `poly_rows`: [*exponents, coeff] rows -> Poly.
+
+    coeff is an integer or a rational string; rows for the same monomial
+    add up.  Malformed rows raise SchemaError naming `what`.
+    """
+    if not isinstance(rows, list):
+        raise SchemaError(f"{what} must be a list of term rows")
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for row in rows:
+        if (not isinstance(row, list) or len(row) != nvars + 1
+                or not all(isinstance(e, int) and not isinstance(e, bool)
+                           and e >= 0 for e in row[:-1])
+                or isinstance(row[-1], bool)
+                or not isinstance(row[-1], (int, str))):
+            raise SchemaError(
+                f"{what} term must be [{nvars} exponents..., coeff]"
+            )
+        try:
+            c = parse_rational(str(row[-1]))
+        except ValueError as exc:
+            raise SchemaError(f"{what} row {row}: {exc}") from exc
+        expo = tuple(row[:-1])
+        terms[expo] = terms.get(expo, Fraction(0)) + c
+    return Poly(nvars, terms)
+
+
 def rows_text(rows, names: Sequence[str]) -> str:
     """Render [*exponents, "coeff"] rows as a sum, in row order."""
     parts = []
@@ -308,29 +336,14 @@ class RatFun:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-# -- univariate bridge -------------------------------------------------------
-
-def poly_to_dense(p: Poly) -> tuple[list[int], int]:
-    """Univariate Poly -> (integer coefficient list, positive denominator)."""
-    if p.nvars != 1:
-        raise VariableMismatch("dense form needs a univariate polynomial")
-    if p.is_zero():
-        return [], 1
-    nums, den = ip.clear_denominators(p.terms.values())
-    out = [0] * (p.degree_in(0) + 1)
-    for (e,), c in zip(p.terms, nums):
-        out[e] = c
-    return out, den
-
-
-def dense_to_poly(c: Sequence[int], den: int = 1) -> Poly:
-    return Poly(1, {(i,): Fraction(x, den) for i, x in enumerate(c) if x})
-
-
 # -- fraction-free left kernel ------------------------------------------------
 
-def fraction_free_left_kernel(matrix: Sequence[Sequence[Poly]]) -> list[Poly]:
-    """A nonzero row vector v with v * matrix = 0, over univariate Poly.
+def fraction_free_left_kernel(
+        matrix: Sequence[Sequence[list[int]]]) -> list[list[int]]:
+    """A nonzero row vector v with v * matrix = 0 over Z[n].
+
+    Entries of `matrix` and of v are dense integer coefficient lists
+    (`_intpoly` form: ascending, no trailing zeros, [] for zero).
 
     Deterministic: Bareiss elimination over the integer-polynomial ring,
     processing columns left to right, pivot = first nonzero row.  The result
@@ -346,19 +359,8 @@ def fraction_free_left_kernel(matrix: Sequence[Sequence[Poly]]) -> list[Poly]:
     if any(len(r) != cols for r in matrix):
         raise VariableMismatch("ragged matrix")
 
-    # Equations: columns of `matrix`.  E[k][i] = matrix[i][k], as dense ints
-    # (clearing each equation's denominators leaves the kernel unchanged).
-    E: list[list[list[int]]] = []
-    for k in range(cols):
-        dense = [poly_to_dense(matrix[i][k]) for i in range(rows)]
-        lcm_den = math.lcm(*(d for _, d in dense))
-        row = [ip.scale(c, lcm_den // d) for c, d in dense]
-        g = 0
-        for c in row:
-            g = math.gcd(g, ip.content(c))
-        if g > 1:
-            row = [[x // g for x in c] for c in row]
-        E.append(row)
+    # Equations: columns of `matrix`.  E[k][i] = matrix[i][k].
+    E = [[matrix[i][k] for i in range(rows)] for k in range(cols)]
 
     prev: list[int] = [1]
     pivot_rows: list[tuple[int, int]] = []  # (equation row, variable column)
@@ -466,4 +468,4 @@ def fraction_free_left_kernel(matrix: Sequence[Sequence[Poly]]) -> list[Poly]:
         raise NoKernel("elimination produced the zero vector")
     if first[-1] < 0:
         vec = [ip.neg(c) for c in vec]
-    return [dense_to_poly(c) for c in vec]
+    return vec

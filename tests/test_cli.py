@@ -274,6 +274,17 @@ def test_euler_rejects_nonpositive_z(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ("--nodes", "4"),
+    ("--tolerance", "0"),
+    ("--terms", "0"),
+])
+def test_euler_malformed_numbers_are_schema_errors(capsys, flags):
+    rc, out, err = run(capsys, "euler", "--z", "1.0", *flags)
+    assert rc == 2
+    assert "error:" in err
+
+
 def test_euler_table_rendering(capsys):
     rc, out, err = run(capsys, "euler", "--z", "0.5")
     assert rc == 0

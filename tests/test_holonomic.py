@@ -64,6 +64,20 @@ def test_normalization_is_canonical():
     assert a == b
 
 
+def test_from_dense_stores_primitive_integer_tuples():
+    rec = PRecurrence.from_dense(
+        [[Fraction(2, 3), "-4/3"], [Fraction(-1, 3), 0, "-2/9"]], 0, [1]
+    )
+    assert rec.coeffs == ((-6, 12), (3, 0, 2))
+    assert all(type(x) is int for p in rec.coeffs for x in p)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), True, 1.0])
+def test_non_integer_coefficient_rejected(bad):
+    with pytest.raises(ValueError):
+        PRecurrence(((1, bad), (1,)), 0, (1,))
+
+
 def test_json_round_trip():
     rec = hadamard_recurrence(CENTRAL_BINOMIAL, CATALAN)
     assert PRecurrence.from_json_dict(rec.to_json_dict()) == rec
