@@ -7,6 +7,10 @@ computes its coefficients by Newton iteration with precision doubling:
 
     f  <-  f - P(z, f) / P_y(z, f)     (mod z^(2m))
 
+`branch_residues` runs the same iteration in (Z/p^r)[[z]] when the branch
+point stays a simple root mod p, so residues never pass through the exact
+coefficients, whose bit size grows linearly in n.
+
 Ramified branches (multiple roots of P(0, y) at y0, fractional exponents)
 are rejected outright rather than half-supported.
 """
@@ -19,7 +23,7 @@ from fractions import Fraction
 from .errors import NotARoot, RamifiedBranch, VerificationFailed
 from .polynomials import Poly
 from .rationals import coerce_rational
-from .series import TruncSeries, _conv_frac
+from .series import TruncSeries, _conv_frac, _conv_mod
 
 
 @dataclass(frozen=True)
@@ -49,42 +53,49 @@ def _y_coefficient_lists(p: Poly) -> list[list[Fraction]]:
     return out
 
 
-def _eval_poly_at_series(coeff_lists, f, limit):
-    """P(z, f(z)) mod z^limit by Horner in y."""
+def _identity(x):
+    return x
+
+
+def _eval_poly_at_series(coeff_lists, f, limit, mul=_conv_frac,
+                         norm=_identity):
+    """P(z, f(z)) mod z^limit by Horner in y; the ring is given by `mul`
+    (product truncated and zero-padded to `limit`) and `norm`."""
     res = list(coeff_lists[-1][:limit])
-    res += [Fraction(0)] * (limit - len(res))
+    res += [0] * (limit - len(res))
     for j in range(len(coeff_lists) - 2, -1, -1):
-        res = _conv_frac(res, f, limit)
-        res += [Fraction(0)] * (limit - len(res))
+        res = mul(res, f, limit)
         cj = coeff_lists[j]
         for i in range(min(len(cj), limit)):
             if cj[i]:
-                res[i] += cj[i]
+                res[i] = norm(res[i] + cj[i])
     return res
 
 
-def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
-    """First n coefficients of the branch of P through (0, y0).
-
-    Quadratic Newton convergence: precision doubles each pass, so the loop
-    runs O(log n) times with the last pass dominating.
-    """
-    if n < 1:
-        raise ValueError("need at least one coefficient")
+def _branch_derivative(ann: Annihilator) -> tuple[Poly, Fraction]:
+    """P_y and P_y(0, y0), after the exact checks at the branch point."""
     p = ann.poly
     y0 = ann.y0
     p0 = p.eval([Fraction(0), y0])
     if p0 != 0:
         raise NotARoot(f"P(0, {y0}) = {p0} != 0")
     py = p.derivative(1)
-    if py.eval([Fraction(0), y0]) == 0:
+    py0 = py.eval([Fraction(0), y0])
+    if py0 == 0:
         raise RamifiedBranch(
             "P_y(0, y0) = 0: multiple root at the branch point"
         )
+    return py, py0
 
-    pc = _y_coefficient_lists(p)
-    pyc = _y_coefficient_lists(py)
 
+def _newton_branch(pc, pyc, y0, g0, n, mul, norm):
+    """First n coefficients of the branch through y0, by Newton iteration.
+
+    pc and pyc are the y-coefficient lists of P and P_y over the ring, y0
+    the branch point and g0 = 1/P_y(0, y0) in it.  `mul(a, b, k)` is the
+    product truncated and zero-padded to k entries; `norm` brings a sum or
+    a negation back to a canonical ring element.
+    """
     # f: branch prefix, correct mod z^m.
     # g: reciprocal of P_y(z, f), maintained lazily at order gm.  Each pass
     # needs g only mod z^h where h = m2 - m <= m, so one Newton lift of g
@@ -93,7 +104,7 @@ def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
     # product": P(z, f) vanishes mod z^m, so only its top h coefficients
     # times g[:h] contribute.
     f = [y0]
-    g = [1 / Fraction(py.eval([Fraction(0), y0]))]
+    g = [g0]
     gm = 1
     m = 1
     while m < n:
@@ -104,18 +115,86 @@ def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
                 raise VerificationFailed(
                     f"one Newton lift cannot take 1/P_y from order {gm} to {h}"
                 )
-            dval = _eval_poly_at_series(pyc, f[:h], h)
-            ar = _conv_frac(dval, g, h)
-            two_minus = [2 - ar[0]] + [-x for x in ar[1:]]
-            g = _conv_frac(g, two_minus, h)
+            dval = _eval_poly_at_series(pyc, f[:h], h, mul, norm)
+            ar = mul(dval, g, h)
+            two_minus = [norm(2 - ar[0])] + [norm(-x) for x in ar[1:]]
+            g = mul(g, two_minus, h)
             gm = h
-        f_pad = f + [Fraction(0)] * (m2 - len(f))
-        val = _eval_poly_at_series(pc, f_pad, m2)
-        corr = _conv_frac(val[m:m2], g[:h], h)
-        corr += [Fraction(0)] * (h - len(corr))
-        f = f_pad[:m] + [-c for c in corr]
+        f_pad = f + [0] * (m2 - len(f))
+        val = _eval_poly_at_series(pc, f_pad, m2, mul, norm)
+        corr = mul(val[m:m2], g[:h], h)
+        f = f[:m] + [norm(-c) for c in corr]
         m = m2
-    return TruncSeries(tuple(f[:n]))
+    return f[:n]
+
+
+def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
+    """First n coefficients of the branch of P through (0, y0).
+
+    Quadratic Newton convergence: precision doubles each pass, so the loop
+    runs O(log n) times with the last pass dominating.
+    """
+    if n < 1:
+        raise ValueError("need at least one coefficient")
+    py, py0 = _branch_derivative(ann)
+    f = _newton_branch(_y_coefficient_lists(ann.poly),
+                       _y_coefficient_lists(py), ann.y0, 1 / py0, n,
+                       _conv_frac, _identity)
+    return TruncSeries(tuple(f))
+
+
+def _valuation(x: Fraction, p: int) -> int:
+    """The p-adic valuation of a nonzero rational."""
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def branch_residues(ann: Annihilator, n: int, p: int,
+                    r: int = 1) -> list[int] | None:
+    """First n coefficients of the branch mod p^r (p prime), or None.
+
+    P is scaled by the power of p that makes its coefficients p-integral
+    with one of them a p-unit.  When y0 is p-integral and P_y(0, y0) is then
+    a p-unit, every quantity in the Newton iteration is p-integral, so the
+    iteration runs in (Z/p^r)[[z]] (Hensel lifting) with coefficients of
+    r·log2(p) bits instead of the Θ(n) bits of the exact ones, and the
+    result equals ``reduce_mod(expand_branch(ann, n), p, r)``.  Otherwise
+    this returns None and only the exact expansion can say whether the
+    branch is p-integral.  The exact checks at the branch point run first.
+    """
+    if n < 1:
+        raise ValueError("need at least one coefficient")
+    if p < 2 or r < 1:
+        raise ValueError("need a prime p and an exponent r >= 1")
+    py, py0 = _branch_derivative(ann)
+    if ann.y0.denominator % p == 0:
+        return None
+    shift = min(_valuation(c, p) for c in ann.poly.terms.values())
+    if _valuation(py0, p) != shift:
+        return None
+    modulus = p ** r
+    scale = Fraction(p) ** -shift
+
+    def residue(x: Fraction) -> int:
+        return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+    def lists(poly: Poly) -> list[list[int]]:
+        return [[residue(c * scale) for c in row]
+                for row in _y_coefficient_lists(poly)]
+
+    return _newton_branch(
+        lists(ann.poly), lists(py), residue(ann.y0),
+        pow(residue(py0 * scale), -1, modulus), n,
+        lambda a, b, k: _conv_mod(a, b, k, modulus),
+        lambda x: x % modulus,
+    )
 
 
 def verify_annihilator(ann: Annihilator, f: TruncSeries) -> bool:

@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebraic import Annihilator, expand_branch
+from .algebraic import Annihilator, branch_residues, expand_branch
 from .config import DEFAULTS
 from .errors import BudgetTooSmall, PrimeDividesDenominator
 from .series import TruncSeries
@@ -51,12 +51,16 @@ class ResidueSequence:
         return len(self.terms)
 
 
-def reduce_mod(f: TruncSeries, p: int, r: int = 1) -> ResidueSequence:
-    """Coefficients of f mod p^r, via modular inverse of the denominators."""
+def _check_prime_power(p: int, r: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("exponent r must be at least 1")
+
+
+def reduce_mod(f: TruncSeries, p: int, r: int = 1) -> ResidueSequence:
+    """Coefficients of f mod p^r, via modular inverse of the denominators."""
+    _check_prime_power(p, r)
     modulus = p ** r
     terms = []
     for n, c in enumerate(f.coeffs):
@@ -278,16 +282,21 @@ class ChristolReport:
 def christol_report(ann: Annihilator, p: int, r: int = 1,
                     q: Optional[int] = None,
                     budgets: Optional[KernelBudgets] = None) -> ChristolReport:
-    """Expand the branch, reduce mod p^r, close the q-kernel.
+    """Expand the branch mod p^r, close the q-kernel.
+
+    The residues come from `branch_residues`, the Newton iteration run in
+    (Z/p^r)[[z]], whenever P_y(0, y0) is a p-unit for P scaled to p-integral
+    coefficients and y0 is p-integral; there the coefficients stay at
+    r·log2(p) bits.  In every other case the branch is expanded exactly and
+    reduced by `reduce_mod`, whose coefficients grow to Θ(n) bits and which
+    raises `PrimeDividesDenominator` when the branch is not p-integral.
 
     q defaults to p — the setting in which a finite closure is the expected
     outcome for an algebraic branch.  The depth budget (default: the global
     rule of 8 halvings worth of digits, scaled by log2 q) is a cap, not a
     commitment: expansion and closure run at increasing depth and stop at
     the first closed kernel.  Each attempt is sized to exactly the closure
-    precondition L·q^k, so shallow kernels never pay for long expansions —
-    which matters, because exact branch coefficients grow exponentially
-    and expansion cost is driven by their bit size.
+    precondition L·q^k, so shallow kernels never pay for long expansions.
     """
     if q is None:
         q = p
@@ -297,11 +306,17 @@ def christol_report(ann: Annihilator, p: int, r: int = 1,
                                 fingerprint_length=DEFAULTS.fingerprint_length)
     if budgets.max_depth < 1:
         raise BudgetTooSmall("the depth budget must allow at least one attempt")
+    _check_prime_power(p, r)
     for depth in range(1, budgets.max_depth + 1):
         attempt = KernelBudgets(budgets.max_states, depth,
                                 budgets.fingerprint_length)
-        f = expand_branch(ann, attempt.fingerprint_length * q**depth)
-        automaton = kernel_closure(reduce_mod(f, p, r), q, attempt)
+        n = attempt.fingerprint_length * q**depth
+        terms = branch_residues(ann, n, p, r)
+        if terms is None:
+            seq = reduce_mod(expand_branch(ann, n), p, r)
+        else:
+            seq = ResidueSequence(p**r, tuple(terms))
+        automaton = kernel_closure(seq, q, attempt)
         if automaton.status == "closed":
             break
     return ChristolReport(p=p, r=r, q=q, automaton=automaton)

@@ -66,6 +66,14 @@ def _conv_frac(xs: Sequence[Fraction], ys: Sequence[Fraction],
     return out
 
 
+def _conv_mod(xs: Sequence[int], ys: Sequence[int], limit: int,
+              modulus: int) -> list[int]:
+    """Truncated convolution mod `modulus`, zero-padded to `limit` entries."""
+    out = [c % modulus for c in ip.conv(xs, ys, limit)]
+    out.extend([0] * (limit - len(out)))
+    return out
+
+
 def cauchy_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """Convolution product; order = min of the operand orders."""
     n = min(a.order, b.order)

@@ -2,11 +2,22 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from gradeforge.algebraic import Annihilator, expand_branch, verify_annihilator
+from gradeforge.algebraic import (
+    Annihilator,
+    branch_residues,
+    expand_branch,
+    verify_annihilator,
+)
+from gradeforge.automata import reduce_mod
 from gradeforge.catalog import CORPUS_ANNIHILATORS
-from gradeforge.errors import NotARoot, RamifiedBranch
+from gradeforge.errors import (
+    NotARoot,
+    PrimeDividesDenominator,
+    RamifiedBranch,
+)
 from gradeforge.polynomials import Poly
 from gradeforge.series import TruncSeries
 
@@ -111,3 +122,82 @@ def test_deep_expansion_matches_integer_recurrences():
     assert list(cb.coeffs) == oracles.central_binomials_fast(400)
     cat = expand_branch(CORPUS_ANNIHILATORS["catalan"], 400)
     assert list(cat.coeffs) == oracles.catalan_numbers_fast(400)
+
+
+# ---------------------------------------------------------------------------
+# residues mod p^r by the Newton iteration in (Z/p^r)[[z]]
+
+#: (branch, p) where P_y(0, y0) is no p-unit: the residue path declines
+NOT_A_UNIT = {("central-binomial", 2), ("sqrt1p", 2), ("cbrt1m", 3)}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ANNIHILATORS))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_branch_residues_match_the_oracle(name, p, r):
+    got = branch_residues(CORPUS_ANNIHILATORS[name], 2000, p, r)
+    if (name, p) in NOT_A_UNIT:
+        assert got is None
+    else:
+        assert got == oracles.corpus_residues(name, 2000, p, r)
+
+
+@st.composite
+def integer_branch_points(draw):
+    """Integer P(z, y) with P(0, y0) = 0 at an integer y0, plus p, r and n."""
+    dz = draw(st.integers(0, 2))
+    dy = draw(st.integers(1, 3))
+    terms = {(i, j): draw(st.integers(-6, 6))
+             for i in range(dz + 1) for j in range(dy + 1)}
+    y0 = draw(st.integers(-3, 3))
+    terms[(0, 0)] -= sum(terms[(0, j)] * y0**j for j in range(dy + 1))
+    assume(sum(j * terms[(0, j)] * y0**(j - 1) for j in range(1, dy + 1)))
+    return (bivariate(terms, y0), draw(st.sampled_from([2, 3, 5, 7])),
+            draw(st.integers(1, 3)), draw(st.integers(1, 40)))
+
+
+@given(integer_branch_points())
+@settings(max_examples=150)
+def test_branch_residues_equal_the_reduced_exact_branch(case):
+    ann, p, r, n = case
+    got = branch_residues(ann, n, p, r)
+    if got is not None:
+        assert got == list(reduce_mod(expand_branch(ann, n), p, r).terms)
+
+
+@pytest.mark.parametrize("terms, y0", [
+    ({(0, 2): 1, (0, 1): -1, (1, 0): Fraction(1, 6)}, 0),  # y^2 - y + z/6
+    ({(1, 2): 1, (0, 1): -2, (0, 0): 1}, Fraction(1, 2)),  # zy^2 - 2y + 1
+    # 2y^2 - 3y + 1 + z: P_y(0, 1/2) = -1 is a unit even mod 2
+    ({(0, 2): 2, (0, 1): -3, (0, 0): 1, (1, 0): 1}, Fraction(1, 2)),
+])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_branch_residues_with_rational_inputs(terms, y0, p):
+    ann = bivariate(terms, y0)
+    got = branch_residues(ann, 200, p, 2)
+    exact = expand_branch(ann, 200)
+    if got is None:
+        # p divides a coefficient denominator of the branch itself
+        with pytest.raises(PrimeDividesDenominator):
+            reduce_mod(exact, p, 2)
+    else:
+        assert got == list(reduce_mod(exact, p, 2).terms)
+    assert (got is None) == (p in (2, 3) if y0 == 0 else p == 2)
+
+
+def test_branch_residues_scale_p_out_of_the_coefficients():
+    # (y^2 - y + z)/2: after scaling by 2 it is the shifted Catalan branch,
+    # whose P_y(0, 0) = -1 is a unit mod 2
+    half = bivariate({(0, 2): Fraction(1, 2), (0, 1): Fraction(-1, 2),
+                      (1, 0): Fraction(1, 2)})
+    for r in (1, 2, 3):
+        assert branch_residues(half, 500, 2, r) == oracles.corpus_residues(
+            "catalan-shifted", 500, 2, r)
+
+
+def test_branch_residues_keep_the_exact_checks():
+    with pytest.raises(NotARoot):
+        branch_residues(bivariate({(0, 2): 1, (0, 1): -1, (1, 0): 1}, y0=5),
+                        4, 3)
+    with pytest.raises(RamifiedBranch):
+        branch_residues(bivariate({(0, 2): 1, (1, 0): -1}), 4, 3)

@@ -7,6 +7,7 @@ import pytest
 
 from gradeforge import (
     KernelBudgets,
+    automata,
     christol_report,
     expand_branch,
     expand_builtin,
@@ -388,3 +389,61 @@ def test_central_binomial_kernel_grows_past_desk_budgets_mod_25():
     # fingerprints at depth 5, unlike every mod-p and mod-{4,9} case
     aut = close_corpus("central-binomial", 5, 2, 5)
     assert aut.status == "exhausted-budget"
+
+
+# ---------------------------------------------------------------------------
+# which expansion path the pipeline takes
+
+
+def _no_exact_expansion(ann, n):
+    raise AssertionError("christol_report expanded the branch exactly")
+
+
+@pytest.mark.parametrize("name, p, r", [
+    ("catalan", 2, 1),
+    ("catalan", 2, 2),
+    ("central-binomial", 3, 1),
+    ("sqrt1p", 3, 1),
+])
+def test_pipeline_takes_the_residue_path_at_unit_primes(monkeypatch, name,
+                                                        p, r):
+    monkeypatch.setattr(automata, "expand_branch", _no_exact_expansion)
+    rep = christol_report(CORPUS_ANNIHILATORS[name], p, r)
+    assert rep.status == "closed"
+    assert rep.state_count == EXPECTED_STATES[(name, p, r)]
+    aut = rep.automaton
+    depth = 1
+    while aut.fingerprint_length * p**depth < aut.truncation:
+        depth += 1
+    oracle = close_corpus(name, p, r, depth, length=aut.fingerprint_length)
+    assert aut.to_json_dict() == oracle.to_json_dict()
+
+
+def test_pipeline_falls_back_to_the_exact_path_when_p_divides_p_y(
+        monkeypatch):
+    # central-binomial has P_y(0, 1) = 2
+    calls = []
+
+    def counted(ann, n):
+        calls.append(n)
+        return expand_branch(ann, n)
+
+    monkeypatch.setattr(automata, "expand_branch", counted)
+    rep = christol_report(CORPUS_ANNIHILATORS["central-binomial"], 2)
+    assert calls
+    assert rep.status == "closed"
+    assert rep.state_count == EXPECTED_STATES[("central-binomial", 2, 1)]
+
+
+def test_pipeline_bad_prime_raises_on_the_exact_path():
+    # cbrt1m has P_y(0, 1) = 3 and powers of 3 in its denominators
+    with pytest.raises(PrimeDividesDenominator):
+        christol_report(CORPUS_ANNIHILATORS["cbrt1m"], 3, 1,
+                        budgets=KernelBudgets(4096, 3, 64))
+
+
+def test_pipeline_rejects_a_composite_modulus():
+    # the residue path alone would run mod 4^r; the pipeline is mod p^r
+    with pytest.raises(ValueError):
+        christol_report(CORPUS_ANNIHILATORS["catalan"], 4, 1,
+                        budgets=KernelBudgets(4096, 3, 64))

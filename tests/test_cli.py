@@ -6,8 +6,14 @@ import sys
 
 import pytest
 
+from gradeforge.automata import (
+    KernelBudgets,
+    ResidueSequence,
+    kernel_closure,
+)
 from gradeforge.cli import main
 from gradeforge.holonomic import PRecurrence, unroll
+from oracles import corpus_residues
 
 
 def run(capsys, *argv):
@@ -400,3 +406,19 @@ def test_modp_malformed_arguments_are_schema_errors(capsys, flag, value):
     rc, out, err = run(capsys, "modp", "builtin", "catalan", *argv)
     assert rc == 2
     assert err.startswith(f"error: {flag} must be")
+
+
+# ---------------------------------------------------------------------------
+# modp at a prime square, with the default budgets
+
+
+def test_modp_central_binomial_mod_nine_ends_at_its_depth_budget(capsys):
+    # the default depth for base 3 is 5; this kernel needs depth 7 to close
+    data = run_json(capsys, "modp", "builtin", "central-binomial", "--p",
+                    "3", "--r", "2")
+    terms = corpus_residues("central-binomial", 64 * 3**5, 3, 2)
+    oracle = kernel_closure(ResidueSequence(9, tuple(terms)), 3,
+                            KernelBudgets(4096, 5, 64))
+    assert data["status"] == oracle.status == "exhausted-budget"
+    assert data["state_count"] == len(oracle.states) == 15
+    assert data["automaton"] == oracle.to_json_dict()
