@@ -4,6 +4,9 @@ Covers the exponential integral I(z) = ∫_0^∞ e^{-u}/(1+zu) du (quadrature
 and its branch/series formula), closed-form Hadamard products of rational
 coefficient sequences with the pole-product law, and the plate-stack
 series identity with its odd-zeta special values.
+
+numpy and scipy are imported inside the three quadrature helpers, so only
+the `euler` command pays for loading them.
 """
 
 from __future__ import annotations
@@ -13,10 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from scipy import integrate
 
 from .config import DEFAULTS
 from .errors import InsufficientTerms, NonPositiveArgument, NotOdd
@@ -179,10 +178,14 @@ class QuadratureConfig:
 
 @functools.lru_cache(maxsize=8)
 def _laguerre_rule(n: int):
+    from numpy.polynomial.laguerre import laggauss
+
     return laggauss(n)
 
 
 def _laguerre_value(z: float, n: int) -> float:
+    import numpy as np
+
     x, w = _laguerre_rule(n)
     return float(np.sum(w / (1.0 + z * x)))
 
@@ -196,10 +199,12 @@ def _integral_with_error(z: float, cfg: QuadratureConfig) -> tuple[float, float,
     # node doubling refuses to settle.
     if z < 4.0 and doubling <= cfg.tolerance:
         return v2, doubling, f"gauss-laguerre-{2 * cfg.nodes}"
+    from scipy import integrate
+
     value, err = integrate.quad(
         lambda u: math.exp(-u) / (1.0 + z * u),
         0.0,
-        np.inf,
+        math.inf,
         epsabs=cfg.tolerance,
         epsrel=1e-12,
         limit=200,

@@ -14,20 +14,27 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .config import DEFAULTS
 from .errors import NotSignSequence, TooSparse
 from .series import TruncSeries
 
 TRIAL_DIVISION_BOUND = 10 ** 6
+#: The first 13 primes: Miller–Rabin to these bases is exact below
+#: MILLER_RABIN_EXACT_BELOW (Sorenson and Webster 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+#: Pollard–Brent gives up on a cofactor after about this many iterations.
+POLLARD_BRENT_STEPS = 1 << 16
+_BRENT_BATCH = 128
 
 
 class PrimeSupportScan(NamedTuple):
     """Primes dividing coefficient denominators, with first-occurrence index.
 
-    `incomplete` lists indices whose denominator kept a residue that trial
-    division up to 10^6 could neither remove nor certify prime.
+    `incomplete` lists indices whose denominator kept a part that could not
+    be split into certified primes: Pollard–Brent ran out of steps, or a
+    probable prime lies above MILLER_RABIN_EXACT_BELOW.  No prime in
+    `primes` is uncertified.
     """
 
     primes: tuple[tuple[int, int], ...]
@@ -61,25 +68,90 @@ class Periodicity:
         return {"kind": self.kind}
 
 
-def _factor_denominator(den: int) -> tuple[list[int], bool]:
-    """Prime factors of den by trial division; flag true when a residue
-    survived unfactored (composite with no factor <= 10^6)."""
+def _is_probable_prime(n: int) -> bool:
+    """Miller–Rabin on the odd n > 41 to the bases MILLER_RABIN_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> Optional[int]:
+    """A proper factor of the odd composite n, or None once about
+    POLLARD_BRENT_STEPS iterations of y -> y^2 + c (at most twice that)
+    found none."""
+    budget = POLLARD_BRENT_STEPS
+    c = 0
+    while budget > 0:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_BRENT_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _BRENT_BATCH
+            budget -= 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
+def _factor_cofactor(m: int) -> tuple[list[int], bool]:
+    """Certified prime factors of m > 1, and whether some part of m could
+    not be split into certified primes.
+
+    Trial division up to TRIAL_DIVISION_BOUND, then, for what is left,
+    Miller–Rabin (a proof below MILLER_RABIN_EXACT_BELOW) and Pollard–Brent.
+    """
     primes = []
-    residue = den
     d = 2
-    while d <= TRIAL_DIVISION_BOUND and d * d <= residue:
-        if residue % d == 0:
+    while d <= TRIAL_DIVISION_BOUND and d * d <= m:
+        if m % d == 0:
             primes.append(d)
-            while residue % d == 0:
-                residue //= d
+            while m % d == 0:
+                m //= d
         d += 1 if d == 2 else 2
-    if residue > 1:
-        if d * d > residue:
-            # no factor below sqrt: the residue is prime
-            primes.append(residue)
-            return primes, False
-        return primes, True
-    return primes, False
+    # every prime factor of what is left exceeds d - 1
+    pending = [m] if m > 1 else []
+    stuck = False
+    while pending:
+        x = pending.pop()
+        if x < d * d or (x < MILLER_RABIN_EXACT_BELOW
+                         and _is_probable_prime(x)):
+            primes.append(x)
+        elif _is_probable_prime(x):
+            stuck = True  # probably prime, but too large to certify
+        else:
+            factor = _pollard_brent(x)
+            if factor is None:
+                stuck = True
+            else:
+                pending += [factor, x // factor]
+    return sorted(set(primes)), stuck
 
 
 def prime_support_scan(f: TruncSeries, window: int) -> PrimeSupportScan:
@@ -89,6 +161,10 @@ def prime_support_scan(f: TruncSeries, window: int) -> PrimeSupportScan:
     the final `window` indices — the signature of support that keeps
     expanding with the truncation, i.e. of a series that cannot have finite
     Hadamard grade.
+
+    Only primes seen for the first time change the result, so each
+    denominator is first stripped of the primes already found (a gcd with
+    their product), and only the cofactor left is factored.
     """
     if window < 1:
         raise ValueError("window must be positive")
@@ -98,15 +174,21 @@ def prime_support_scan(f: TruncSeries, window: int) -> PrimeSupportScan:
         )
     first: dict[int, int] = {}
     incomplete = []
+    known = 1  # product of the primes in `first`
     for n, c in enumerate(f.coeffs):
         den = c.denominator
+        g = math.gcd(den, known)
+        while g > 1:
+            den //= g
+            g = math.gcd(den, g)
         if den == 1:
             continue
-        primes, leftover = _factor_denominator(den)
-        if leftover:
+        primes, stuck = _factor_cofactor(den)
+        if stuck:
             incomplete.append(n)
         for p in primes:
-            first.setdefault(p, n)
+            first[p] = n
+            known *= p
     cutoff = f.order - window
     return PrimeSupportScan(
         primes=tuple(sorted(first.items())),
@@ -139,10 +221,21 @@ def radius_estimate(f: TruncSeries, *,
         for n, c in enumerate(f.coeffs)
         if n >= n_terms // 2 and c != 0
     ]
-    design = np.array([[n * math.log(n), float(n)] for n, _ in points])
-    target = np.array([y for _, y in points])
-    (beta, c_lin), *_ = np.linalg.lstsq(design, target, rcond=None)
-    beta = float(beta)
+    if len(points) < 2:
+        raise TooSparse(
+            f"only {len(points)} nonzero coefficients in the fitted half"
+        )
+    # Least squares in closed form.  Divided by n, the model reads
+    # y/n = beta·log n + c with weight n² per point: a weighted straight-line
+    # fit, solved about the weighted means so nothing cancels.
+    weight = sum(n * n for n, _ in points)
+    t_mean = sum(n * n * math.log(n) for n, _ in points) / weight
+    u_mean = sum(n * y for n, y in points) / weight
+    stt = sum(n * n * (math.log(n) - t_mean) ** 2 for n, _ in points)
+    stu = sum(n * n * (math.log(n) - t_mean) * (y / n - u_mean)
+              for n, y in points)
+    beta = stu / stt
+    c_lin = u_mean - beta * t_mean
     if beta >= zero_threshold:
         return RadiusEstimate(beta, "zero-evidence")
     if beta <= positive_threshold:

@@ -9,7 +9,12 @@ leading terms use it.
 as dense `_intpoly` coefficient lists, using Bareiss elimination (exact
 divisions, no fractions), which is what the recurrence closure code needs:
 entries stay in the integer-polynomial ring instead of blowing up as reduced
-rational functions.
+rational functions.  For constant matrices (the equations of recurrence
+guessing) a pre-pass finds the pivot equations modulo the prime 2^61 - 1,
+and Bareiss runs on those alone; the vector is then checked exactly against
+every equation, and a failed check falls back to the full elimination.  The
+checked vector is the unique normalised one, so the result never depends on
+the prime (the argument is in the function's docstring).
 """
 
 from __future__ import annotations
@@ -338,6 +343,9 @@ class RatFun:
 
 # -- fraction-free left kernel ------------------------------------------------
 
+_PREPASS_PRIME = 2 ** 61 - 1
+
+
 def fraction_free_left_kernel(
         matrix: Sequence[Sequence[list[int]]]) -> list[list[int]]:
     """A nonzero row vector v with v * matrix = 0 over Z[n].
@@ -350,6 +358,25 @@ def fraction_free_left_kernel(
     is content-free (polynomial and integer content divided out) with the
     first nonzero entry's leading coefficient positive.
 
+    That result depends on the matrix alone.  Call the columns of `matrix`
+    equations and its rows unknowns; let j0 be the first unknown whose
+    column in the equations depends, over Q(n), on the columns before it.
+    Then v is the one vector, up to a factor in Q(n), with support in
+    [0, j0] and v_j0 != 0, and the normalisation picks one representative.
+
+    When every entry is a constant, a modular pre-pass runs first.  The
+    same elimination mod the prime 2^61 - 1 finds a pivot for each unknown
+    before some unknown r, none for r, and so names r pivot equations; the
+    Bareiss loop then runs on those r equations restricted to the unknowns
+    [0, r].  That smaller system keeps every dependence among its columns
+    and has a free unknown at r or before, so its first free unknown is
+    some j0' <= j0.  If the vector it yields, padded with zeros, satisfies
+    every equation exactly, then unknown j0' depends on the ones before it
+    in the full system, so j0' = j0 and the vector is the one above: the
+    result is the same as without the pre-pass.  If a check fails (a prime
+    that drops the rank) or the pre-pass finds a pivot in every column, the
+    elimination runs on the full matrix.
+
     Raises NoKernel when the matrix has full row rank (no such vector).
     """
     rows = len(matrix)
@@ -361,7 +388,51 @@ def fraction_free_left_kernel(
 
     # Equations: columns of `matrix`.  E[k][i] = matrix[i][k].
     E = [[matrix[i][k] for i in range(rows)] for k in range(cols)]
+    if all(len(x) <= 1 for eq in E for x in eq):
+        pivots = _pivot_equations_mod_p(E, rows)
+        if pivots is not None:
+            r = len(pivots)
+            vec = _bareiss_kernel([E[k][:r + 1] for k in pivots], r + 1)
+            vec += [[] for _ in range(rows - r - 1)]
+            if all(sum(v[0] * x[0] for v, x in zip(vec, eq) if v and x) == 0
+                   for eq in E):
+                return vec
+    return _bareiss_kernel(E, rows)
 
+
+def _pivot_equations_mod_p(E: list[list[list[int]]],
+                           nvars: int) -> list[int] | None:
+    """Pivot equations of the elimination mod 2^61 - 1, one for each column
+    before the first column with no pivot; None when every column has one.
+
+    Same column order, same first-nonzero pivot rule and same row swaps as
+    `_bareiss_kernel`; entries must be constants.
+    """
+    p = _PREPASS_PRIME
+    M = [[x[0] % p if x else 0 for x in eq] for eq in E]
+    order = list(range(len(M)))
+    next_row = 0
+    for col in range(nvars):
+        pr = next((i for i in range(next_row, len(M)) if M[i][col]), None)
+        if pr is None:
+            return order[:next_row]
+        M[next_row], M[pr] = M[pr], M[next_row]
+        order[next_row], order[pr] = order[pr], order[next_row]
+        piv = M[next_row]
+        inv = pow(piv[col], -1, p)
+        for row in M[next_row + 1:]:
+            if row[col]:
+                f = row[col] * inv % p
+                for j in range(col + 1, nvars):
+                    row[j] = (row[j] - f * piv[j]) % p
+        next_row += 1
+    return None
+
+
+def _bareiss_kernel(E: list[list[list[int]]], nvars: int) -> list[list[int]]:
+    """`fraction_free_left_kernel` on the equations E (E[k][i]: unknown i of
+    equation k); rows of E are overwritten."""
+    rows, cols = nvars, len(E)
     prev: list[int] = [1]
     pivot_rows: list[tuple[int, int]] = []  # (equation row, variable column)
     next_row = 0

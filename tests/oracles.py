@@ -240,3 +240,80 @@ def corpus_residues(name: str, count: int, p: int, r: int) -> list[int]:
         return [0] + corpus_residues("catalan", count - 1, p, r)
     num, den = HYPERGEOM_RATIOS[name]
     return hypergeom_residues(num, den, count, p, r)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra and prime support
+
+
+def canonical_left_kernel(matrix: list[list[int]]) -> list[int]:
+    """The left kernel vector `fraction_free_left_kernel` must return for a
+    constant matrix, by Fraction Gauss–Jordan.
+
+    matrix[i][k] is unknown i of equation k.  Let j0 be the first unknown
+    whose column (over the equations) depends on the ones before it; the
+    vector has v_j0 = 1, zeros after j0, and is then scaled to coprime
+    integers whose first nonzero entry is positive.  None when every
+    unknown is independent.
+    """
+    from math import gcd, lcm
+
+    nvars = len(matrix)
+    eqs = [[Fraction(matrix[i][k]) for i in range(nvars)]
+           for k in range(len(matrix[0]))]
+    pivot_of: dict[int, list[Fraction]] = {}  # column -> its reduced row
+    for col in range(nvars):
+        row = next((r for r in eqs if r[col] != 0), None)
+        if row is None:
+            break
+        eqs.remove(row)
+        row = [x / row[col] for x in row]
+        for other in eqs + list(pivot_of.values()):
+            factor = other[col]
+            if factor:
+                for j in range(nvars):
+                    other[j] -= factor * row[j]
+        pivot_of[col] = row
+    else:
+        return None
+    j0 = col
+    v = [Fraction(0)] * nvars
+    v[j0] = Fraction(1)
+    for c, row in pivot_of.items():
+        v[c] = -row[j0]
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    ints = [x // g for x in ints]
+    if next(x for x in ints if x) < 0:
+        ints = [-x for x in ints]
+    return ints
+
+
+def trial_division_support(coeffs, window: int):
+    """(primes with first index, still_growing, incomplete) of a prime
+    support scan that trial-divides every denominator from scratch up to
+    10^6; a residue above 10^12 is left unfactored and its index marked
+    incomplete."""
+    first: dict[int, int] = {}
+    incomplete = []
+    for n, c in enumerate(coeffs):
+        residue = Fraction(c).denominator
+        d = 2
+        while d <= 10**6 and d * d <= residue:
+            if residue % d == 0:
+                first.setdefault(d, n)
+                while residue % d == 0:
+                    residue //= d
+            d += 1 if d == 2 else 2
+        if residue > 1:
+            if d * d > residue:
+                first.setdefault(residue, n)
+            else:
+                incomplete.append(n)
+    cutoff = len(coeffs) - window
+    return (tuple(sorted(first.items())),
+            any(n >= cutoff for n in first.values()),
+            tuple(incomplete))

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -422,3 +425,27 @@ def test_modp_central_binomial_mod_nine_ends_at_its_depth_budget(capsys):
     assert data["status"] == oracle.status == "exhausted-budget"
     assert data["state_count"] == len(oracle.states) == 15
     assert data["automaton"] == oracle.to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+
+_IMPORT_GUARD = """
+import contextlib, io, sys
+from gradeforge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["modp", "builtin", "catalan", "--p", "2"])
+loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+sys.exit(f"rc={rc}, loaded {loaded}" if rc or loaded else 0)
+"""
+
+
+def test_commands_other_than_euler_do_not_load_numpy_or_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

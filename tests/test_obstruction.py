@@ -1,11 +1,15 @@
+import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from gradeforge.catalog import expand_builtin
 from gradeforge.errors import NotSignSequence, TooSparse
+from gradeforge.holonomic import PRecurrence, unroll
 from gradeforge.obstruction import (
     eventual_period,
     obstruction_report,
@@ -55,6 +59,73 @@ def test_support_is_monotone_in_truncation(name):
         assert large[p] == first
 
 
+APERY = ((1, 3, 3, 1), (-117, -231, -153, -34), (8, 12, 6, 1))
+PREFIXES = {
+    "exp": lambda n: expand_builtin("exp", n),
+    "log1p": lambda n: expand_builtin("log1p", n),
+    "euler": lambda n: expand_builtin("euler", n),
+    # Apéry's zeta(3) companion b_n and 1/prod(k^2 + 1)
+    "apery-b": lambda n: unroll(PRecurrence(APERY, 0, (0, 6)), n),
+    "inverse-product": lambda n: unroll(
+        PRecurrence(((-1,), (1, 0, 1)), 0, (1,)), n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIXES))
+def test_incremental_scan_matches_trial_division(name):
+    f = PREFIXES[name](240)
+    scan = prime_support_scan(f, 30)
+    assert (scan.primes, scan.still_growing, scan.incomplete) == (
+        oracles.trial_division_support(f.coeffs, 30))
+
+
+def series_with_denominator(den):
+    return TruncSeries.from_list([Fraction(1)] * 3 + [Fraction(1, den)] + [Fraction(1)] * 4)
+
+
+def test_large_prime_denominator_is_certified():
+    # trial division up to 10^6 cannot certify a prime above 10^12
+    p = 10**13 + 37
+    scan = prime_support_scan(series_with_denominator(p), 4)
+    assert scan.primes == ((p, 3),)
+    assert scan.incomplete == ()
+    assert oracles.trial_division_support(
+        series_with_denominator(p).coeffs, 4)[2] == (3,)
+
+
+def test_product_of_two_large_primes_is_split():
+    p, q = 10**9 + 7, 10**9 + 9
+    scan = prime_support_scan(series_with_denominator(2 * p * q), 4)
+    assert scan.primes == ((2, 3), (p, 3), (q, 3))
+    assert scan.incomplete == ()
+
+
+def test_unsplittable_cofactor_is_marked_incomplete_quickly():
+    # the first two primes above 10^20: Pollard–Brent would need about
+    # 10^10 steps to split their product
+    p, q = 10**20 + 39, 10**20 + 129
+    start = time.perf_counter()
+    scan = prime_support_scan(series_with_denominator(5 * p * q), 4)
+    assert time.perf_counter() - start < 1.0
+    assert scan.primes == ((5, 3),)
+    assert scan.incomplete == (3,)
+
+
+def test_probable_prime_beyond_the_proof_bound_is_not_reported():
+    # 2^89 - 1 is prime, but Miller–Rabin on 13 bases proves nothing there
+    scan = prime_support_scan(series_with_denominator(7 * (2**89 - 1)), 4)
+    assert scan.primes == ((7, 3),)
+    assert scan.incomplete == (3,)
+
+
+def test_known_primes_are_divided_out_before_factoring():
+    # the second denominator only adds 7; 2^40 and 3^30 are already known
+    f = TruncSeries.from_list(
+        [Fraction(1, 6), Fraction(1, 2**40 * 3**30 * 7)] + [Fraction(1)] * 6)
+    scan = prime_support_scan(f, 4)
+    assert scan.primes == ((2, 0), (3, 0), (7, 1))
+
+
 # ---------------------------------------------------------------------------
 # radius
 
@@ -84,6 +155,27 @@ def test_radius_class_is_scale_invariant(name, scale):
     assert radius_estimate(f).classification == radius_estimate(
         compose_scale(f, scale)
     ).classification
+
+
+@pytest.mark.parametrize("name", ["euler", "central-binomial", "geometric",
+                                  "exp", "log1p", "apery-b",
+                                  "inverse-product"])
+def test_closed_form_fit_matches_numpy_least_squares(name):
+    f = PREFIXES[name](120) if name in PREFIXES else expand_builtin(name, 120)
+    points = [(n, math.log(abs(c.numerator)) - math.log(c.denominator))
+              for n, c in enumerate(f.coeffs) if n >= 60 and c != 0]
+    design = np.array([[n * math.log(n), float(n)] for n, _ in points])
+    target = np.array([y for _, y in points])
+    (want, _), *_ = np.linalg.lstsq(design, target, rcond=None)
+    assert abs(radius_estimate(f).beta - want) <= 1e-9
+
+
+def test_fit_needs_two_points_in_its_half():
+    # 8 nonzero terms of 16, but only one in the fitted second half
+    f = TruncSeries.from_list([Fraction(1)] * 7 + [Fraction(0)] * 8 + [3])
+    with pytest.raises(TooSparse):
+        radius_estimate(f)
+    assert obstruction_report(f).radius_class == "inconclusive"
 
 
 def test_sparse_series_rejected():

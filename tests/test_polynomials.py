@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from conftest import rationals
 from gradeforge import _intpoly as ip
+from gradeforge import polynomials
 from gradeforge.errors import (
     InexactDivision,
     NoKernel,
@@ -219,3 +221,81 @@ def test_kernel_deterministic():
     first = fraction_free_left_kernel(matrix)
     second = fraction_free_left_kernel(matrix)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# constant matrices: the modular pre-pass
+
+
+def constant(matrix):
+    """Integer matrix -> one-element (or empty) coefficient lists."""
+    return [[[x] if x else [] for x in row] for row in matrix]
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """rows x cols integer matrices of rank < rows, entries up to about
+    2^200 in size with mixed signs, as a product of two random factors."""
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, min(rows - 1, cols)))
+    big = st.integers(-(2**200), 2**200)
+    small = st.integers(-3, 3)
+    left = [[draw(st.one_of(big, small)) for _ in range(rank)]
+            for _ in range(rows)]
+    right = [[draw(st.one_of(big, small)) for _ in range(cols)]
+             for _ in range(rank)]
+    return [[sum(left[i][t] * right[t][k] for t in range(rank))
+             for k in range(cols)] for i in range(rows)]
+
+
+@given(low_rank_matrices())
+def test_constant_kernel_matches_gauss_jordan(matrix):
+    want = oracles.canonical_left_kernel(matrix)
+    assert fraction_free_left_kernel(constant(matrix)) == constant([want])[0]
+
+
+P61 = 2**61 - 1
+
+
+def test_unlucky_prime_still_gives_the_exact_vector():
+    # Equations x0 + x1 = 0, P·x1 + x2 = 0 and P·x0 - x2 + 5·x3 = 0 with
+    # P = 2^61 - 1.  Mod P the x1 column equals the x0 column, so the
+    # pre-pass stops at x1 with the first equation alone, whose kernel
+    # vector (1, -1, 0, 0) fails the second; only the full elimination
+    # finds j0 = 2.
+    matrix = [[1, 0, P61],
+              [1, P61, 0],
+              [0, 1, -1],
+              [0, 0, 5]]
+    assert polynomials._pivot_equations_mod_p(
+        [list(eq) for eq in zip(*constant(matrix))], 4) == [0]
+    want = oracles.canonical_left_kernel(matrix)
+    assert want == [1, -1, P61, 0]
+    vec = fraction_free_left_kernel(constant(matrix))
+    assert vec == constant([want])[0]
+    kernel_checks(constant(matrix), vec)
+
+
+def test_constant_kernel_eliminates_only_the_pivot_equations(monkeypatch):
+    # 6 unknowns, 40 equations of rank 3: the exact elimination sees the 3
+    # pivot equations the pre-pass picked, once, and never the full matrix.
+    basis = [[3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5, -8], [9, 7, 9, -3, 2, 3]]
+    matrix = [[sum((k + t + 1) ** t * basis[t][i] for t in range(3))
+               for k in range(40)] for i in range(6)]
+    sizes = []
+    bareiss = polynomials._bareiss_kernel
+
+    def spy(E, nvars):
+        sizes.append(len(E))
+        return bareiss(E, nvars)
+
+    monkeypatch.setattr(polynomials, "_bareiss_kernel", spy)
+    vec = fraction_free_left_kernel(constant(matrix))
+    assert sizes == [3]
+    assert vec == constant([oracles.canonical_left_kernel(matrix)])[0]
+
+
+def test_constant_full_rank_rejected_after_the_pre_pass():
+    with pytest.raises(NoKernel):
+        fraction_free_left_kernel(constant([[1, 2, 0], [0, 1, 1], [5, 0, 1]]))
