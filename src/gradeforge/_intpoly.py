@@ -58,12 +58,6 @@ def neg(a: list[int]) -> list[int]:
     return [-x for x in a]
 
 
-def scale(a: list[int], k: int) -> list[int]:
-    if k == 0:
-        return []
-    return [x * k for x in a]
-
-
 def _conv_schoolbook(a, b, limit):
     out = [0] * min(len(a) + len(b) - 1, limit)
     for i, x in enumerate(a):
@@ -302,13 +296,6 @@ def gcd(a: list[int], b: list[int]) -> list[int]:
         r = _prem_positive(a, b)
         a, b = b, primitive(r)
     return primitive(a)
-
-
-def lcm(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    g = gcd(a, b)
-    return primitive(mul(exact_div(a, g), b))
 
 
 def eval_at(a: list[int], n: int) -> int:

@@ -234,9 +234,10 @@ def _finish(q_dense: list[list[int]], n0_base: int,
     low = min(k for k, c in enumerate(q_dense) if c)
     if top == low:
         # single-term relation q(n)·c_{n+low} = 0: the sequence vanishes
-        # wherever q does not; represent as the order-1 "copy zero forward"
-        # recurrence 0·c_n + q(n+1-low... ) — concretely c_{m+1} is pinned to
-        # zero once m exceeds every integer zero of the coefficient.
+        # wherever q does not.  With m = n + low - 1 it reads
+        # 0·c_m + q(m + 1 - low)·c_{m+1} = 0, an order-1 recurrence whose
+        # base is raised past every integer zero of its leading coefficient,
+        # so from there on it pins each later term to zero.
         p1 = ip.shift_arg(q_dense[top], 1 - low)
         n0 = _raise_base(p1, max(n0_base + low - 1, 0))
         terms = terms_of(n0 + 1)

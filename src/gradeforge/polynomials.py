@@ -6,13 +6,15 @@ then leftmost variable most significant); canonical text rendering and
 leading terms use it.
 
 `fraction_free_left_kernel` works over univariate integer polynomials, given
-as dense `_intpoly` coefficient lists, using Bareiss elimination (exact
-divisions, no fractions), which is what the recurrence closure code needs:
-entries stay in the integer-polynomial ring instead of blowing up as reduced
-rational functions.  For constant matrices (the equations of recurrence
-guessing) a pre-pass finds the pivot equations modulo the prime 2^61 - 1,
-and Bareiss runs on those alone; the vector is then checked exactly against
-every equation, and a failed check falls back to the full elimination.  The
+as dense `_intpoly` coefficient lists, which is what the recurrence closure
+code needs: entries stay in the integer-polynomial ring instead of blowing
+up as reduced rational functions.  Bareiss elimination runs up to the first
+unknown without a pivot, and the back-substitution divides exactly, because
+by Cramer's rule every entry of the vector is a minor; no fraction is ever
+formed.  For constant matrices (the equations of recurrence guessing) a
+pre-pass finds the pivot equations modulo the prime 2^61 - 1, and Bareiss
+runs on those alone; the vector is then checked exactly against every
+equation, and a failed check falls back to the full elimination.  The
 checked vector is the unique normalised one, so the result never depends on
 the prime (the argument is in the function's docstring).
 """
@@ -77,9 +79,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     def degree_in(self, var: int) -> int:
         return max((e[var] for e in self.terms), default=-1)
@@ -405,138 +404,85 @@ def _pivot_equations_mod_p(E: list[list[list[int]]],
     """Pivot equations of the elimination mod 2^61 - 1, one for each column
     before the first column with no pivot; None when every column has one.
 
-    Same column order, same first-nonzero pivot rule and same row swaps as
-    `_bareiss_kernel`; entries must be constants.
+    Same column order, same first-nonzero pivot rule, same row swaps and
+    same stop as `_bareiss_kernel`; entries must be constants.
     """
     p = _PREPASS_PRIME
     M = [[x[0] % p if x else 0 for x in eq] for eq in E]
     order = list(range(len(M)))
-    next_row = 0
     for col in range(nvars):
-        pr = next((i for i in range(next_row, len(M)) if M[i][col]), None)
+        pr = next((i for i in range(col, len(M)) if M[i][col]), None)
         if pr is None:
-            return order[:next_row]
-        M[next_row], M[pr] = M[pr], M[next_row]
-        order[next_row], order[pr] = order[pr], order[next_row]
-        piv = M[next_row]
+            return order[:col]
+        M[col], M[pr] = M[pr], M[col]
+        order[col], order[pr] = order[pr], order[col]
+        piv = M[col]
         inv = pow(piv[col], -1, p)
-        for row in M[next_row + 1:]:
+        for row in M[col + 1:]:
             if row[col]:
                 f = row[col] * inv % p
                 for j in range(col + 1, nvars):
                     row[j] = (row[j] - f * piv[j]) % p
-        next_row += 1
     return None
 
 
 def _bareiss_kernel(E: list[list[list[int]]], nvars: int) -> list[list[int]]:
     """`fraction_free_left_kernel` on the equations E (E[k][i]: unknown i of
-    equation k); rows of E are overwritten."""
-    rows, cols = nvars, len(E)
+    equation k); rows of E are overwritten.
+
+    Bareiss elimination runs until the first unknown j0 with no pivot, so
+    after the row swaps equation k < j0 holds the pivot of unknown k.  Row k
+    is then a row of minors of the swapped system: E[k][j] (j >= k) is the
+    determinant on equations 0..k and unknowns 0..k-1, j, and the pivot
+    E[k][k] is the leading (k+1)-minor.  Fix v_j0 to the last pivot, the
+    leading j0-minor D (1 when j0 = 0).  By Cramer's rule the leading block
+    then gives v_k = -det(block with column k replaced by column j0), a
+    polynomial, for every k < j0; hence each step of the back-substitution
+    v_k = -(sum over k < j <= j0 of E[k][j] v_j) / E[k][k] is an exact
+    division in Z[n].
+    """
     prev: list[int] = [1]
-    pivot_rows: list[tuple[int, int]] = []  # (equation row, variable column)
-    next_row = 0
-    free_cols: list[int] = []
-    for col in range(rows):
-        pr = next((i for i in range(next_row, cols) if E[i][col]), None)
+    for col in range(nvars):
+        pr = next((i for i in range(col, len(E)) if E[i][col]), None)
         if pr is None:
-            free_cols.append(col)
-            continue
-        E[next_row], E[pr] = E[pr], E[next_row]
-        piv = E[next_row][col]
-        for i in range(next_row + 1, cols):
-            if not any(E[i][j] for j in range(col, rows)):
+            break
+        E[col], E[pr] = E[pr], E[col]
+        piv_row = E[col]
+        piv = piv_row[col]
+        for row in E[col + 1:]:
+            if not any(row[j] for j in range(col, nvars)):
                 continue
-            head = E[i][col]
-            for j in range(col + 1, rows):
-                t = ip.sub(ip.mul(piv, E[i][j]), ip.mul(head, E[next_row][j]))
-                E[i][j] = t if prev == [1] else ip.exact_div(t, prev)
-            E[i][col] = []
+            head = row[col]
+            for j in range(col + 1, nvars):
+                t = ip.sub(ip.mul(piv, row[j]), ip.mul(head, piv_row[j]))
+                row[j] = t if prev == [1] else ip.exact_div(t, prev)
+            row[col] = []
         prev = piv
-        pivot_rows.append((next_row, col))
-        next_row += 1
-        if next_row == cols:
-            free_cols.extend(range(col + 1, rows))
-            break
-
-    if not free_cols:
+    else:
         raise NoKernel("matrix has full row rank")
-    j0 = free_cols[0]
+    j0 = col
 
-    # Back-substitution over reduced integer-polynomial fractions.
-    def reduce(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-        if not num:
-            return [], [1]
-        g = ip.gcd(num, den)
-        if g != [1]:
-            num = ip.exact_div(num, g)
-            den = ip.exact_div(den, g)
-        cg = math.gcd(ip.content(num), ip.content(den))
-        if den[-1] < 0:
-            cg = -cg
-        if cg != 1:
-            num = [x // cg for x in num]
-            den = [x // cg for x in den]
-        return num, den
+    vec: list[list[int]] = [[] for _ in range(nvars)]
+    vec[j0] = list(prev)  # prev may be an entry of the caller's matrix
+    for k in range(j0 - 1, -1, -1):
+        acc: list[int] = []
+        for j in range(k + 1, j0 + 1):
+            if E[k][j] and vec[j]:
+                acc = ip.add(acc, ip.mul(E[k][j], vec[j]))
+        vec[k] = ip.neg(ip.exact_div(acc, E[k][k]))
 
-    v_num: dict[int, list[int]] = {j0: [1]}
-    v_den: dict[int, list[int]] = {j0: [1]}
-    for prow, pcol in reversed(pivot_rows):
-        if pcol > j0:
-            continue  # v is zero there; equation already satisfied
-        acc_n: list[int] = []
-        acc_d: list[int] = [1]
-        for j, nj in v_num.items():
-            if j <= pcol:
-                continue
-            entry = E[prow][j]
-            if not entry:
-                continue
-            # acc += entry * v_j
-            tn = ip.mul(entry, nj)
-            td = v_den[j]
-            acc_n = ip.add(ip.mul(acc_n, td), ip.mul(tn, acc_d))
-            acc_d = ip.mul(acc_d, td)
-            acc_n, acc_d = reduce(acc_n, acc_d)
-        piv = E[prow][pcol]
-        num, den = reduce(ip.neg(acc_n), ip.mul(acc_d, piv))
-        if num:
-            v_num[pcol] = num
-            v_den[pcol] = den
-
-    # Clear denominators: split each into integer content times primitive
-    # part so both lcm computations stay exact over the integers.
-    split: dict[int, tuple[int, list[int]]] = {}
-    lcm_poly: list[int] = [1]
-    for j, d in v_den.items():
-        c = ip.content(d)
-        p = [x // c for x in d]
-        split[j] = (c, p)
-        lcm_poly = ip.lcm(lcm_poly, p)
-    lcm_int = math.lcm(*(c for c, _ in split.values()))
-    vec: list[list[int]] = [[] for _ in range(rows)]
-    for j, nj in v_num.items():
-        c, p = split[j]
-        q = ip.mul(nj, ip.exact_div(lcm_poly, p))
-        vec[j] = ip.scale(q, lcm_int // c)
-
-    # content-free normalization
-    gpoly: list[int] = []
-    for c in vec:
-        if c:
-            gpoly = ip.gcd(gpoly, c) if gpoly else ip.primitive(c)
-        if gpoly == [1]:
+    # Content-free normalisation.  Short entries first: their gcd is the
+    # cheapest to take and the likeliest to reach 1 early.
+    g: list[int] = []
+    for c in sorted((c for c in vec if c), key=len):
+        g = ip.gcd(g, c)
+        if g == [1]:
             break
-    if gpoly and gpoly != [1]:
-        vec = [ip.exact_div(c, gpoly) if c else [] for c in vec]
-    gint = 0
-    for c in vec:
-        gint = math.gcd(gint, ip.content(c))
+    if g != [1]:
+        vec = [ip.exact_div(c, g) for c in vec]
+    gint = math.gcd(*(ip.content(c) for c in vec))
     if gint > 1:
         vec = [[x // gint for x in c] for c in vec]
-    first = next((c for c in vec if c), None)
-    if first is None:
-        raise NoKernel("elimination produced the zero vector")
-    if first[-1] < 0:
+    if next(c for c in vec if c)[-1] < 0:
         vec = [ip.neg(c) for c in vec]
     return vec

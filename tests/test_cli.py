@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -368,6 +369,29 @@ def test_json_and_table_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as info:
         main(["expand", "builtin", "exp", "--json", "--table"])
     assert info.value.code == 2
+
+
+def readme_commands():
+    """The `gradeforge ...` lines of the README's command-line example."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines()
+            if line.startswith("gradeforge ")]
+
+
+def test_readme_command_examples_exit_zero(capsys, monkeypatch):
+    monkeypatch.delenv("GRADEFORGE_CONFIG", raising=False)
+    lines = readme_commands()
+    assert lines
+    for line in lines:
+        try:
+            rc = main(shlex.split(line)[1:])
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 0, f"{line}: {err}"
 
 
 

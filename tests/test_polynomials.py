@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,55 @@ def test_kernel_random_stacks(rows):
         for c in v:
             g = gcd(g, c)
     assert g in (0, 1)
+
+
+@st.composite
+def dependent_polynomial_matrices(draw):
+    """2-5 unknowns (rows) and 1-4 equations (columns) over Z[n], entries
+    of degree <= 2, except one unknown: a combination of the earlier ones
+    with multipliers of degree <= 1, so a kernel vector always exists."""
+    nvars = draw(st.integers(2, 5))
+    neqs = draw(st.integers(1, 4))
+    entry = st.lists(st.integers(-3, 3), max_size=3).map(ip.trim)
+    matrix = [[draw(entry) for _ in range(neqs)] for _ in range(nvars)]
+    dep = draw(st.integers(1, nvars - 1))
+    mults = [draw(st.lists(st.integers(-2, 2), max_size=2).map(ip.trim))
+             for _ in range(dep)]
+    matrix[dep] = [[] for _ in range(neqs)]
+    for k in range(neqs):
+        for i, m in enumerate(mults):
+            matrix[dep][k] = ip.add(matrix[dep][k], ip.mul(m, matrix[i][k]))
+    return matrix
+
+
+@given(dependent_polynomial_matrices())
+def test_polynomial_kernel_matches_gauss_jordan_at_points(matrix):
+    # Over Q(n) the first dependent unknown j0 is at or before the built
+    # one, so the unknowns before j0 are drawn rows and some j0-minor of
+    # them (degree <= 2*4) is nonzero: it survives at one of 11 points,
+    # where the specialised system has the same j0.  Elsewhere j0(t) <= j0.
+    points = range(-5, 6)
+    at = {t: oracles.canonical_left_kernel(
+        [[ip.eval_at(x, t) for x in row] for row in matrix]) for t in points}
+    last = {t: max(i for i, x in enumerate(w) if x) for t, w in at.items()}
+    j0 = max(last.values())
+
+    vec = fraction_free_left_kernel(matrix)
+    kernel_checks(matrix, vec)
+    assert vec[j0] and not any(vec[j0 + 1:])
+    for t in points:
+        if last[t] == j0:
+            vt = [ip.eval_at(x, t) for x in vec]
+            w = at[t]
+            assert any(vt)
+            assert all(a * w[j0] == b * vt[j0] for a, b in zip(vt, w))
+    g = []
+    for c in vec:
+        if c:
+            g = ip.gcd(g, c)
+    assert g == [1]
+    assert math.gcd(*(ip.content(c) for c in vec)) == 1
+    assert next(c for c in vec if c)[-1] > 0
 
 
 def test_kernel_deterministic():
