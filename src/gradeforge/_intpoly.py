@@ -7,9 +7,11 @@ arithmetic; callers clear rational denominators before entering
 
 Two pieces deserve a note:
 
-* ``conv`` switches to Kronecker substitution (pack the coefficients into one
-  big integer and let CPython's big-int multiplication do the work) once the
-  schoolbook loop would dominate.
+* ``conv`` switches to Kronecker substitution once the schoolbook loop would
+  dominate: each operand is packed into one signed big integer, CPython's
+  big-int multiplication does the work, and the product's coefficients are
+  read back as its balanced base-2^k digits.  Signed coefficients need no
+  bias, and an operand with no negative entry (a residue list) packs once.
 * ``int_roots`` isolates real roots with a Sturm chain and bisection down to
   unit intervals, then tests the integer endpoint.  This stays exact and fast
   even when the constant term is hundreds of digits, where the divisors-of-
@@ -69,14 +71,19 @@ def _conv_schoolbook(a, b, limit):
     return out
 
 
-def _pack_biased(c, bias_bits, stride_bytes):
-    """Pack c[i] + 2^bias_bits (always nonnegative) into one big integer."""
-    bias = 1 << bias_bits
-    buf = bytearray(len(c) * stride_bytes)
-    for i, x in enumerate(c):
-        buf[i * stride_bytes:(i + 1) * stride_bytes] = (x + bias).to_bytes(
-            stride_bytes, "little")
-    return int.from_bytes(buf, "little")
+def _pack(c, stride):
+    """Sum of c[i]·2^(8·stride·i) for integers |c[i]| < 2^(8·stride).
+
+    The positive and the negative entries are packed apart, each as unsigned
+    slots, and subtracted; an operand with no negative entry packs once.
+    """
+    packed = int.from_bytes(b"".join(
+        [(x if x > 0 else 0).to_bytes(stride, "little") for x in c]), "little")
+    if min(c) < 0:
+        packed -= int.from_bytes(b"".join(
+            [(-x if x < 0 else 0).to_bytes(stride, "little") for x in c]),
+            "little")
+    return packed
 
 
 def conv(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
@@ -85,10 +92,12 @@ def conv(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
     The result has exact length min(len(a)+len(b)-1, limit); trailing zeros
     are kept so series code can rely on positional meaning.
 
-    Large products use Kronecker substitution with biased packing: adding
-    2^bits to every coefficient makes both packed integers nonnegative, so a
-    single big-integer multiplication suffices; the bias contributions are
-    windowed prefix sums, subtracted per slot in linear time.
+    Large products use Kronecker substitution: a and b become the signed big
+    integers A = Σ a_i·R^i and B = Σ b_j·R^j with R = 2^(8·stride), and one
+    multiplication gives A·B = Σ c_t·R^t.  The slot is wide enough that every
+    |c_t| < R/2, so the c_t are the balanced base-R digits of A·B: read the
+    slots of its two's complement bytes low to high, and subtract R (carrying
+    1 into the next slot) from any slot value that reaches R/2.
     """
     if not a or not b:
         return []
@@ -98,40 +107,25 @@ def conv(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
     if min(len(a), len(b)) <= 16 or len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
         return _conv_schoolbook(a, b, limit)
 
-    la, lb = len(a), len(b)
-    bits_a = max(abs(x).bit_length() for x in a)
-    bits_b = max(abs(x).bit_length() for x in b)
-    stride_bits = bits_a + bits_b + 2 + min(la, lb).bit_length() + 1
-    stride_bytes = (stride_bits + 7) // 8
-
-    pa = _pack_biased(a, bits_a, stride_bytes)
-    pb = _pack_biased(b, bits_b, stride_bytes)
-    prod = pa * pb
-    prod_bytes = prod.to_bytes((n + 1) * stride_bytes, "little")
-
-    # prefix sums for the bias corrections
-    pref_a = [0]
-    for x in a:
-        pref_a.append(pref_a[-1] + x)
-    pref_b = [0]
-    for y in b:
-        pref_b.append(pref_b[-1] + y)
-
+    # |c_t| <= min(la, lb)·max|a|·max|b| < 2^(slot_bits - 1)
+    slot_bits = (max(max(a), -min(a)).bit_length()
+                 + max(max(b), -min(b)).bit_length()
+                 + min(len(a), len(b)).bit_length() + 1)
+    stride = (slot_bits + 7) // 8
+    radix = 1 << (8 * stride)
+    half = radix >> 1
+    digits = (_pack(a, stride) * _pack(b, stride)).to_bytes(
+        n * stride, "little", signed=True)
     out = []
-    for t in range(limit):
-        lo_i = max(0, t - lb + 1)
-        hi_i = min(t, la - 1)
-        cnt = hi_i - lo_i + 1
-        sa = pref_a[hi_i + 1] - pref_a[lo_i]
-        # the j-window mirrors the i-window
-        lo_j = t - hi_i
-        hi_j = t - lo_i
-        sb = pref_b[hi_j + 1] - pref_b[lo_j]
-        slot = int.from_bytes(
-            prod_bytes[t * stride_bytes:(t + 1) * stride_bytes], "little")
-        out.append(
-            slot - (sa << bits_b) - (sb << bits_a) - (cnt << (bits_a + bits_b))
-        )
+    carry = 0
+    for t in range(0, limit * stride, stride):
+        v = int.from_bytes(digits[t:t + stride], "little") + carry
+        if v >= half:
+            out.append(v - radix)
+            carry = 1
+        else:
+            out.append(v)
+            carry = 0
     return out
 
 

@@ -222,7 +222,7 @@ def euler_integral(z: float, cfg: QuadratureConfig | None = None) -> float:
 
 
 def euler_branch_formula(
-    z: float, terms: int = 40, *, tolerance: float = 1e-12
+    z: float, terms: int = DEFAULTS.branch_terms, *, tolerance: float = 1e-12
 ) -> float:
     """Principal-branch value of I(z) from the series formula.
 
@@ -258,7 +258,8 @@ def branch_offset(z: float) -> float:
 
 
 def euler_report(
-    z: float, cfg: QuadratureConfig | None = None, terms: int = 40
+    z: float, cfg: QuadratureConfig | None = None,
+    terms: int = DEFAULTS.branch_terms,
 ) -> dict:
     """Quadrature value vs. the branch formula, with error bars."""
     if cfg is None:

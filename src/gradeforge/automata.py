@@ -19,18 +19,8 @@ from typing import Optional
 from .algebraic import Annihilator, branch_residues, expand_branch
 from .config import DEFAULTS
 from .errors import BudgetTooSmall, PrimeDividesDenominator
+from .obstruction import is_prime
 from .series import TruncSeries
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebraic import Annihilator
 from .analytic import QuadratureConfig, euler_report, optics_identity_check
-from .automata import KernelBudgets, automaton_dot, christol_report, is_prime
+from .automata import KernelBudgets, automaton_dot, christol_report
 from .catalog import BuiltinSeries, builtin_names
 from .config import Defaults, load_defaults
 from .descriptors import (
@@ -32,9 +32,9 @@ from .descriptors import (
 from .diagonals import diagonal_witness, product_witness
 from .errors import GradeforgeError, SchemaError
 from .holonomic import PRecurrence, hadamard_recurrence
-from .obstruction import obstruction_report
+from .obstruction import MILLER_RABIN_EXACT_BELOW, is_prime, obstruction_report
 from .polynomials import rows_text
-from .rationals import format_rational, parse_rational
+from .rationals import coerce_rational, format_rational
 from .series import hadamard_mul
 
 
@@ -106,6 +106,8 @@ def _cmd_obstruct(args, cfg: Defaults) -> dict:
 
 
 def _cmd_modp(args, cfg: Defaults) -> dict:
+    if args.p >= MILLER_RABIN_EXACT_BELOW:
+        raise SchemaError(f"--p must be below {MILLER_RABIN_EXACT_BELOW}")
     if not is_prime(args.p):
         raise SchemaError("--p must be a prime")
     q = args.base if args.base is not None else args.p
@@ -180,10 +182,7 @@ def _parse_plates(arg: str) -> list[tuple[Fraction, Fraction]]:
             raise SchemaError(
                 "each plate must be [weight, index] with rational entries"
             )
-        try:
-            a, nk = (parse_rational(str(v)) for v in row)
-        except ValueError as exc:
-            raise SchemaError(f"plate {row}: {exc}") from exc
+        a, nk = (coerce_rational(v) for v in row)
         if nk == 0:
             raise SchemaError("plate indices must be nonzero")
         plates.append((a, nk))

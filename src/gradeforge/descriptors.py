@@ -17,7 +17,7 @@ from .catalog import BuiltinSeries, get_builtin
 from .errors import SchemaError, TruncationExceeded
 from .holonomic import PRecurrence, unroll
 from .polynomials import poly_from_rows, poly_rows
-from .rationals import format_rational, parse_rational
+from .rationals import coerce_rational, format_rational
 from .series import TruncSeries
 
 KINDS = ("coeffs", "algebraic", "holonomic", "rational-exppoly", "builtin")
@@ -84,10 +84,7 @@ def _coeffs_from_json(payload) -> TruncSeries:
             raise SchemaError(
                 f"coefficient {i} must be an integer or rational string"
             )
-        try:
-            out.append(parse_rational(str(entry)))
-        except ValueError as exc:
-            raise SchemaError(f"coefficient {i}: {exc}") from exc
+        out.append(coerce_rational(entry))
     return TruncSeries(tuple(out))
 
 
@@ -105,11 +102,7 @@ def annihilator_from_json(payload) -> Annihilator:
     if isinstance(payload["y0"], bool) or not isinstance(payload["y0"], (int, str)):
         raise SchemaError('"y0" must be an integer or rational string')
     try:
-        y0 = parse_rational(str(payload["y0"]))
-    except ValueError as exc:
-        raise SchemaError(f'"y0": {exc}') from exc
-    try:
-        return Annihilator(poly, y0)
+        return Annihilator(poly, coerce_rational(payload["y0"]))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -133,12 +126,8 @@ def _exppoly_from_json(payload) -> ExpPolyRational:
             raise SchemaError(
                 "each term must be [pole, multiplicity, [poly coeffs...]]"
             )
-        try:
-            pole = parse_rational(str(row[0]))
-            poly = tuple(parse_rational(str(c)) for c in row[2])
-        except ValueError as exc:
-            raise SchemaError(f"term {row}: {exc}") from exc
-        built.append((pole, row[1], poly))
+        built.append((coerce_rational(row[0]), row[1],
+                      tuple(coerce_rational(c) for c in row[2])))
     try:
         return ExpPolyRational(tuple(built))
     except ValueError as exc:

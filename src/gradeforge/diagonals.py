@@ -17,6 +17,7 @@ from typing import Sequence, Union
 
 from ._intpoly import clear_denominators
 from .algebraic import Annihilator, expand_branch
+from .config import DEFAULTS
 from .errors import (
     BranchNotAtZero,
     BudgetExceeded,
@@ -219,14 +220,13 @@ class DiagonalWitness:
             raise SchemaError("verified_order must be a positive integer")
         if not isinstance(obj["constant_shift"], str):
             raise SchemaError("constant_shift must be a rational string")
-        try:
-            shift = parse_rational(obj["constant_shift"])
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+        shift = parse_rational(obj["constant_shift"])
         return cls(RatFun(num, den), d, order, (), shift)
 
 
-def diagonal_witness(ann: Annihilator, verified_order: int = 10) -> DiagonalWitness:
+def diagonal_witness(
+    ann: Annihilator, verified_order: int = DEFAULTS.diagonal_order
+) -> DiagonalWitness:
     """Construct and check the d = 1 witness for a branch.
 
     A branch with constant term c != 0 is lifted as f - c and c is

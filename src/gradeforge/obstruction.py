@@ -68,6 +68,20 @@ class Periodicity:
         return {"kind": self.kind}
 
 
+def is_prime(n: int) -> bool:
+    """Exact primality test for n < MILLER_RABIN_EXACT_BELOW.
+
+    Raises ValueError at or above that bound, where Miller–Rabin to the
+    bases MILLER_RABIN_BASES is no longer a proof.
+    """
+    if n >= MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(
+            f"primality is certified only below {MILLER_RABIN_EXACT_BELOW}")
+    if n <= MILLER_RABIN_BASES[-1]:
+        return n in MILLER_RABIN_BASES
+    return n % 2 == 1 and _is_probable_prime(n)
+
+
 def _is_probable_prime(n: int) -> bool:
     """Miller–Rabin on the odd n > 41 to the bases MILLER_RABIN_BASES."""
     d, s = n - 1, 0

@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
     VariableMismatch,
 )
-from .rationals import coerce_rational, format_rational, parse_rational
+from .rationals import coerce_rational, format_rational
 
 
 def _grlex_key(expo: tuple[int, ...]):
@@ -272,12 +272,8 @@ def poly_from_rows(rows, nvars: int, what: str) -> Poly:
             raise SchemaError(
                 f"{what} term must be [{nvars} exponents..., coeff]"
             )
-        try:
-            c = parse_rational(str(row[-1]))
-        except ValueError as exc:
-            raise SchemaError(f"{what} row {row}: {exc}") from exc
         expo = tuple(row[:-1])
-        terms[expo] = terms.get(expo, Fraction(0)) + c
+        terms[expo] = terms.get(expo, Fraction(0)) + coerce_rational(row[-1])
     return Poly(nvars, terms)
 
 

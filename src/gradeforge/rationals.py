@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import SchemaError
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -23,9 +23,12 @@ def parse_rational(text: str) -> Fraction:
     Rejects anything outside ``-?digits(/digits)?`` (no whitespace, no
     floats, no '+' sign, denominator positive and nonzero).
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # more digits than CPython's int<->str cap
+        raise SchemaError(f"rational literal too long: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:

@@ -17,6 +17,7 @@ from gradeforge.automata import (
 )
 from gradeforge.cli import main
 from gradeforge.holonomic import PRecurrence, unroll
+from gradeforge.obstruction import MILLER_RABIN_EXACT_BELOW
 from oracles import corpus_residues
 
 
@@ -199,6 +200,16 @@ def test_modp_bad_prime_power_is_a_precondition_error(capsys):
                        "--depth", "4")
     assert rc == 3
     assert "denominator" in err
+
+
+def test_modp_certifies_large_primes_and_names_its_bound(capsys):
+    data = run_json(capsys, "modp", "builtin", "catalan", "--p",
+                    "1000000000000000003", "--base", "2", "--depth", "1")
+    assert data["p"] == 10**18 + 3
+    rc, _, err = run(capsys, "modp", "builtin", "catalan", "--p",
+                     str(MILLER_RABIN_EXACT_BELOW), "--base", "2")
+    assert rc == 2
+    assert str(MILLER_RABIN_EXACT_BELOW) in err
 
 
 def test_modp_validates_p_and_r(capsys):

@@ -7,8 +7,13 @@ import pytest
 
 import gradeforge.automata as automata
 from gradeforge import Defaults, load_defaults
-from gradeforge.analytic import QuadratureConfig
+from gradeforge.analytic import (
+    QuadratureConfig,
+    euler_branch_formula,
+    euler_report,
+)
 from gradeforge.catalog import CORPUS_ANNIHILATORS
+from gradeforge.diagonals import diagonal_witness
 from gradeforge.errors import SchemaError
 from gradeforge.obstruction import obstruction_report, radius_estimate
 
@@ -112,6 +117,10 @@ def test_library_defaults_are_the_config_fields(monkeypatch):
         assert params["positive_threshold"].default == d.positive_threshold
     assert QuadratureConfig().nodes == d.laguerre_nodes
     assert QuadratureConfig().tolerance == d.quad_tolerance
+    assert (inspect.signature(diagonal_witness).parameters["verified_order"]
+            .default == d.diagonal_order)
+    for fn in (euler_branch_formula, euler_report):
+        assert inspect.signature(fn).parameters["terms"].default == d.branch_terms
 
     made = []
     real = automata.KernelBudgets

@@ -11,12 +11,42 @@ from gradeforge.catalog import expand_builtin
 from gradeforge.errors import NotSignSequence, TooSparse
 from gradeforge.holonomic import PRecurrence, unroll
 from gradeforge.obstruction import (
+    MILLER_RABIN_EXACT_BELOW,
     eventual_period,
+    is_prime,
     obstruction_report,
     prime_support_scan,
     radius_estimate,
 )
 from gradeforge.series import TruncSeries, compose_scale, hadamard_mul
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, n, d)))
+    assert [k for k in range(-3, n) if is_prime(k)] == [
+        k for k in range(n) if sieve[k]]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+    (3825123056546413051, False),  # ... to every prime base up to 31
+    (10**18 + 3, True),
+])
+def test_is_prime_beyond_trial_division(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_numbers_it_cannot_certify():
+    with pytest.raises(ValueError, match=str(MILLER_RABIN_EXACT_BELOW)):
+        is_prime(MILLER_RABIN_EXACT_BELOW)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import rationals
@@ -119,6 +119,52 @@ def test_eval_is_a_ring_hom(pn):
     point = [Fraction(1, 2)] * nvars
     assert (p * p).eval(point) == p.eval(point) ** 2
     assert (p + p).eval(point) == 2 * p.eval(point)
+
+
+# ---------------------------------------------------------------------------
+# dense integer convolution
+
+
+@st.composite
+def conv_operands(draw):
+    """(a, b, limit) for `_intpoly.conv`: lengths 1-80, weighted toward
+    46-80 (46² > 2048) so that many draws take the Kronecker branch,
+    coefficients of 0-2000 bits with runs of zeros, mixed, nonnegative or
+    nonpositive signs, and sometimes every magnitude at its maximum."""
+    signs = draw(st.sampled_from([(1, -1), (1,), (-1,)]))
+
+    def operand():
+        n = draw(st.one_of(st.integers(1, 80), st.integers(46, 80)))
+        top = 2 ** draw(st.integers(0, 2000)) - 1
+        if draw(st.booleans()):
+            mags = [top] * n
+        else:
+            mags = draw(st.lists(st.one_of(st.just(0), st.integers(0, top)),
+                                 min_size=n, max_size=n))
+            lo = draw(st.integers(0, n))
+            hi = draw(st.integers(lo, n))
+            mags[lo:hi] = [0] * (hi - lo)
+        return [draw(st.sampled_from(signs)) * m for m in mags]
+
+    a, b = operand(), operand()
+    n = len(a) + len(b) - 1
+    limit = draw(st.one_of(st.none(), st.integers(1, n),
+                           st.integers(n, n + 5)))
+    return a, b, limit
+
+
+# 63 coefficients at their 5-bit maximum: the middle product coefficient is
+# ±63·31² = ±60543.  Its slot is 5 + 5 + 6 + 1 = 17 bits, so 3 bytes; a slot
+# without the sign bit would be 16 bits, whose balanced digits stop at ±2^15.
+@example(([31] * 63, [31] * 63, None))
+@example(([-31] * 63, [31] * 63, None))
+@given(conv_operands())
+def test_conv_matches_schoolbook(operands):
+    a, b, limit = operands
+    n = len(a) + len(b) - 1
+    got = ip.conv(a, b, limit)
+    assert got == ip._conv_schoolbook(a, b, n if limit is None else limit)
+    assert len(got) == min(n, limit or n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,19 @@ def test_parse(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "1/0", "1.5", "1/-2", "a", "1 / 2", "+3"])
+@pytest.mark.parametrize(
+    "text", ["", "1/0", "1.5", "1/-2", "a", "1 / 2", "+3", "5\n", "١٢"])
 def test_parse_rejects(text):
     with pytest.raises(SchemaError):
         parse_rational(text)
+
+
+def test_parse_rejects_literals_past_the_digit_cap():
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not cap:
+        pytest.skip("this interpreter has no int<->str digit cap")
+    with pytest.raises(SchemaError):
+        parse_rational("1" * (cap + 1))
 
 
 @given(rationals(max_num=10**6, max_den=10**6))
