@@ -8,10 +8,9 @@ arithmetic; callers clear rational denominators before entering
 Two pieces deserve a note:
 
 * ``conv`` switches to Kronecker substitution once the schoolbook loop would
-  dominate: each operand is packed into one signed big integer, CPython's
-  big-int multiplication does the work, and the product's coefficients are
-  read back as its balanced base-2^k digits.  Signed coefficients need no
-  bias, and an operand with no negative entry (a residue list) packs once.
+  dominate: CPython's big-int multiplication does the work, and one XOR with
+  a half-slot constant makes packing and unpacking carry-free; at slots of 1,
+  2, 4 and 8 bytes ``array``/``memoryview`` casts do each in one call.
 * ``int_roots`` isolates real roots with a Sturm chain and bisection down to
   unit intervals, then tests the integer endpoint.  This stays exact and fast
   even when the constant term is hundreds of digits, where the divisors-of-
@@ -21,10 +20,15 @@ Two pieces deserve a note:
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from typing import Iterable
 
 _SCHOOLBOOK_CUTOFF = 2048  # len(a)*len(b) at or below this: plain double loop
+# Slot bytes -> signed array/memoryview code.  Casts use native byte order and
+# the slots are little-endian, so big-endian machines go slot by slot.
+_CAST = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 
 def clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -71,35 +75,37 @@ def _conv_schoolbook(a, b, limit):
     return out
 
 
-def _pack(c, stride):
-    """Sum of c[i]·2^(8·stride·i) for integers |c[i]| < 2^(8·stride).
+def _pack(c, stride, half):
+    """Sum of c[i]·R^i, R = 2^(8·stride), for integers -R/2 <= c[i] < R/2.
 
-    The positive and the negative entries are packed apart, each as unsigned
-    slots, and subtracted; an operand with no negative entry packs once.
+    `half` holds R/2 in each of at least len(c) slots.  Written as two's
+    complement slots, c reads as one unsigned integer U, and per slot
+    (x mod R) XOR R/2 = x + R/2, so (U ^ half) - half is the signed sum;
+    slots past len(c) hold 0 and cancel.  One pass whatever the signs.
     """
-    packed = int.from_bytes(b"".join(
-        [(x if x > 0 else 0).to_bytes(stride, "little") for x in c]), "little")
-    if min(c) < 0:
-        packed -= int.from_bytes(b"".join(
-            [(-x if x < 0 else 0).to_bytes(stride, "little") for x in c]),
-            "little")
-    return packed
+    code = _CAST.get(stride)
+    raw = (array(code, c).tobytes() if code else b"".join(
+        [x.to_bytes(stride, "little", signed=True) for x in c]))
+    return (int.from_bytes(raw, "little") ^ half) - half
 
 
 def conv(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
     """Convolution of coefficient lists, truncated to `limit` entries.
 
-    The result has exact length min(len(a)+len(b)-1, limit); trailing zeros
-    are kept so series code can rely on positional meaning.
+    The result has exact length min(len(a)+len(b)-1, limit), [] when
+    limit <= 0; trailing zeros are kept so series code can rely on
+    positional meaning.
 
     Large products use Kronecker substitution: a and b become the signed big
     integers A = Σ a_i·R^i and B = Σ b_j·R^j with R = 2^(8·stride), and one
     multiplication gives A·B = Σ c_t·R^t.  The slot is wide enough that every
-    |c_t| < R/2, so the c_t are the balanced base-R digits of A·B: read the
-    slots of its two's complement bytes low to high, and subtract R (carrying
-    1 into the next slot) from any slot value that reaches R/2.
+    |c_t| < R/2, so with H = R/2 in every slot each digit of A·B + H lies in
+    [0, R): no carries, and (A·B + H) ^ H holds c_t as a two's complement
+    slot.  A 3-byte slot widens to 4 to reach a cast width; 5-7-byte slots
+    stay as they are, because widening them to 8 makes the product larger
+    by more than one call per slot saves.
     """
-    if not a or not b:
+    if not a or not b or (limit is not None and limit <= 0):
         return []
     n = len(a) + len(b) - 1
     if limit is None or limit > n:
@@ -112,21 +118,15 @@ def conv(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
                  + max(max(b), -min(b)).bit_length()
                  + min(len(a), len(b)).bit_length() + 1)
     stride = (slot_bits + 7) // 8
-    radix = 1 << (8 * stride)
-    half = radix >> 1
-    digits = (_pack(a, stride) * _pack(b, stride)).to_bytes(
-        n * stride, "little", signed=True)
-    out = []
-    carry = 0
-    for t in range(0, limit * stride, stride):
-        v = int.from_bytes(digits[t:t + stride], "little") + carry
-        if v >= half:
-            out.append(v - radix)
-            carry = 1
-        else:
-            out.append(v)
-            carry = 0
-    return out
+    stride = 4 if stride == 3 else stride  # widen 3 bytes to a cast width
+    half = int.from_bytes((bytes(stride - 1) + b"\x80") * n, "little")
+    digits = ((_pack(a, stride, half) * _pack(b, stride, half) + half)
+              ^ half).to_bytes(n * stride, "little")
+    code = _CAST.get(stride)
+    if code:
+        return memoryview(digits)[:limit * stride].cast(code).tolist()
+    return [int.from_bytes(digits[t:t + stride], "little", signed=True)
+            for t in range(0, limit * stride, stride)]
 
 
 def mul(a: list[int], b: list[int]) -> list[int]:

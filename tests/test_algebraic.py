@@ -142,6 +142,17 @@ def test_branch_residues_match_the_oracle(name, p, r):
         assert got == oracles.corpus_residues(name, 2000, p, r)
 
 
+# conv's slot widths in bytes (before 3 widens to 4) on each case's Kronecker
+# products: p = 2: 2; 3: 2, 3 (r = 2); 251: 3, 4 and 4, 5, 6; 65521: 4, 5, 6
+# and 6, 9, 10; 2^31 - 1: 5, 6, 9, 10 and 8, 9, 10, 16, 17; 10^12 + 39: 7,
+# 11, 12 and 8, 12, 18, 21, 22.
+@pytest.mark.parametrize("p", [2, 3, 251, 65521, 2**31 - 1, 10**12 + 39])
+@pytest.mark.parametrize("r", [1, 2])
+def test_branch_residues_reach_every_slot_width(p, r):
+    assert branch_residues(CORPUS_ANNIHILATORS["catalan"], 600, p, r) == (
+        oracles.corpus_residues("catalan", 600, p, r))
+
+
 @st.composite
 def integer_branch_points(draw):
     """Integer P(z, y) with P(0, y0) = 0 at an integer y0, plus p, r and n."""

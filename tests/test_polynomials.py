@@ -129,13 +129,16 @@ def test_eval_is_a_ring_hom(pn):
 def conv_operands(draw):
     """(a, b, limit) for `_intpoly.conv`: lengths 1-80, weighted toward
     46-80 (46² > 2048) so that many draws take the Kronecker branch,
-    coefficients of 0-2000 bits with runs of zeros, mixed, nonnegative or
-    nonpositive signs, and sometimes every magnitude at its maximum."""
+    coefficients of 0-30 bits in about half of the operands (so that both
+    are small enough for the 1-8-byte cast slots) and of 0-2000 bits
+    otherwise, with runs of zeros, mixed, nonnegative or nonpositive signs,
+    and sometimes every magnitude at its maximum."""
     signs = draw(st.sampled_from([(1, -1), (1,), (-1,)]))
 
     def operand():
         n = draw(st.one_of(st.integers(1, 80), st.integers(46, 80)))
-        top = 2 ** draw(st.integers(0, 2000)) - 1
+        top = 2 ** draw(st.one_of(st.integers(0, 30),
+                                  st.integers(0, 2000))) - 1
         if draw(st.booleans()):
             mags = [top] * n
         else:
@@ -153,18 +156,60 @@ def conv_operands(draw):
     return a, b, limit
 
 
-# 63 coefficients at their 5-bit maximum: the middle product coefficient is
-# ±63·31² = ±60543.  Its slot is 5 + 5 + 6 + 1 = 17 bits, so 3 bytes; a slot
-# without the sign bit would be 16 bits, whose balanced digits stop at ±2^15.
-@example(([31] * 63, [31] * 63, None))
-@example(([-31] * 63, [31] * 63, None))
-@given(conv_operands())
-def test_conv_matches_schoolbook(operands):
-    a, b, limit = operands
+def all_max(la, lb, bits_a, bits_b):
+    """-a and b at their maxima; conv's slot is bits_a + bits_b +
+    min(la, lb).bit_length() + 1 bits."""
+    return [1 - 2**bits_a] * la, [2**bits_b - 1] * lb, None
+
+
+CONV_EXAMPLES = [
+    # 63 coefficients at their 5-bit maximum: the middle product coefficient
+    # is ±63·31² = ±60543.  Its slot is 5 + 5 + 6 + 1 = 17 bits; a slot
+    # without the sign bit would be 16 bits, whose signed range stops at
+    # ±2^15.
+    ([31] * 63, [31] * 63, None),
+    ([-31] * 63, [31] * 63, None),
+    # slots of exactly 8, 16, 24, 32 and 64 bits (1, 2, 3 -> 4, 4 and 8
+    # bytes), each followed by one bit more (2, 3 -> 4, 4, 5 and 9 bytes)
+    all_max(17, 121, 1, 1), all_max(17, 121, 2, 1),
+    all_max(63, 63, 4, 5), all_max(63, 63, 5, 5),
+    all_max(63, 63, 8, 9), all_max(63, 63, 9, 9),
+    all_max(63, 63, 12, 13), all_max(63, 63, 13, 13),
+    all_max(63, 63, 28, 29), all_max(63, 63, 29, 29),
+]
+
+
+def conv_cases(test):
+    for case in CONV_EXAMPLES:
+        test = example(case)(test)
+    return given(conv_operands())(test)
+
+
+def check_conv(a, b, limit):
     n = len(a) + len(b) - 1
     got = ip.conv(a, b, limit)
     assert got == ip._conv_schoolbook(a, b, n if limit is None else limit)
     assert len(got) == min(n, limit or n)
+
+
+@conv_cases
+def test_conv_matches_schoolbook(operands):
+    check_conv(*operands)
+
+
+@conv_cases
+def test_conv_matches_schoolbook_slot_by_slot(operands):
+    # as on a big-endian machine: no slot width is cast
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ip, "_CAST", {})
+        check_conv(*operands)
+
+
+@pytest.mark.parametrize("size", [3, 63])  # schoolbook, Kronecker
+@pytest.mark.parametrize("limit", [0, -3])
+def test_conv_nonpositive_limit_is_empty(size, limit):
+    a = list(range(-size, size, 2))
+    assert ip.conv(a, a, limit) == []
 
 
 # ---------------------------------------------------------------------------
