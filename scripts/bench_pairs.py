@@ -4,14 +4,15 @@
     python3 scripts/bench_pairs.py --parent REV --workload W [--workload W2]
         --pairs N --seed S --out FILE
 
-Checks REV out as a detached git worktree in a temporary directory, then,
-for each workload in turn, runs the benchmark command of BENCHMARK.json
-(``--trace 0`` with its ``run_seconds``) N times on each side, alternating:
+Exports REV with ``git archive`` into a temporary directory (under $TMPDIR
+when set), then, for each workload in turn, runs the benchmark command of
+BENCHMARK.json (``--trace 0`` with its ``run_seconds``) N times on each
+side, alternating:
 pair i runs with seed S + i on both sides, and the side that goes first
 swaps from one pair to the next.  Each run's last stdout line is its JSON
 result.  FILE receives every run's metrics and, per workload, end-to-end
 metric and side, the median, the quartiles and the number of pairs that
-side won (ties count for neither).  The worktree is removed at the end,
+side won (ties count for neither).  The export is removed at the end,
 also when a run fails.
 
 Standard library only; run from anywhere inside the checkout.
@@ -20,11 +21,13 @@ Standard library only; run from anywhere inside the checkout.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -85,12 +88,14 @@ def main() -> int:
                           cwd=checkout)}
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    worktree = tmp / "parent"
     runs = {w: [] for w in args.workload}
     try:
-        git("worktree", "add", "--detach", str(worktree), revs["parent"],
-            cwd=checkout)
-        roots = {"parent": worktree, "change": checkout}
+        archive = subprocess.run(["git", "archive", revs["parent"]],
+                                 cwd=checkout, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "parent")
+        roots = {"parent": tmp / "parent", "change": checkout}
         for workload in args.workload:
             for i in range(args.pairs):
                 seed = args.seed + i
@@ -104,11 +109,6 @@ def main() -> int:
                           f"{json.dumps(pair[side])}", flush=True)
                 runs[workload].append(pair)
     finally:
-        if worktree.exists():
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(worktree)], cwd=checkout, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=checkout,
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     report = {"run_seconds": seconds, "pairs": args.pairs,

@@ -25,6 +25,8 @@ from array import array
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import InexactDivision
+
 _SCHOOLBOOK_CUTOFF = 2048  # len(a)*len(b) at or below this: plain double loop
 # Slot bytes -> signed array/memoryview code.  Casts use native byte order and
 # the slots are little-endian, so big-endian machines go slot by slot.
@@ -134,13 +136,13 @@ def mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Quotient a/b when b divides a exactly; raises ValueError otherwise."""
+    """Quotient a/b; raises InexactDivision unless b divides a exactly."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return []
     if len(a) < len(b):
-        raise ValueError("inexact polynomial division")
+        raise InexactDivision("inexact polynomial division")
     rem = list(a)
     out = [0] * (len(a) - len(b) + 1)
     lead = b[-1]
@@ -150,12 +152,12 @@ def exact_div(a: list[int], b: list[int]) -> list[int]:
             continue
         q, r = divmod(num, lead)
         if r != 0:
-            raise ValueError("inexact polynomial division")
+            raise InexactDivision("inexact polynomial division")
         out[k] = q
         for j, x in enumerate(b):
             rem[k + j] -= q * x
     if any(rem):
-        raise ValueError("inexact polynomial division")
+        raise InexactDivision("inexact polynomial division")
     return trim(out)
 
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotARoot, RamifiedBranch, VerificationFailed
+from .errors import NotARoot, RamifiedBranch, SchemaError, VerificationFailed
 from .polynomials import Poly
-from .rationals import coerce_rational
+from .rationals import coerce_rational, residue
 from .series import TruncSeries, _conv_frac, _conv_mod
 
 
@@ -35,11 +35,11 @@ class Annihilator:
 
     def __post_init__(self):
         if self.poly.nvars != 2:
-            raise ValueError("annihilator must be bivariate in (z, y)")
+            raise SchemaError("annihilator must be bivariate in (z, y)")
         if self.poly.is_zero():
-            raise ValueError("annihilator polynomial must be nonzero")
+            raise SchemaError("annihilator polynomial must be nonzero")
         if self.poly.degree_in(1) < 1:
-            raise ValueError("annihilator must involve y")
+            raise SchemaError("annihilator must involve y")
         object.__setattr__(self, "y0", coerce_rational(self.y0))
 
 
@@ -135,7 +135,7 @@ def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
     runs O(log n) times with the last pass dominating.
     """
     if n < 1:
-        raise ValueError("need at least one coefficient")
+        raise SchemaError("need at least one coefficient")
     py, py0 = _branch_derivative(ann)
     f = _newton_branch(_y_coefficient_lists(ann.poly),
                        _y_coefficient_lists(py), ann.y0, 1 / py0, n,
@@ -170,9 +170,9 @@ def branch_residues(ann: Annihilator, n: int, p: int,
     branch is p-integral.  The exact checks at the branch point run first.
     """
     if n < 1:
-        raise ValueError("need at least one coefficient")
+        raise SchemaError("need at least one coefficient")
     if p < 2 or r < 1:
-        raise ValueError("need a prime p and an exponent r >= 1")
+        raise SchemaError("need a prime p and an exponent r >= 1")
     py, py0 = _branch_derivative(ann)
     if ann.y0.denominator % p == 0:
         return None
@@ -182,16 +182,13 @@ def branch_residues(ann: Annihilator, n: int, p: int,
     modulus = p ** r
     scale = Fraction(p) ** -shift
 
-    def residue(x: Fraction) -> int:
-        return x.numerator * pow(x.denominator, -1, modulus) % modulus
-
     def lists(poly: Poly) -> list[list[int]]:
-        return [[residue(c * scale) for c in row]
+        return [[residue(c * scale, modulus) for c in row]
                 for row in _y_coefficient_lists(poly)]
 
     return _newton_branch(
-        lists(ann.poly), lists(py), residue(ann.y0),
-        pow(residue(py0 * scale), -1, modulus), n,
+        lists(ann.poly), lists(py), residue(ann.y0, modulus),
+        pow(residue(py0 * scale, modulus), -1, modulus), n,
         lambda a, b, k: _conv_mod(a, b, k, modulus),
         lambda x: x % modulus,
     )

@@ -18,7 +18,13 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .config import DEFAULTS
-from .errors import InsufficientTerms, NonPositiveArgument, NotOdd
+from .errors import (
+    InsufficientTerms,
+    NonPositiveArgument,
+    NotOdd,
+    SchemaError,
+    TruncationExceeded,
+)
 from .series import TruncSeries, cauchy_mul, compose_scale, hadamard_mul, reciprocal
 
 #: Euler–Mascheroni constant, 30 digits.
@@ -88,15 +94,15 @@ class ExpPolyRational:
         order: list = []
         for item in self.terms:
             if len(item) != 3:
-                raise ValueError("term must be (pole, multiplicity, poly)")
+                raise SchemaError("term must be (pole, multiplicity, poly)")
             pole, mult, poly = item
             if pole == 0:
-                raise ValueError("poles must be nonzero")
+                raise SchemaError("poles must be nonzero")
             if mult < 1:
-                raise ValueError("multiplicity must be at least 1")
+                raise SchemaError("multiplicity must be at least 1")
             poly = _poly_trim(tuple(poly))
             if len(poly) > mult:
-                raise ValueError(
+                raise SchemaError(
                     "residue polynomial degree must stay below the multiplicity"
                 )
             if not poly:
@@ -131,7 +137,7 @@ class ExpPolyRational:
 
     def coefficient(self, n: int):
         if n < 0:
-            raise ValueError("coefficient index must be nonnegative")
+            raise SchemaError("coefficient index must be nonnegative")
         total = Fraction(0)
         for pole, _, poly in self.terms:
             if _exactly_rational(pole):
@@ -143,7 +149,7 @@ class ExpPolyRational:
 
     def expand(self, order: int) -> TruncSeries:
         if not self.is_exact:
-            raise ValueError("only exact (rational) sequences expand to a series")
+            raise SchemaError("only exact (rational) sequences expand to a series")
         return TruncSeries(tuple(self.coefficient(n) for n in range(order)))
 
 
@@ -171,9 +177,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if self.nodes < 8:
-            raise ValueError("need at least 8 quadrature nodes")
+            raise SchemaError("need at least 8 quadrature nodes")
         if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+            raise SchemaError("tolerance must be positive")
 
 
 @functools.lru_cache(maxsize=8)
@@ -232,7 +238,7 @@ def euler_branch_formula(
     if not z > 0:
         raise NonPositiveArgument(f"formula requires z > 0, got {z}")
     if terms < 1:
-        raise ValueError("need at least one series term")
+        raise SchemaError("need at least one series term")
     y = 1.0 / z
     try:
         bound = y**terms / (terms * math.factorial(terms))
@@ -292,7 +298,7 @@ def euler_derivative_check(
     z > 0, so the estimate carries an O(center) bias.
     """
     if not 0 <= n <= 3:
-        raise ValueError("derivative check implemented for n = 0..3")
+        raise SchemaError("derivative check implemented for n = 0..3")
     if cfg is None:
         cfg = QuadratureConfig()
     val = lambda t: euler_integral(t, cfg)
@@ -323,7 +329,7 @@ def plate_rational_sum(plates: Sequence[tuple], order: int):
     every plate entry is rational, float otherwise.
     """
     if order < 1:
-        raise ValueError("need at least one coefficient")
+        raise SchemaError("need at least one coefficient")
     exact = all(
         _exactly_rational(a) and _exactly_rational(nk) for a, nk in plates
     )
@@ -331,7 +337,7 @@ def plate_rational_sum(plates: Sequence[tuple], order: int):
     out = [zero] * order
     for a, nk in plates:
         if nk == 0:
-            raise ValueError("plate indices must be nonzero")
+            raise SchemaError("plate indices must be nonzero")
         if exact:
             inv = Fraction(1) / Fraction(nk)
             weight = Fraction(a) * inv
@@ -358,9 +364,9 @@ def optics_identity_check(
     inputs; float plates measure rounding only.
     """
     if order < 1:
-        raise ValueError("need at least one coefficient")
+        raise SchemaError("need at least one coefficient")
     if H.order < order:
-        raise ValueError(
+        raise TruncationExceeded(
             f"series carries {H.order} coefficients, need {order}"
         )
     for idx in range(0, order, 2):
@@ -396,7 +402,7 @@ def optics_identity_check(
 def tangent_series(order: int) -> TruncSeries:
     """Exact Maclaurin coefficients of tan through the given order."""
     if order < 1:
-        raise ValueError("need at least one coefficient")
+        raise SchemaError("need at least one coefficient")
     sin = TruncSeries(tuple(
         Fraction((-1) ** ((i - 1) // 2), math.factorial(i)) if i % 2 else Fraction(0)
         for i in range(order)
@@ -428,9 +434,9 @@ def zeta_odd_denominator_check(j: int, cutoff: int = 100000) -> ZetaOddCheck:
     The t coefficient comes from the exact tangent series.
     """
     if not 0 <= j <= 6:
-        raise ValueError("j must be between 0 and 6")
+        raise SchemaError("j must be between 0 and 6")
     if cutoff < 1000:
-        raise ValueError("cutoff must be at least 1000")
+        raise SchemaError("cutoff must be at least 1000")
     s = 2 * j + 2
     lhs = sum((2 * k + 1.0) ** (-s) for k in range(cutoff))
     lhs += zeta_tail_bound(j, cutoff)

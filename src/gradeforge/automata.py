@@ -18,8 +18,9 @@ from typing import Optional
 
 from .algebraic import Annihilator, branch_residues, expand_branch
 from .config import DEFAULTS
-from .errors import BudgetTooSmall, PrimeDividesDenominator
+from .errors import BudgetTooSmall, PrimeDividesDenominator, SchemaError
 from .obstruction import is_prime
+from .rationals import residue
 from .series import TruncSeries
 
 
@@ -32,9 +33,9 @@ class ResidueSequence:
 
     def __post_init__(self):
         if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
+            raise SchemaError("modulus must be at least 2")
         if any(not (0 <= t < self.modulus) for t in self.terms):
-            raise ValueError("every term must lie in [0, modulus)")
+            raise SchemaError("every term must lie in [0, modulus)")
 
     @property
     def source_truncation(self) -> int:
@@ -43,9 +44,9 @@ class ResidueSequence:
 
 def _check_prime_power(p: int, r: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise SchemaError(f"{p} is not prime")
     if r < 1:
-        raise ValueError("exponent r must be at least 1")
+        raise SchemaError("exponent r must be at least 1")
 
 
 def reduce_mod(f: TruncSeries, p: int, r: int = 1) -> ResidueSequence:
@@ -56,7 +57,7 @@ def reduce_mod(f: TruncSeries, p: int, r: int = 1) -> ResidueSequence:
     for n, c in enumerate(f.coeffs):
         if c.denominator % p == 0:
             raise PrimeDividesDenominator(p, n)
-        terms.append(c.numerator * pow(c.denominator, -1, modulus) % modulus)
+        terms.append(residue(c, modulus))
     return ResidueSequence(modulus, tuple(terms))
 
 
@@ -68,9 +69,9 @@ class KernelBudgets:
 
     def __post_init__(self):
         if self.max_states < 1 or self.max_depth < 0:
-            raise ValueError("budgets must be positive")
+            raise SchemaError("budgets must be positive")
         if self.fingerprint_length < 1:
-            raise ValueError("fingerprint length must be positive")
+            raise SchemaError("fingerprint length must be positive")
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def kernel_closure(s: ResidueSequence, q: int,
     exhausted-budget.
     """
     if q < 2:
-        raise ValueError("base q must be at least 2")
+        raise SchemaError("base q must be at least 2")
     S, K, L = (budgets.max_states, budgets.max_depth,
                budgets.fingerprint_length)
     T = s.source_truncation

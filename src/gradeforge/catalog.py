@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .algebraic import Annihilator
 from .errors import SchemaError
-from .holonomic import PRecurrence
+from .holonomic import PRecurrence, unroll
 from .polynomials import Poly
 from .series import TruncSeries
 
@@ -28,8 +28,12 @@ class BuiltinSeries:
     annihilator: Optional[Annihilator] = None
 
     def expand(self, terms: int) -> TruncSeries:
+        """First `terms` coefficients, unrolled from the recurrence where
+        there is one: cheaper than the closed form term by term."""
         if terms < 1:
-            raise ValueError("need at least one coefficient")
+            raise SchemaError("need at least one coefficient")
+        if self.recurrence is not None:
+            return unroll(self.recurrence, terms)
         return TruncSeries(tuple(self.coefficient(n) for n in range(terms)))
 
 

@@ -4,8 +4,10 @@ Subcommands: expand, hadamard, obstruct, modp, diagonal, euler, optics.
 Every command accepts --json (stable machine output) or --table (human
 rendering of the same data; the default).  Exit codes: 0 success,
 2 malformed input, 3 violated mathematical precondition, 4 exhausted
-budget.  GRADEFORGE_CONFIG may name a JSON file overriding defaults;
---show-config prints the effective configuration.
+budget, each taken from the class of the package error; any other
+exception is a defect and exits 1.  GRADEFORGE_CONFIG may name a JSON file
+overriding defaults, which become the flag defaults; --show-config prints
+the effective configuration.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .descriptors import (
 from .diagonals import diagonal_witness, product_witness
 from .errors import GradeforgeError, SchemaError
 from .holonomic import PRecurrence, hadamard_recurrence
-from .obstruction import MILLER_RABIN_EXACT_BELOW, is_prime, obstruction_report
+from .obstruction import is_prime, obstruction_report
 from .polynomials import rows_text
 from .rationals import coerce_rational, format_rational
 from .series import hadamard_mul
@@ -67,9 +69,8 @@ def _recurrence_of(desc: SeriesDescriptor) -> PRecurrence:
 # -- command handlers ---------------------------------------------------------
 
 def _cmd_expand(args, cfg: Defaults) -> dict:
-    terms = args.terms if args.terms is not None else cfg.terms
     series = expand_descriptor(
-        descriptor_from_tokens(args.kind, args.payload), terms
+        descriptor_from_tokens(args.kind, args.payload), args.terms
     )
     return coeffs_json(series)
 
@@ -77,9 +78,8 @@ def _cmd_expand(args, cfg: Defaults) -> dict:
 def _cmd_hadamard(args, cfg: Defaults) -> dict:
     da = descriptor_from_tokens(args.kind_a, args.payload_a)
     db = descriptor_from_tokens(args.kind_b, args.payload_b)
-    terms = args.terms if args.terms is not None else cfg.terms
     product = hadamard_mul(
-        expand_descriptor(da, terms), expand_descriptor(db, terms)
+        expand_descriptor(da, args.terms), expand_descriptor(db, args.terms)
     )
     data = coeffs_json(product)
     if args.emit_recurrence:
@@ -89,16 +89,13 @@ def _cmd_hadamard(args, cfg: Defaults) -> dict:
 
 
 def _cmd_obstruct(args, cfg: Defaults) -> dict:
-    terms = args.terms if args.terms is not None else cfg.terms
     f = expand_descriptor(
-        descriptor_from_tokens(args.kind, args.payload), terms
+        descriptor_from_tokens(args.kind, args.payload), args.terms
     )
     report = obstruction_report(
         f,
-        window=args.window if args.window is not None else cfg.window,
-        max_period=(
-            args.max_period if args.max_period is not None else cfg.max_period
-        ),
+        window=args.window,
+        max_period=args.max_period,
         zero_threshold=cfg.zero_threshold,
         positive_threshold=cfg.positive_threshold,
     )
@@ -106,46 +103,26 @@ def _cmd_obstruct(args, cfg: Defaults) -> dict:
 
 
 def _cmd_modp(args, cfg: Defaults) -> dict:
-    if args.p >= MILLER_RABIN_EXACT_BELOW:
-        raise SchemaError(f"--p must be below {MILLER_RABIN_EXACT_BELOW}")
     if not is_prime(args.p):
         raise SchemaError("--p must be a prime")
     q = args.base if args.base is not None else args.p
-    for flag, value, least in (
-        ("--r", args.r, 1),
-        ("--base", q, 2),
-        ("--max-states", args.max_states, 1),
-        ("--depth", args.depth, 1),
-        ("--fingerprint-length", args.fingerprint_length, 1),
-    ):
-        if value is not None and value < least:
-            raise SchemaError(f"{flag} must be at least {least}")
     ann = _annihilator_of(descriptor_from_tokens(args.kind, args.payload))
     budgets = KernelBudgets(
-        max_states=(
-            args.max_states if args.max_states is not None else cfg.max_states
-        ),
+        max_states=args.max_states,
         max_depth=(
             args.depth if args.depth is not None else cfg.depth_for_base(q)
         ),
-        fingerprint_length=(
-            args.fingerprint_length
-            if args.fingerprint_length is not None
-            else cfg.fingerprint_length
-        ),
+        fingerprint_length=args.fingerprint_length,
     )
     report = christol_report(ann, args.p, args.r, q=q, budgets=budgets)
     return report.to_json_dict()
 
 
 def _cmd_diagonal(args, cfg: Defaults) -> dict:
-    if args.order is not None and args.order < 1:
-        raise SchemaError("--order must be at least 1")
     ann = _annihilator_of(descriptor_from_tokens(args.kind, args.payload))
-    order = args.order if args.order is not None else cfg.diagonal_order
-    witness = diagonal_witness(ann, verified_order=order)
+    witness = diagonal_witness(ann, verified_order=args.order)
     if args.square:
-        witness = product_witness([witness, witness], order)
+        witness = product_witness([witness, witness], args.order)
     diag = witness.diagonal(witness.verified_order)
     return {
         "witness": witness.to_json_dict(),
@@ -154,20 +131,8 @@ def _cmd_diagonal(args, cfg: Defaults) -> dict:
 
 
 def _cmd_euler(args, cfg: Defaults) -> dict:
-    if args.terms is not None and args.terms < 1:
-        raise SchemaError("--terms must be at least 1")
-    try:
-        quad = QuadratureConfig(
-            nodes=args.nodes if args.nodes is not None else cfg.laguerre_nodes,
-            tolerance=(
-                args.tolerance if args.tolerance is not None
-                else cfg.quad_tolerance
-            ),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    terms = args.terms if args.terms is not None else cfg.branch_terms
-    return euler_report(args.z, quad, terms)
+    quad = QuadratureConfig(nodes=args.nodes, tolerance=args.tolerance)
+    return euler_report(args.z, quad, args.terms)
 
 
 def _parse_plates(arg: str) -> list[tuple[Fraction, Fraction]]:
@@ -176,28 +141,22 @@ def _parse_plates(arg: str) -> list[tuple[Fraction, Fraction]]:
         raise SchemaError("plates must be a nonempty list of [a, n] pairs")
     plates = []
     for row in rows:
-        if (not isinstance(row, list) or len(row) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, str))
-                       for v in row)):
+        if not isinstance(row, list) or len(row) != 2:
             raise SchemaError(
                 "each plate must be [weight, index] with rational entries"
             )
-        a, nk = (coerce_rational(v) for v in row)
-        if nk == 0:
-            raise SchemaError("plate indices must be nonzero")
-        plates.append((a, nk))
+        plates.append(tuple(coerce_rational(v) for v in row))
     return plates
 
 
 def _cmd_optics(args, cfg: Defaults) -> dict:
-    terms = args.terms if args.terms is not None else cfg.terms
     series = expand_descriptor(
-        descriptor_from_tokens(args.kind, args.payload), terms
+        descriptor_from_tokens(args.kind, args.payload), args.terms
     )
     plates = _parse_plates(args.plates)
-    gap = optics_identity_check(plates, series, terms)
+    gap = optics_identity_check(plates, series, args.terms)
     return {
-        "order": terms,
+        "order": args.terms,
         "plates": len(plates),
         "exact": isinstance(gap, Fraction),
         "discrepancy": format_rational(gap) if isinstance(gap, Fraction)
@@ -322,13 +281,27 @@ def _add_output_flags(sp, extra: tuple[str, ...] = ()):
                            help="graphviz DOT output of the automaton")
 
 
+class _AtLeast(argparse.Action):
+    """Integer flag; a value below `least` is a SchemaError (exit 2).  Not a
+    ``type=`` callable, whose errors argparse turns into its own exit."""
+
+    def __init__(self, *args, least: int = 1, **kwargs):
+        super().__init__(*args, type=int, **kwargs)
+        self.least = least
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.least:
+            raise SchemaError(f"{option_string} must be at least {self.least}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_descriptor(sp, suffix: str = ""):
     sp.add_argument(f"kind{suffix}", metavar=f"KIND{suffix.upper()}",
                     help=_DESCRIPTOR_HELP if not suffix else argparse.SUPPRESS)
     sp.add_argument(f"payload{suffix}", metavar=f"PAYLOAD{suffix.upper()}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradeforge",
         description="Exact Hadamard-product toolkit: expansion, closure, "
@@ -341,13 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expand", help="print exact series coefficients")
     _add_descriptor(sp)
-    sp.add_argument("--terms", type=int, help="coefficient count")
+    sp.add_argument("--terms", action=_AtLeast, default=cfg.terms,
+                    help="coefficient count")
     _add_output_flags(sp)
 
     sp = sub.add_parser("hadamard", help="termwise product of two series")
     _add_descriptor(sp, "_a")
     _add_descriptor(sp, "_b")
-    sp.add_argument("--terms", type=int)
+    sp.add_argument("--terms", action=_AtLeast, default=cfg.terms)
     sp.add_argument("--emit-recurrence", action="store_true",
                     help="also derive the product recurrence "
                          "(holonomic inputs only)")
@@ -355,44 +329,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("obstruct", help="scan for infinite-grade evidence")
     _add_descriptor(sp)
-    sp.add_argument("--terms", type=int)
-    sp.add_argument("--window", type=int,
+    sp.add_argument("--terms", action=_AtLeast, default=cfg.terms)
+    sp.add_argument("--window", type=int, default=cfg.window,
                     help="tail window for the prime-support scan")
-    sp.add_argument("--max-period", type=int,
+    sp.add_argument("--max-period", type=int, default=cfg.max_period,
                     help="largest sign period to test")
     _add_output_flags(sp)
 
     sp = sub.add_parser("modp", help="residue kernel automaton mod p^r")
     _add_descriptor(sp)
     sp.add_argument("--p", type=int, required=True, help="prime modulus base")
-    sp.add_argument("--r", type=int, default=1, help="power of p (default 1)")
-    sp.add_argument("--base", type=int,
+    sp.add_argument("--r", action=_AtLeast, default=1,
+                    help="power of p (default 1)")
+    sp.add_argument("--base", action=_AtLeast, least=2,
                     help="kernel digit base q (default: p)")
-    sp.add_argument("--max-states", type=int)
-    sp.add_argument("--depth", type=int, help="kernel depth budget")
-    sp.add_argument("--fingerprint-length", type=int)
+    sp.add_argument("--max-states", action=_AtLeast, default=cfg.max_states)
+    sp.add_argument("--depth", action=_AtLeast,
+                    help="kernel depth budget (default: scaled to the base)")
+    sp.add_argument("--fingerprint-length", action=_AtLeast,
+                    default=cfg.fingerprint_length)
     _add_output_flags(sp, extra=("--dot",))
 
     sp = sub.add_parser("diagonal",
                         help="rational diagonal witness of a branch")
     _add_descriptor(sp)
-    sp.add_argument("--order", type=int, help="verification order")
+    sp.add_argument("--order", action=_AtLeast, default=cfg.diagonal_order,
+                    help="verification order")
     sp.add_argument("--square", action="store_true",
                     help="lift the Hadamard square (4 variables)")
     _add_output_flags(sp)
 
     sp = sub.add_parser("euler", help="exponential-integral bench I(z)")
     sp.add_argument("--z", type=float, required=True)
-    sp.add_argument("--nodes", type=int, help="Gauss-Laguerre node count")
-    sp.add_argument("--tolerance", type=float)
-    sp.add_argument("--terms", type=int, help="branch-formula series terms")
+    sp.add_argument("--nodes", type=int, default=cfg.laguerre_nodes,
+                    help="Gauss-Laguerre node count")
+    sp.add_argument("--tolerance", type=float, default=cfg.quad_tolerance)
+    sp.add_argument("--terms", action=_AtLeast, default=cfg.branch_terms,
+                    help="branch-formula series terms")
     _add_output_flags(sp)
 
     sp = sub.add_parser("optics", help="plate-stack identity check")
     _add_descriptor(sp)
     sp.add_argument("--plates", required=True,
                     help='JSON [[weight, index], ...] or @file')
-    sp.add_argument("--terms", type=int)
+    sp.add_argument("--terms", action=_AtLeast, default=cfg.terms)
     _add_output_flags(sp)
 
     return parser
@@ -415,10 +395,10 @@ def _integers_of_any_size():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         cfg = load_defaults()
+        parser = build_parser(cfg)
+        args = parser.parse_args(argv)
         if args.show_config:
             print(json.dumps(cfg.as_dict(), indent=2))
             return 0
@@ -438,9 +418,6 @@ def main(argv=None) -> int:
     except GradeforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -77,7 +77,7 @@ def load_defaults(env: dict | None = None) -> Defaults:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"config key {key} must be a number")
         if key in _INT_FIELDS:
-            if int(value) != value:
+            if isinstance(value, float) and not value.is_integer():
                 raise SchemaError(f"config key {key} must be an integer")
             value = int(value)
         else:

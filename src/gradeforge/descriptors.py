@@ -101,10 +101,7 @@ def annihilator_from_json(payload) -> Annihilator:
     poly = poly_from_rows(rows, 2, '"P"')
     if isinstance(payload["y0"], bool) or not isinstance(payload["y0"], (int, str)):
         raise SchemaError('"y0" must be an integer or rational string')
-    try:
-        return Annihilator(poly, coerce_rational(payload["y0"]))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return Annihilator(poly, coerce_rational(payload["y0"]))
 
 
 def annihilator_to_json(ann: Annihilator) -> dict:
@@ -128,10 +125,7 @@ def _exppoly_from_json(payload) -> ExpPolyRational:
             )
         built.append((coerce_rational(row[0]), row[1],
                       tuple(coerce_rational(c) for c in row[2])))
-    try:
-        return ExpPolyRational(tuple(built))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return ExpPolyRational(tuple(built))
 
 
 def materialize(desc: SeriesDescriptor):

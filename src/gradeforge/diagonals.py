@@ -32,9 +32,9 @@ from .polynomials import Poly, RatFun, poly_from_rows, poly_rows
 from .rationals import coerce_rational, format_rational, parse_rational
 from .series import TruncSeries, hadamard_mul
 
-#: Hard caps for multivariate expansion; anything larger is not a desk job.
-DESK_MAX_VARS = 6
-DESK_MAX_ORDER = 12
+#: Work cap for diagonal extraction: the box volume order^m times the number
+#: of denominator terms.  An extraction at the cap takes about a second.
+DESK_MAX_WORK = 10 ** 6
 
 
 # -- bivariate construction ---------------------------------------------------
@@ -104,13 +104,14 @@ def diagonal_extract(rat: RatFun, order: int) -> TruncSeries:
     U_(n,...,n) / d0^(m n + 1).  The same path serves every d0 != 0.
     """
     if order < 1:
-        raise ValueError("need at least one diagonal coefficient")
+        raise SchemaError("need at least one diagonal coefficient")
     m = rat.nvars
-    if m > DESK_MAX_VARS or order > DESK_MAX_ORDER:
+    work = order ** m * len(rat.den.terms)
+    if work > DESK_MAX_WORK:
         raise BudgetExceeded(
-            f"diagonal extraction capped at {DESK_MAX_VARS} variables "
-            f"and order {DESK_MAX_ORDER}; asked for {m} variables, "
-            f"order {order}"
+            f"diagonal extraction capped at {DESK_MAX_WORK} units of work; "
+            f"order {order} in {m} variables with {len(rat.den.terms)} "
+            f"denominator terms needs {work}"
         )
     if rat.den.constant_term() == 0:
         raise DenominatorVanishesAtOrigin(
@@ -155,14 +156,14 @@ class DiagonalWitness:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("need at least one factor")
+            raise SchemaError("need at least one factor")
         if self.R.nvars != 2 * self.d:
-            raise ValueError(
+            raise SchemaError(
                 f"witness for {self.d} factors needs {2 * self.d} variables, "
                 f"got {self.R.nvars}"
             )
         if self.verified_order < 1:
-            raise ValueError("verified_order must be positive")
+            raise SchemaError("verified_order must be positive")
         if self.R.den.constant_term() == 0:
             raise DenominatorVanishesAtOrigin(
                 "witness denominator must be a unit at the origin"
@@ -171,7 +172,7 @@ class DiagonalWitness:
             self, "factor_annihilators", tuple(self.factor_annihilators)
         )
         if self.factor_annihilators and len(self.factor_annihilators) != self.d:
-            raise ValueError("factor annihilator count must match d")
+            raise SchemaError("factor annihilator count must match d")
         object.__setattr__(
             self, "constant_shift", coerce_rational(self.constant_shift)
         )
@@ -261,7 +262,7 @@ def product_lift(
     """
     rats = [p.R if isinstance(p, DiagonalWitness) else p for p in parts]
     if len(rats) < 2:
-        raise ValueError("product lift needs at least two factors")
+        raise SchemaError("product lift needs at least two factors")
     total = sum(r.nvars for r in rats)
     if positions is None:
         offsets = []
@@ -272,12 +273,12 @@ def product_lift(
         positions = offsets
     else:
         if len(positions) != len(rats):
-            raise ValueError("one position block per factor")
+            raise SchemaError("one position block per factor")
         for r, pos in zip(rats, positions):
             if len(pos) != r.nvars:
-                raise ValueError("position block size must match factor arity")
+                raise SchemaError("position block size must match factor arity")
             if not all(0 <= i < total for i in pos):
-                raise ValueError("position index outside the ambient ring")
+                raise SchemaError("position index outside the ambient ring")
         flat = [i for pos in positions for i in pos]
         if len(set(flat)) != len(flat):
             raise VariableCollision(
@@ -297,7 +298,7 @@ def product_witness(
     """Combine witnesses; the result's diagonal is the Hadamard product
     of the factors' diagonals (shifts composed at n = 0)."""
     if len(factors) < 2:
-        raise ValueError("need at least two factors")
+        raise SchemaError("need at least two factors")
     rat = product_lift(factors)
     d = sum(f.d for f in factors)
     # The diagonals multiply pointwise, so only n = 0 needs a correction:

@@ -1,8 +1,12 @@
 """Exception hierarchy.
 
-Every error raised by the package derives from :class:`GradeforgeError`.
-The three families map onto CLI exit codes: malformed input (2), violated
-mathematical preconditions (3), and exhausted work budgets (4).
+Every error raised by the package derives from :class:`GradeforgeError`
+and is raised as its family where the fault is found; the family alone
+sets the CLI exit code: malformed input (2), violated mathematical
+preconditions (3), exhausted work budgets (4).  Anything else, including
+:class:`VerificationFailed`, is a defect and exits 1.  The first two
+families also subclass the built-in bad-value exception, as
+``json.JSONDecodeError`` does, so callers catching it keep working.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ class GradeforgeError(Exception):
     exit_code = 1
 
 
-class SchemaError(GradeforgeError):
+class SchemaError(GradeforgeError, ValueError):
     """Malformed descriptor, config, or wire payload."""
 
     exit_code = 2
 
 
-class MathPreconditionError(GradeforgeError):
+class MathPreconditionError(GradeforgeError, ValueError):
     """Input is well-formed but violates a mathematical precondition."""
 
     exit_code = 3
@@ -60,6 +64,10 @@ class PoleAtPoint(MathPreconditionError):
 
 class ZeroConstantTerm(MathPreconditionError):
     """Reciprocal of a series whose constant term is zero."""
+
+
+class TruncationExceeded(MathPreconditionError):
+    """A truncated series holds fewer terms than the operation needs."""
 
 
 # -- algebraic series -------------------------------------------------------
@@ -132,13 +140,7 @@ class DenominatorVanishesAtOrigin(MathPreconditionError):
 
 
 class BudgetExceeded(BudgetError):
-    """Requested expansion exceeds the configured desk-scale limits."""
-
-
-# -- descriptors --------------------------------------------------------------
-
-class TruncationExceeded(MathPreconditionError):
-    """A fixed-coefficient descriptor was asked for more terms than it holds."""
+    """Requested expansion exceeds the desk-scale work cap."""
 
 
 # -- analytic bench ---------------------------------------------------------

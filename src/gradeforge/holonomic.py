@@ -33,6 +33,7 @@ from .errors import (
     NoFit,
     NoKernel,
     SchemaError,
+    TruncationExceeded,
     UnderdeterminedRecurrence,
     VerificationFailed,
 )
@@ -72,18 +73,18 @@ class PRecurrence:
 
     def __post_init__(self):
         if len(self.coeffs) < 2:
-            raise ValueError("recurrence order must be at least 1")
+            raise SchemaError("recurrence order must be at least 1")
         for p in self.coeffs:
             if (not isinstance(p, (list, tuple))
                     or any(type(x) is not int for x in p)):
-                raise ValueError(
+                raise SchemaError(
                     "coefficients must be integer coefficient lists in n"
                 )
         dense = [ip.trim(list(p)) for p in self.coeffs]
         if not dense[-1]:
-            raise ValueError("leading coefficient p_r must be nonzero")
+            raise SchemaError("leading coefficient p_r must be nonzero")
         if self.n0 < 0:
-            raise ValueError("n0 must be nonnegative")
+            raise SchemaError("n0 must be nonnegative")
         r = len(dense) - 1
 
         g = 0
@@ -108,7 +109,7 @@ class PRecurrence:
             for i, c in enumerate(dense):
                 acc += ip.eval_at(c, n) * initial[n + i]
             if acc:
-                raise ValueError(
+                raise SchemaError(
                     f"initial terms violate the recurrence at n = {n}"
                 )
 
@@ -168,20 +169,17 @@ class PRecurrence:
             )
         if not isinstance(initial, list):
             raise SchemaError("'initial' must be a list of rationals")
-        try:
-            return cls.from_dense(
-                [[parse_rational(str(x)) for x in c] for c in coeffs],
-                n0,
-                [parse_rational(str(x)) for x in initial],
-            )
-        except ValueError as exc:
-            raise SchemaError(f"inconsistent holonomic payload: {exc}") from exc
+        return cls.from_dense(
+            [[parse_rational(str(x)) for x in c] for c in coeffs],
+            n0,
+            [parse_rational(str(x)) for x in initial],
+        )
 
 
 def unroll(rec: PRecurrence, n: int) -> TruncSeries:
     """First n terms of the sequence, in exact rational arithmetic."""
     if n < 1:
-        raise ValueError("need at least one term")
+        raise SchemaError("need at least one term")
     r = rec.order
     out = list(rec.initial[:n])
     while len(out) < n:
@@ -316,10 +314,10 @@ def guess_recurrence(f: TruncSeries, max_order: int,
     """
     R, D = max_order, max_degree
     if R < 1 or D < 0:
-        raise ValueError("need max_order >= 1 and max_degree >= 0")
+        raise SchemaError("need max_order >= 1 and max_degree >= 0")
     need = (R + 1) * (D + 1) + R + 10
     if f.order < need:
-        raise ValueError(
+        raise TruncationExceeded(
             f"guessing with order {R}, degree {D} needs at least {need} "
             f"terms, got {f.order}"
         )

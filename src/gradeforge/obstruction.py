@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .config import DEFAULTS
-from .errors import NotSignSequence, TooSparse
+from .errors import NotSignSequence, SchemaError, TooSparse, TruncationExceeded
 from .series import TruncSeries
 
 TRIAL_DIVISION_BOUND = 10 ** 6
@@ -71,11 +71,11 @@ class Periodicity:
 def is_prime(n: int) -> bool:
     """Exact primality test for n < MILLER_RABIN_EXACT_BELOW.
 
-    Raises ValueError at or above that bound, where Miller–Rabin to the
+    Raises SchemaError at or above that bound, where Miller–Rabin to the
     bases MILLER_RABIN_BASES is no longer a proof.
     """
     if n >= MILLER_RABIN_EXACT_BELOW:
-        raise ValueError(
+        raise SchemaError(
             f"primality is certified only below {MILLER_RABIN_EXACT_BELOW}")
     if n <= MILLER_RABIN_BASES[-1]:
         return n in MILLER_RABIN_BASES
@@ -181,9 +181,9 @@ def prime_support_scan(f: TruncSeries, window: int) -> PrimeSupportScan:
     their product), and only the cofactor left is factored.
     """
     if window < 1:
-        raise ValueError("window must be positive")
+        raise SchemaError("window must be positive")
     if f.order < 2 * window:
-        raise ValueError(
+        raise TruncationExceeded(
             f"need at least {2 * window} coefficients for window {window}"
         )
     first: dict[int, int] = {}
@@ -224,7 +224,7 @@ def radius_estimate(f: TruncSeries, *,
     """
     n_terms = f.order
     if n_terms < 16:
-        raise ValueError("radius fit needs at least 16 coefficients")
+        raise TruncationExceeded("radius fit needs at least 16 coefficients")
     nonzero = sum(1 for c in f.coeffs if c != 0)
     if 2 * nonzero < n_terms:
         raise TooSparse(
@@ -272,9 +272,9 @@ def eventual_period(signs: Sequence[int], max_period: int) -> Periodicity:
     """
     n = len(signs)
     if max_period < 1:
-        raise ValueError("max_period must be positive")
+        raise SchemaError("max_period must be positive")
     if n < 3 * max_period:
-        raise ValueError(
+        raise TruncationExceeded(
             f"need at least {3 * max_period} signs for max_period "
             f"{max_period}, got {n}"
         )

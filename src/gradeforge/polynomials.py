@@ -51,7 +51,7 @@ class Poly:
         for expo, coeff in terms.items():
             expo = tuple(int(e) for e in expo)
             if len(expo) != nvars or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent tuple {expo} for {nvars} vars")
+                raise SchemaError(f"bad exponent tuple {expo} for {nvars} vars")
             c = coerce_rational(coeff) if not isinstance(coeff, Fraction) else coeff
             if c:
                 clean[expo] = clean.get(expo, Fraction(0)) + c
@@ -158,7 +158,7 @@ class Poly:
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
-            raise ValueError("negative polynomial power")
+            raise SchemaError("negative polynomial power")
         out = Poly.const(self.nvars, 1)
         base = self
         while k:

@@ -39,6 +39,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def residue(value: Fraction, modulus: int) -> int:
+    """``value`` in Z/modulus, whose denominator must be a unit there."""
+    return value.numerator * pow(value.denominator, -1, modulus) % modulus
+
+
 def coerce_rational(value) -> Fraction:
     """Accept Fraction/int/rational-string inputs from user-facing layers."""
     if isinstance(value, Fraction):

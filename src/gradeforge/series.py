@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _intpoly as ip
-from .errors import ZeroConstantTerm
+from .errors import TruncationExceeded, ZeroConstantTerm
 from .rationals import coerce_rational
 
 
@@ -37,7 +37,7 @@ class TruncSeries:
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
-            raise ValueError(
+            raise TruncationExceeded(
                 f"cannot extend a series of order {self.order} to {order}"
             )
         return TruncSeries(self.coeffs[:order])

@@ -15,7 +15,9 @@ from gradeforge.automata import (
     ResidueSequence,
     kernel_closure,
 )
+from gradeforge import cli
 from gradeforge.cli import main
+from gradeforge.errors import VerificationFailed
 from gradeforge.holonomic import PRecurrence, unroll
 from gradeforge.obstruction import MILLER_RABIN_EXACT_BELOW
 from oracles import corpus_residues
@@ -274,9 +276,16 @@ def test_diagonal_needs_an_annihilator(capsys):
 
 
 def test_diagonal_order_over_desk_cap_exhausts_budget(capsys):
+    # the catalan witness denominator has 4 terms: 501^2 * 4 > 10^6
     rc, out, err = run(capsys, "diagonal", "builtin", "catalan",
-                       "--order", "13")
+                       "--order", "501")
     assert rc == 4
+
+
+def test_diagonal_order_13_is_under_the_work_cap(capsys):
+    data = run_json(capsys, "diagonal", "builtin", "catalan", "--order", "13")
+    assert data["diagonal"] == [str(math.comb(2 * n, n) // (n + 1))
+                                for n in range(13)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +371,77 @@ def test_broken_config_file_is_a_schema_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("GRADEFORGE_CONFIG", str(path))
     rc, out, err = run(capsys, "expand", "builtin", "exp")
     assert rc == 2
+
+
+_HOLONOMIC = '{"order": 1, "coeffs": [["-1"], ["1"]], "n0": 0, "initial": %s}'
+
+
+@pytest.mark.parametrize("rc, argv", [
+    # 2: malformed input, raised as SchemaError where it is found
+    (2, ("expand", "algebraic", '{"P": [[1, 0, "1"]], "y0": "0"}')),
+    (2, ("expand", "rational-exppoly", '{"terms": [["0", 1, ["1"]]]}')),
+    (2, ("expand", "holonomic", _HOLONOMIC % '["1", "2"]')),
+    # 3: well-formed input that breaks a mathematical precondition
+    (3, ("obstruct", "builtin", "exp", "--terms", "10")),
+    (3, ("obstruct", "builtin", "exp", "--terms", "1")),
+    (3, ("expand", "coeffs", "[1]", "--terms", "2")),
+    (3, ("expand", "holonomic",
+         '{"order": 1, "coeffs": [["1"], ["0", "1"]], "n0": 0, '
+         '"initial": ["1"]}')),
+    # 4: a work budget that cannot cover the request
+    (4, ("euler", "--z", "0.01", "--terms", "2")),
+], ids=["no-y", "zero-pole", "initial-off-recurrence", "obstruct-10-terms",
+        "obstruct-1-term", "truncated-coeffs", "underdetermined",
+        "branch-formula-terms"])
+def test_exit_code_follows_the_error_family(capsys, rc, argv):
+    got, out, err = run(capsys, *argv)
+    assert got == rc, err
+    assert err.startswith("error: ")
+
+
+def test_non_integer_config_value_is_a_schema_error(capsys, tmp_path,
+                                                    monkeypatch):
+    for text in ("NaN", "Infinity", "2.5"):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"terms": %s}' % text)
+        monkeypatch.setenv("GRADEFORGE_CONFIG", str(path))
+        rc, out, err = run(capsys, "expand", "builtin", "exp")
+        assert rc == 2, text
+        assert "must be an integer" in err
+
+
+_DEFECT = """
+import sys
+from gradeforge import cli
+def broken(args, cfg):
+    raise ValueError("a defect in a handler")
+cli._COMMANDS["expand"] = (broken, None)
+sys.exit(cli.main(["expand", "builtin", "exp"]))
+"""
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+
+
+def test_defects_exit_1_never_3(capsys, monkeypatch):
+    def failed_self_check(args, cfg):
+        raise VerificationFailed("result disagrees with its recomputation")
+
+    monkeypatch.setitem(cli._COMMANDS, "expand", (failed_self_check, None))
+    rc, out, err = run(capsys, "expand", "builtin", "exp")
+    assert rc == 1
+    assert "disagrees" in err
+    # any other exception is not translated: it propagates, and the
+    # interpreter exits 1 with its traceback
+    proc = run_python(_DEFECT)
+    assert proc.returncode == 1
+    assert "ValueError: a defect in a handler" in proc.stderr
 
 
 def test_no_command_prints_usage(capsys):
@@ -477,10 +557,5 @@ sys.exit(f"rc={rc}, loaded {loaded}" if rc or loaded else 0)
 
 
 def test_commands_other_than_euler_do_not_load_numpy_or_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
-                          capture_output=True, text=True, env=env)
+    proc = run_python(_IMPORT_GUARD)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Rational-diagonal witnesses for branches and their Hadamard products."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -109,11 +110,29 @@ def test_diagonal_rejects_nonpositive_order():
 
 
 def test_diagonal_enforces_desk_caps():
+    # 578^2 box cells times 3 denominator terms, just past 10^6
     with pytest.raises(BudgetExceeded):
-        diagonal_extract(RatFun(ONE, ONE - X - Y), 13)
+        diagonal_extract(RatFun(ONE, ONE - X - Y), 578)
     wide = RatFun(Poly.const(7, 1), Poly.const(7, 1))
     with pytest.raises(BudgetExceeded):
-        diagonal_extract(wide, 2)
+        diagonal_extract(wide, 8)
+
+
+def test_diagonal_work_cap_is_box_volume_times_den_terms(monkeypatch):
+    monkeypatch.setattr(diagonals, "DESK_MAX_WORK", 12)
+    rat = RatFun(ONE, ONE - X - Y)
+    assert diagonal_extract(rat, 2).coeffs == (1, 2)  # 2^2 * 3 = 12
+    with pytest.raises(BudgetExceeded):
+        diagonal_extract(rat, 3)                      # 3^2 * 3 = 27
+
+
+def test_diagonal_runs_past_the_former_order_and_variable_caps():
+    # order 13 in two variables and seven variables were refused by the
+    # former fixed caps of order 12 and 6 variables
+    central = diagonal_extract(RatFun(ONE, ONE - X - Y), 13)
+    assert central.coeffs == tuple(math.comb(2 * n, n) for n in range(13))
+    wide = RatFun(Poly.const(7, 1), Poly.const(7, 1) - Poly.variable(7, 6))
+    assert diagonal_extract(wide, 3).coeffs == (1, 0, 0)
 
 
 def test_diagonal_matches_linear_solve_oracle():
