@@ -235,8 +235,8 @@ def euler_branch_formula(
     I(z) = -(1/z) e^(1/z) log(1/z) + S(1/z) with
     S(y) = -y e^y (γ + Σ_{n≥1} (-y)^n / (n·n!)).
     """
-    if not z > 0:
-        raise NonPositiveArgument(f"formula requires z > 0, got {z}")
+    if not 0 < z < math.inf:  # log(1/z) needs a finite z
+        raise NonPositiveArgument(f"formula requires finite z > 0, got {z}")
     if terms < 1:
         raise SchemaError("need at least one series term")
     y = 1.0 / z

@@ -388,11 +388,12 @@ _HOLONOMIC = '{"order": 1, "coeffs": [["-1"], ["1"]], "n0": 0, "initial": %s}'
     (3, ("expand", "holonomic",
          '{"order": 1, "coeffs": [["1"], ["0", "1"]], "n0": 0, '
          '"initial": ["1"]}')),
+    (3, ("euler", "--z", "inf")),
     # 4: a work budget that cannot cover the request
     (4, ("euler", "--z", "0.01", "--terms", "2")),
 ], ids=["no-y", "zero-pole", "initial-off-recurrence", "obstruct-10-terms",
         "obstruct-1-term", "truncated-coeffs", "underdetermined",
-        "branch-formula-terms"])
+        "infinite-z", "branch-formula-terms"])
 def test_exit_code_follows_the_error_family(capsys, rc, argv):
     got, out, err = run(capsys, *argv)
     assert got == rc, err
