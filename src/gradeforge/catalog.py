@@ -29,7 +29,7 @@ class BuiltinSeries:
 
     def expand(self, terms: int) -> TruncSeries:
         """First `terms` coefficients, unrolled from the recurrence where
-        there is one: cheaper than the closed form term by term."""
+        there is one; `coefficient` stays as the reference for tests."""
         if terms < 1:
             raise SchemaError("need at least one coefficient")
         if self.recurrence is not None:

@@ -373,14 +373,13 @@ def test_broken_config_file_is_a_schema_error(capsys, tmp_path, monkeypatch):
     assert rc == 2
 
 
-_HOLONOMIC = '{"order": 1, "coeffs": [["-1"], ["1"]], "n0": 0, "initial": %s}'
-
-
 @pytest.mark.parametrize("rc, argv", [
     # 2: malformed input, raised as SchemaError where it is found
     (2, ("expand", "algebraic", '{"P": [[1, 0, "1"]], "y0": "0"}')),
     (2, ("expand", "rational-exppoly", '{"terms": [["0", 1, ["1"]]]}')),
-    (2, ("expand", "holonomic", _HOLONOMIC % '["1", "2"]')),
+    (2, ("expand", "holonomic",
+         '{"order": 1, "coeffs": [["-1"], ["1"]], "n0": 0, '
+         '"initial": ["1", "2"]}')),
     # 3: well-formed input that breaks a mathematical precondition
     (3, ("obstruct", "builtin", "exp", "--terms", "10")),
     (3, ("obstruct", "builtin", "exp", "--terms", "1")),
