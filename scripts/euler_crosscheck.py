@@ -16,6 +16,7 @@ from gradeforge.analytic import (
     euler_derivative_check,
     euler_integral,
 )
+from gradeforge.config import DEFAULTS
 from gradeforge.errors import InsufficientTerms
 
 
@@ -26,9 +27,9 @@ def main(argv=None) -> int:
         default=[0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
         help="evaluation points (default: a six-point grid)",
     )
-    ap.add_argument("--terms", type=int, default=40,
+    ap.add_argument("--terms", type=int, default=DEFAULTS.branch_terms,
                     help="series length for the branch formula")
-    ap.add_argument("--nodes", type=int, default=64,
+    ap.add_argument("--nodes", type=int, default=DEFAULTS.laguerre_nodes,
                     help="Gauss-Laguerre node count")
     ap.add_argument("--derivatives", action="store_true",
                     help="also check derivatives at 0 against (n!)^2")

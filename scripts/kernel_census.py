@@ -16,6 +16,7 @@ import time
 
 from gradeforge.automata import KernelBudgets, christol_report
 from gradeforge.catalog import CORPUS_ANNIHILATORS
+from gradeforge.config import DEFAULTS
 from gradeforge.errors import PrimeDividesDenominator
 
 
@@ -40,7 +41,7 @@ def main(argv=None) -> int:
                     help="prime-power moduli (default: 2 3 4)")
     ap.add_argument("--max-depth", type=int, default=None,
                     help="depth cap (default: the per-base rule)")
-    ap.add_argument("--length", type=int, default=64,
+    ap.add_argument("--length", type=int, default=DEFAULTS.fingerprint_length,
                     help="fingerprint length")
     args = ap.parse_args(argv)
 
@@ -51,7 +52,9 @@ def main(argv=None) -> int:
             p, r = factor_prime_power(modulus)
             budgets = None
             if args.max_depth is not None:
-                budgets = KernelBudgets(4096, args.max_depth, args.length)
+                budgets = KernelBudgets(
+                    DEFAULTS.max_states, args.max_depth, args.length
+                )
             t0 = time.perf_counter()
             try:
                 rep = christol_report(

@@ -12,13 +12,14 @@ import sys
 
 from gradeforge import expand_builtin, hadamard_mul, obstruction_report
 from gradeforge.catalog import builtin_names
+from gradeforge.config import DEFAULTS
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--terms", type=int, default=64,
                     help="expansion length fed to the detector")
-    ap.add_argument("--window", type=int, default=10,
+    ap.add_argument("--window", type=int, default=DEFAULTS.window,
                     help="scan window for the grade floor")
     ap.add_argument(
         "--product", nargs=2, action="append", metavar=("A", "B"),

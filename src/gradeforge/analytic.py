@@ -25,6 +25,7 @@ from .errors import (
     SchemaError,
     TruncationExceeded,
 )
+from .rationals import wire_int
 from .series import TruncSeries, cauchy_mul, compose_scale, hadamard_mul, reciprocal
 
 #: Euler–Mascheroni constant, 30 digits.
@@ -98,8 +99,7 @@ class ExpPolyRational:
             pole, mult, poly = item
             if pole == 0:
                 raise SchemaError("poles must be nonzero")
-            if mult < 1:
-                raise SchemaError("multiplicity must be at least 1")
+            wire_int(mult, "multiplicity", 1)
             poly = _poly_trim(tuple(poly))
             if len(poly) > mult:
                 raise SchemaError(
@@ -170,14 +170,21 @@ def rational_hadamard(f: ExpPolyRational, g: ExpPolyRational) -> ExpPolyRational
 
 # -- exponential integral -----------------------------------------------------
 
+#: Largest node count: the error estimate also runs the 2·nodes rule, and
+#: numpy's Gauss–Laguerre weights overflow to inf/nan past 186 nodes.
+MAX_LAGUERRE_NODES = 93
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     nodes: int = DEFAULTS.laguerre_nodes
     tolerance: float = DEFAULTS.quad_tolerance
 
     def __post_init__(self):
-        if self.nodes < 8:
-            raise SchemaError("need at least 8 quadrature nodes")
+        if not 8 <= self.nodes <= MAX_LAGUERRE_NODES:
+            raise SchemaError(
+                f"quadrature nodes must be between 8 and {MAX_LAGUERRE_NODES}"
+            )
         if not self.tolerance > 0:
             raise SchemaError("tolerance must be positive")
 

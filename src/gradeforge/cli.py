@@ -29,14 +29,13 @@ from .descriptors import (
     descriptor_from_tokens,
     expand_descriptor,
     materialize,
-    read_json_arg,
 )
 from .diagonals import diagonal_witness, product_witness
 from .errors import GradeforgeError, SchemaError
 from .holonomic import PRecurrence, hadamard_recurrence
 from .obstruction import is_prime, obstruction_report
 from .polynomials import rows_text
-from .rationals import coerce_rational, format_rational
+from .rationals import coerce_rational, format_rational, read_json_arg
 from .series import hadamard_mul
 
 

@@ -9,12 +9,12 @@ keys override individual fields.  Commands print the effective object via
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from dataclasses import dataclass
 
 from .errors import SchemaError
+from .rationals import read_json_arg, wire_object
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,7 @@ def load_defaults(env: dict | None = None) -> Defaults:
     path = source.get("GRADEFORGE_CONFIG")
     if not path:
         return DEFAULTS
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("config file must hold a JSON object")
+    obj = wire_object(read_json_arg("@" + path, "config"), (), "config file")
     known = {f.name for f in dataclasses.fields(Defaults)}
     unknown = set(obj) - known
     if unknown:

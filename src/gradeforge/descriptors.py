@@ -8,7 +8,6 @@ inline, via @file, or (for builtins) as a bare name.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .algebraic import Annihilator, expand_branch
@@ -17,7 +16,12 @@ from .catalog import BuiltinSeries, get_builtin
 from .errors import SchemaError, TruncationExceeded
 from .holonomic import PRecurrence, unroll
 from .polynomials import poly_from_rows, poly_rows
-from .rationals import coerce_rational, format_rational
+from .rationals import (
+    coerce_rational,
+    format_rational,
+    read_json_arg,
+    wire_object,
+)
 from .series import TruncSeries
 
 KINDS = ("coeffs", "algebraic", "holonomic", "rational-exppoly", "builtin")
@@ -34,21 +38,6 @@ class SeriesDescriptor:
                 f"unknown descriptor kind {self.kind!r}; "
                 f"choose from {', '.join(KINDS)}"
             )
-
-
-def read_json_arg(arg: str, what: str):
-    """Parse a command-line JSON argument: inline text, or @path to a file."""
-    text = arg
-    if arg.startswith("@"):
-        try:
-            with open(arg[1:], encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read {what} file {arg[1:]}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def descriptor_from_tokens(kind: str, arg: str) -> SeriesDescriptor:
@@ -73,35 +62,16 @@ def _check_kind_label(payload: dict, expected: str) -> None:
 def _coeffs_from_json(payload) -> TruncSeries:
     if isinstance(payload, dict):
         _check_kind_label(payload, "coeffs")
-        if "coeffs" not in payload:
-            raise SchemaError('coeffs payload object needs a "coeffs" key')
-        payload = payload["coeffs"]
+        payload = wire_object(payload, ("coeffs",), "coeffs payload")["coeffs"]
     if not isinstance(payload, list) or not payload:
         raise SchemaError("coeffs payload must be a nonempty list")
-    out = []
-    for i, entry in enumerate(payload):
-        if isinstance(entry, bool) or not isinstance(entry, (int, str)):
-            raise SchemaError(
-                f"coefficient {i} must be an integer or rational string"
-            )
-        out.append(coerce_rational(entry))
-    return TruncSeries(tuple(out))
+    return TruncSeries.from_list(payload)
 
 
 def annihilator_from_json(payload) -> Annihilator:
-    if not isinstance(payload, dict):
-        raise SchemaError("algebraic payload must be an object")
+    payload = wire_object(payload, ("P", "y0"), "algebraic payload")
     _check_kind_label(payload, "algebraic")
-    missing = {"P", "y0"} - set(payload)
-    if missing:
-        raise SchemaError(f"algebraic payload missing keys: {sorted(missing)}")
-    rows = payload["P"]
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError('"P" must be a nonempty list of [i, j, coeff] rows')
-    poly = poly_from_rows(rows, 2, '"P"')
-    if isinstance(payload["y0"], bool) or not isinstance(payload["y0"], (int, str)):
-        raise SchemaError('"y0" must be an integer or rational string')
-    return Annihilator(poly, coerce_rational(payload["y0"]))
+    return Annihilator(poly_from_rows(payload["P"], 2, '"P"'), payload["y0"])
 
 
 def annihilator_to_json(ann: Annihilator) -> dict:
@@ -110,15 +80,13 @@ def annihilator_to_json(ann: Annihilator) -> dict:
 
 
 def _exppoly_from_json(payload) -> ExpPolyRational:
-    if not isinstance(payload, dict):
-        raise SchemaError("rational-exppoly payload must be an object")
+    payload = wire_object(payload, ("terms",), "rational-exppoly payload")
     _check_kind_label(payload, "rational-exppoly")
-    if "terms" not in payload or not isinstance(payload["terms"], list):
+    if not isinstance(payload["terms"], list):
         raise SchemaError('rational-exppoly payload needs a "terms" list')
     built = []
     for row in payload["terms"]:
         if (not isinstance(row, list) or len(row) != 3
-                or isinstance(row[1], bool) or not isinstance(row[1], int)
                 or not isinstance(row[2], list)):
             raise SchemaError(
                 "each term must be [pole, multiplicity, [poly coeffs...]]"

@@ -29,7 +29,13 @@ from .errors import (
     VerificationFailed,
 )
 from .polynomials import Poly, RatFun, poly_from_rows, poly_rows
-from .rationals import coerce_rational, format_rational, parse_rational
+from .rationals import (
+    coerce_rational,
+    format_rational,
+    parse_rational,
+    wire_int,
+    wire_object,
+)
 from .series import TruncSeries, hadamard_mul
 
 #: Work cap for diagonal extraction: the box volume order^m times the number
@@ -155,15 +161,13 @@ class DiagonalWitness:
                                            compare=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise SchemaError("need at least one factor")
+        wire_int(self.d, "d", 1)
         if self.R.nvars != 2 * self.d:
             raise SchemaError(
                 f"witness for {self.d} factors needs {2 * self.d} variables, "
                 f"got {self.R.nvars}"
             )
-        if self.verified_order < 1:
-            raise SchemaError("verified_order must be positive")
+        wire_int(self.verified_order, "verified_order", 1)
         if self.R.den.constant_term() == 0:
             raise DenominatorVanishesAtOrigin(
                 "witness denominator must be a unit at the origin"
@@ -201,14 +205,9 @@ class DiagonalWitness:
 
     @classmethod
     def from_json_dict(cls, obj) -> "DiagonalWitness":
-        if not isinstance(obj, dict):
-            raise SchemaError("witness must be a JSON object")
-        missing = {"d", "R", "verified_order", "constant_shift"} - set(obj)
-        if missing:
-            raise SchemaError(f"witness missing keys: {sorted(missing)}")
-        d = obj["d"]
-        if not isinstance(d, int) or d < 1:
-            raise SchemaError("d must be a positive integer")
+        obj = wire_object(obj, ("d", "R", "verified_order", "constant_shift"),
+                          "witness")
+        d = wire_int(obj["d"], "d", 1)
         rat = obj["R"]
         if not isinstance(rat, dict) or set(rat) != {"num", "den"}:
             raise SchemaError('R must be an object with "num" and "den"')
@@ -216,13 +215,8 @@ class DiagonalWitness:
         den = poly_from_rows(rat["den"], 2 * d, "den")
         if den.is_zero():
             raise SchemaError("den must be nonzero")
-        order = obj["verified_order"]
-        if not isinstance(order, int) or order < 1:
-            raise SchemaError("verified_order must be a positive integer")
-        if not isinstance(obj["constant_shift"], str):
-            raise SchemaError("constant_shift must be a rational string")
         shift = parse_rational(obj["constant_shift"])
-        return cls(RatFun(num, den), d, order, (), shift)
+        return cls(RatFun(num, den), d, obj["verified_order"], (), shift)
 
 
 def diagonal_witness(
@@ -293,7 +287,8 @@ def product_lift(
 
 
 def product_witness(
-    factors: Sequence[DiagonalWitness], verified_order: int = 8
+    factors: Sequence[DiagonalWitness],
+    verified_order: int = DEFAULTS.diagonal_order,
 ) -> DiagonalWitness:
     """Combine witnesses; the result's diagonal is the Hadamard product
     of the factors' diagonals (shifts composed at n = 0)."""

@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailed,
 )
 from .polynomials import fraction_free_left_kernel
-from .rationals import coerce_rational, format_rational, parse_rational
+from .rationals import coerce_rational, format_rational, wire_int, wire_object
 from .series import TruncSeries
 
 
@@ -83,8 +83,7 @@ class PRecurrence:
         dense = [ip.trim(list(p)) for p in self.coeffs]
         if not dense[-1]:
             raise SchemaError("leading coefficient p_r must be nonzero")
-        if self.n0 < 0:
-            raise SchemaError("n0 must be nonnegative")
+        wire_int(self.n0, "n0", 0)
         r = len(dense) - 1
 
         g = 0
@@ -148,19 +147,11 @@ class PRecurrence:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PRecurrence":
-        if not isinstance(d, dict):
-            raise SchemaError("holonomic payload must be an object")
-        for key in ("order", "coeffs", "n0", "initial"):
-            if key not in d:
-                raise SchemaError(f"holonomic payload missing '{key}'")
-        order = d["order"]
+        d = wire_object(d, ("order", "coeffs", "n0", "initial"),
+                        "holonomic payload")
+        order = wire_int(d["order"], "order", 1)
         coeffs = d["coeffs"]
-        n0 = d["n0"]
         initial = d["initial"]
-        if not isinstance(order, int) or order < 1:
-            raise SchemaError("'order' must be a positive integer")
-        if not isinstance(n0, int) or n0 < 0:
-            raise SchemaError("'n0' must be a nonnegative integer")
         if (not isinstance(coeffs, list)
                 or len(coeffs) != order + 1
                 or not all(isinstance(c, list) and c for c in coeffs)):
@@ -169,11 +160,7 @@ class PRecurrence:
             )
         if not isinstance(initial, list):
             raise SchemaError("'initial' must be a list of rationals")
-        return cls.from_dense(
-            [[parse_rational(str(x)) for x in c] for c in coeffs],
-            n0,
-            [parse_rational(str(x)) for x in initial],
-        )
+        return cls.from_dense(coeffs, d["n0"], initial)
 
 
 def unroll(rec: PRecurrence, n: int) -> TruncSeries:

@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
     VariableMismatch,
 )
-from .rationals import coerce_rational, format_rational
+from .rationals import coerce_rational, format_rational, wire_int
 
 
 def _grlex_key(expo: tuple[int, ...]):
@@ -264,15 +264,11 @@ def poly_from_rows(rows, nvars: int, what: str) -> Poly:
         raise SchemaError(f"{what} must be a list of term rows")
     terms: dict[tuple[int, ...], Fraction] = {}
     for row in rows:
-        if (not isinstance(row, list) or len(row) != nvars + 1
-                or not all(isinstance(e, int) and not isinstance(e, bool)
-                           and e >= 0 for e in row[:-1])
-                or isinstance(row[-1], bool)
-                or not isinstance(row[-1], (int, str))):
+        if not isinstance(row, list) or len(row) != nvars + 1:
             raise SchemaError(
                 f"{what} term must be [{nvars} exponents..., coeff]"
             )
-        expo = tuple(row[:-1])
+        expo = tuple(wire_int(e, f"{what} exponent", 0) for e in row[:-1])
         terms[expo] = terms.get(expo, Fraction(0)) + coerce_rational(row[-1])
     return Poly(nvars, terms)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gradeforge.analytic import MAX_LAGUERRE_NODES
 from gradeforge.automata import (
     KernelBudgets,
     ResidueSequence,
@@ -308,11 +309,34 @@ def test_euler_rejects_nonpositive_z(capsys):
     ("--nodes", "4"),
     ("--tolerance", "0"),
     ("--terms", "0"),
+    ("--nodes", str(MAX_LAGUERRE_NODES + 1)),
 ])
 def test_euler_malformed_numbers_are_schema_errors(capsys, flags):
     rc, out, err = run(capsys, "euler", "--z", "1.0", *flags)
     assert rc == 2
     assert "error:" in err
+
+
+def test_euler_at_the_node_bound_still_uses_gauss_laguerre(capsys):
+    data = run_json(capsys, "euler", "--z", "1",
+                    "--nodes", str(MAX_LAGUERRE_NODES))
+    assert data["method"] == f"gauss-laguerre-{2 * MAX_LAGUERRE_NODES}"
+    assert abs(data["value"] - 0.5963473623) < 1e-9
+
+
+_HUGE_NODES = """
+import contextlib, io, sys
+from gradeforge.cli import main
+with contextlib.redirect_stderr(io.StringIO()):
+    rc = main(["euler", "--z", "1", "--nodes", "100000"])
+loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+sys.exit(f"rc={rc}, loaded {loaded}" if rc != 2 or loaded else 0)
+"""
+
+
+def test_euler_refuses_nodes_past_the_bound_before_loading_numpy():
+    proc = run_python(_HUGE_NODES)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_euler_table_rendering(capsys):
@@ -390,9 +414,13 @@ def test_broken_config_file_is_a_schema_error(capsys, tmp_path, monkeypatch):
     (3, ("euler", "--z", "inf")),
     # 4: a work budget that cannot cover the request
     (4, ("euler", "--z", "0.01", "--terms", "2")),
+    # 2 again: JSON booleans are not integers
+    (2, ("expand", "holonomic",
+         '{"order": true, "coeffs": [["-1"], ["1"]], "n0": false, '
+         '"initial": ["1"]}', "--terms", "3")),
 ], ids=["no-y", "zero-pole", "initial-off-recurrence", "obstruct-10-terms",
         "obstruct-1-term", "truncated-coeffs", "underdetermined",
-        "infinite-z", "branch-formula-terms"])
+        "infinite-z", "branch-formula-terms", "boolean-order"])
 def test_exit_code_follows_the_error_family(capsys, rc, argv):
     got, out, err = run(capsys, *argv)
     assert got == rc, err
