@@ -26,7 +26,7 @@ from .errors import (
     TruncationExceeded,
 )
 from .rationals import wire_int
-from .series import TruncSeries, cauchy_mul, compose_scale, hadamard_mul, reciprocal
+from .series import TruncSeries, cauchy_mul, reciprocal
 
 #: Euler–Mascheroni constant, 30 digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -234,9 +234,7 @@ def euler_integral(z: float, cfg: QuadratureConfig | None = None) -> float:
     return _integral_with_error(z, cfg)[0]
 
 
-def euler_branch_formula(
-    z: float, terms: int = DEFAULTS.branch_terms, *, tolerance: float = 1e-12
-) -> float:
+def euler_branch_formula(z: float, terms: int = DEFAULTS.branch_terms) -> float:
     """Principal-branch value of I(z) from the series formula.
 
     I(z) = -(1/z) e^(1/z) log(1/z) + S(1/z) with
@@ -251,9 +249,9 @@ def euler_branch_formula(
         bound = y**terms / (terms * math.factorial(terms))
     except OverflowError:
         bound = math.inf
-    if not bound < tolerance:
+    if not bound < 1e-12:
         raise InsufficientTerms(
-            f"tail bound {bound:.3e} at {terms} terms exceeds {tolerance:.1e}"
+            f"tail bound {bound:.3e} at {terms} terms exceeds 1.0e-12"
         )
     tail = sum((-y) ** n / (n * math.factorial(n)) for n in range(1, terms + 1))
     front = -y * math.exp(y)
@@ -292,11 +290,7 @@ def euler_report(
 
 
 def euler_derivative_check(
-    n: int,
-    cfg: QuadratureConfig | None = None,
-    *,
-    center: float = 2e-3,
-    step: float = 5e-4,
+    n: int, cfg: QuadratureConfig | None = None
 ) -> tuple[float, float, float]:
     """Central-difference estimate of I^(n)(0) against (-1)^n (n!)^2.
 
@@ -309,7 +303,7 @@ def euler_derivative_check(
     if cfg is None:
         cfg = QuadratureConfig()
     val = lambda t: euler_integral(t, cfg)
-    h = step
+    center, h = 2e-3, 5e-4
     if n == 0:
         est = val(center)
     elif n == 1:
@@ -329,6 +323,13 @@ def euler_derivative_check(
 
 # -- plate-stack identity -----------------------------------------------------
 
+def _plate_unit(plates: Sequence[tuple]):
+    """1 as a Fraction when every plate entry is rational, as a float else."""
+    if all(_exactly_rational(a) and _exactly_rational(nk) for a, nk in plates):
+        return Fraction(1)
+    return 1.0
+
+
 def plate_rational_sum(plates: Sequence[tuple], order: int):
     """Coefficients through ``order`` of Σ_k a_k n_k z / (n_k² - z²).
 
@@ -337,20 +338,13 @@ def plate_rational_sum(plates: Sequence[tuple], order: int):
     """
     if order < 1:
         raise SchemaError("need at least one coefficient")
-    exact = all(
-        _exactly_rational(a) and _exactly_rational(nk) for a, nk in plates
-    )
-    zero = Fraction(0) if exact else 0.0
-    out = [zero] * order
+    one = _plate_unit(plates)
+    out = [0 * one] * order
     for a, nk in plates:
         if nk == 0:
             raise SchemaError("plate indices must be nonzero")
-        if exact:
-            inv = Fraction(1) / Fraction(nk)
-            weight = Fraction(a) * inv
-        else:
-            inv = 1.0 / nk
-            weight = a * inv
+        inv = one / nk
+        weight = a * inv
         step = inv * inv
         j = 1
         while j < order:
@@ -379,29 +373,17 @@ def optics_identity_check(
     for idx in range(0, order, 2):
         if H.coeffs[idx] != 0:
             raise NotOdd(f"even coefficient at index {idx} is nonzero")
-    exact = all(
-        _exactly_rational(a) and _exactly_rational(nk) for a, nk in plates
-    )
-    head = H.truncate(order)
     rational = plate_rational_sum(plates, order)
-    if exact:
-        left = [Fraction(0)] * order
-        for a, nk in plates:
-            scaled = compose_scale(head, Fraction(1) / Fraction(nk))
-            for j, c in enumerate(scaled.coeffs):
-                left[j] += Fraction(a) * c
-        right = hadamard_mul(head, TruncSeries(tuple(rational)))
-        return max(abs(l - r) for l, r in zip(left, right.coeffs))
-    hf = [float(c) for c in head.coeffs]
-    left = [0.0] * order
+    one = _plate_unit(plates)
+    h = [one * c for c in H.coeffs[:order]]
+    left = [0 * one] * order
     for a, nk in plates:
-        scale = 1.0
-        inv = 1.0 / nk
+        scale = one
+        inv = one / nk
         for j in range(order):
-            left[j] += a * hf[j] * scale
+            left[j] += a * h[j] * scale
             scale *= inv
-    right = [h * float(g) for h, g in zip(hf, rational)]
-    return max(abs(l - r) for l, r in zip(left, right))
+    return max(abs(l - x * g) for l, x, g in zip(left, h, rational))
 
 
 # -- odd zeta values ----------------------------------------------------------

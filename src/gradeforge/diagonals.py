@@ -25,7 +25,6 @@ from .errors import (
     NotARoot,
     RamifiedAtOrigin,
     SchemaError,
-    VariableCollision,
     VerificationFailed,
 )
 from .polynomials import Poly, RatFun, poly_from_rows, poly_rows
@@ -154,7 +153,6 @@ class DiagonalWitness:
     R: RatFun
     d: int
     verified_order: int
-    factor_annihilators: tuple[Annihilator, ...] = ()
     constant_shift: Fraction = Fraction(0)
     #: diagonal already extracted and checked by the constructing function
     _checked: tuple[Fraction, ...] = field(default=(), repr=False,
@@ -172,11 +170,6 @@ class DiagonalWitness:
             raise DenominatorVanishesAtOrigin(
                 "witness denominator must be a unit at the origin"
             )
-        object.__setattr__(
-            self, "factor_annihilators", tuple(self.factor_annihilators)
-        )
-        if self.factor_annihilators and len(self.factor_annihilators) != self.d:
-            raise SchemaError("factor annihilator count must match d")
         object.__setattr__(
             self, "constant_shift", coerce_rational(self.constant_shift)
         )
@@ -213,10 +206,8 @@ class DiagonalWitness:
             raise SchemaError('R must be an object with "num" and "den"')
         num = poly_from_rows(rat["num"], 2 * d, "num")
         den = poly_from_rows(rat["den"], 2 * d, "den")
-        if den.is_zero():
-            raise SchemaError("den must be nonzero")
         shift = parse_rational(obj["constant_shift"])
-        return cls(RatFun(num, den), d, obj["verified_order"], (), shift)
+        return cls(RatFun(num, den), d, obj["verified_order"], shift)
 
 
 def diagonal_witness(
@@ -234,7 +225,7 @@ def diagonal_witness(
             _translate_branch(ann.poly, shift), Fraction(0)
         )
     rat = furstenberg_bivariate(at_zero)
-    witness = DiagonalWitness(rat, 1, verified_order, (ann,), shift)
+    witness = DiagonalWitness(rat, 1, verified_order, shift)
     got = witness.diagonal(verified_order).coeffs
     if got != expand_branch(ann, verified_order).coeffs:
         raise VerificationFailed(
@@ -243,46 +234,24 @@ def diagonal_witness(
     return replace(witness, _checked=got)
 
 
-def product_lift(
-    parts: Sequence[Union[DiagonalWitness, RatFun]],
-    positions: Sequence[Sequence[int]] | None = None,
-) -> RatFun:
+def product_lift(parts: Sequence[Union[DiagonalWitness, RatFun]]) -> RatFun:
     """Product of rational functions over disjoint variable blocks.
 
-    The complete diagonal of the result is the Hadamard product of the
-    constituent diagonals.  By default part i occupies the next
-    consecutive block of variables; explicit ``positions`` may interleave
-    them but must stay pairwise disjoint.
+    Part i occupies the next consecutive block of variables, so the
+    complete diagonal of the result is the Hadamard product of the
+    constituent diagonals.
     """
     rats = [p.R if isinstance(p, DiagonalWitness) else p for p in parts]
     if len(rats) < 2:
         raise SchemaError("product lift needs at least two factors")
     total = sum(r.nvars for r in rats)
-    if positions is None:
-        offsets = []
-        at = 0
-        for r in rats:
-            offsets.append(tuple(range(at, at + r.nvars)))
-            at += r.nvars
-        positions = offsets
-    else:
-        if len(positions) != len(rats):
-            raise SchemaError("one position block per factor")
-        for r, pos in zip(rats, positions):
-            if len(pos) != r.nvars:
-                raise SchemaError("position block size must match factor arity")
-            if not all(0 <= i < total for i in pos):
-                raise SchemaError("position index outside the ambient ring")
-        flat = [i for pos in positions for i in pos]
-        if len(set(flat)) != len(flat):
-            raise VariableCollision(
-                "factor variable blocks overlap; they must be disjoint"
-            )
     num = Poly.const(total, 1)
     den = Poly.const(total, 1)
-    for r, pos in zip(rats, positions):
-        num = num * r.num.embed(total, pos)
-        den = den * r.den.embed(total, pos)
+    at = 0
+    for r in rats:
+        num = num * r.num.embed(total, at)
+        den = den * r.den.embed(total, at)
+        at += r.nvars
     return RatFun(num, den)
 
 
@@ -304,10 +273,7 @@ def product_witness(
         at0 = f.R.num.constant_term() / f.R.den.constant_term()
         with_shift *= at0 + f.constant_shift
         bare *= at0
-    anns: tuple[Annihilator, ...] = ()
-    if all(f.factor_annihilators for f in factors):
-        anns = tuple(a for f in factors for a in f.factor_annihilators)
-    witness = DiagonalWitness(rat, d, verified_order, anns, with_shift - bare)
+    witness = DiagonalWitness(rat, d, verified_order, with_shift - bare)
     out = witness.diagonal(verified_order).coeffs
     acc = factors[0].diagonal(verified_order)
     for f in factors[1:]:

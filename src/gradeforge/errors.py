@@ -56,10 +56,6 @@ class NoKernel(MathPreconditionError):
     """The matrix has full column rank; no left kernel vector exists."""
 
 
-class PoleAtPoint(MathPreconditionError):
-    """Rational-function evaluation hit a zero of the denominator."""
-
-
 # -- series -----------------------------------------------------------------
 
 class ZeroConstantTerm(MathPreconditionError):
@@ -129,10 +125,6 @@ class BranchNotAtZero(MathPreconditionError):
 
 class RamifiedAtOrigin(MathPreconditionError):
     """Lift denominator degenerates at the origin (P_y(0,0) = 0)."""
-
-
-class VariableCollision(MathPreconditionError):
-    """Product lift factors do not use pairwise disjoint variable blocks."""
 
 
 class DenominatorVanishesAtOrigin(MathPreconditionError):

@@ -122,8 +122,7 @@ class PRecurrence:
 
     @classmethod
     def from_dense(cls, coeffs: Sequence[Sequence], n0: int,
-                   initial: Sequence, empirical: bool = False
-                   ) -> "PRecurrence":
+                   initial: Sequence) -> "PRecurrence":
         """Build from dense coefficient lists (ints, Fractions, or strings).
 
         One common denominator is cleared across every p_i.
@@ -134,7 +133,7 @@ class PRecurrence:
         for c in values:
             polys.append(nums[start:start + len(c)])
             start += len(c)
-        return cls(tuple(polys), n0, tuple(initial), empirical)
+        return cls(tuple(polys), n0, tuple(initial))
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,8 +194,7 @@ def _companion(rec: PRecurrence
 
 
 def _reject_zero(rec: PRecurrence) -> None:
-    window = unroll(rec, rec.n0 + rec.order)
-    if all(x == 0 for x in window.coeffs):
+    if not any(rec.initial):
         raise DegenerateInput(
             "input sequence is identically zero; the zero sequence satisfies "
             "every recurrence and breaks kernel normalization"

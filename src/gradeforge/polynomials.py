@@ -23,16 +23,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import sub
 from typing import Mapping, Sequence
 
 from . import _intpoly as ip
-from .errors import (
-    InexactDivision,
-    NoKernel,
-    PoleAtPoint,
-    SchemaError,
-    VariableMismatch,
-)
+from .errors import NoKernel, SchemaError, VariableMismatch
 from .rationals import coerce_rational, format_rational, wire_int
 
 
@@ -168,33 +163,6 @@ class Poly:
             k >>= 1
         return out
 
-    def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact quotient; raises InexactDivision on nonzero remainder."""
-        self._check(divisor)
-        if divisor.is_zero():
-            raise InexactDivision("division by the zero polynomial")
-        rem = dict(self.terms)
-        out: dict[tuple[int, ...], Fraction] = {}
-        de, dc = divisor.leading()
-        while rem:
-            le = max(rem, key=_grlex_key)
-            lc = rem[le]
-            qe = tuple(a - b for a, b in zip(le, de))
-            if any(x < 0 for x in qe):
-                raise InexactDivision("leading term not divisible")
-            qc = lc / dc
-            out[qe] = out.get(qe, Fraction(0)) + qc
-            for e2, c2 in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(qe, e2))
-                s = rem.get(e, Fraction(0)) - qc * c2
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        res = Poly.zero(self.nvars)
-        res.terms = {e: c for e, c in out.items() if c}
-        return res
-
     def derivative(self, var: int) -> "Poly":
         out: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
@@ -221,18 +189,16 @@ class Poly:
             total += term
         return total
 
-    def embed(self, nvars: int, positions: Sequence[int]) -> "Poly":
-        """Map variable i of self to variable positions[i] of a larger ring."""
-        if len(positions) != self.nvars:
-            raise VariableMismatch("positions must cover every variable")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            e2 = [0] * nvars
-            for i, k in enumerate(e):
-                e2[positions[i]] += k
-            out[tuple(e2)] = c
+    def embed(self, nvars: int, offset: int) -> "Poly":
+        """Move variable i of self to variable offset + i of a larger ring."""
+        pad = nvars - offset - self.nvars
+        if offset < 0 or pad < 0:
+            raise VariableMismatch(
+                f"{self.nvars} variables at offset {offset} exceed {nvars}"
+            )
         res = Poly.zero(nvars)
-        res.terms = out
+        res.terms = {(0,) * offset + e + (0,) * pad: c
+                     for e, c in self.terms.items()}
         return res
 
     # -- rendering -------------------------------------------------------
@@ -300,7 +266,7 @@ class RatFun:
         if num.nvars != den.nvars:
             raise VariableMismatch("numerator/denominator variable counts differ")
         if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
+            raise SchemaError("rational function denominator must be nonzero")
         _, lead = den.leading()
         if lead < 0:
             num, den = -num, -den
@@ -311,22 +277,19 @@ class RatFun:
     def nvars(self) -> int:
         return self.num.nvars
 
-    def eval(self, point: Sequence) -> Fraction:
-        d = self.den.eval(point)
-        if d == 0:
-            raise PoleAtPoint(f"denominator vanishes at {list(point)}")
-        return self.num.eval(point) / d
-
-    def __mul__(self, other: "RatFun") -> "RatFun":
-        return RatFun(self.num * other.num, self.den * other.den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # Equal ratios N/D = N'/D' have N D' = N' D, and graded-lex leading
+        # terms multiply, so lead(N) / lead(D) is the same for both.
+        if self.num.is_zero():
+            return hash((self.nvars, None))
+        ne, nc = self.num.leading()
+        de, dc = self.den.leading()
+        return hash((tuple(map(sub, ne, de)), nc / dc))
 
     def __repr__(self) -> str:
         return f"({self.num!r}) / ({self.den!r})"

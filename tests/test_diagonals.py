@@ -32,7 +32,6 @@ from gradeforge.errors import (
     NotARoot,
     RamifiedAtOrigin,
     SchemaError,
-    VariableCollision,
     VerificationFailed,
 )
 from gradeforge.polynomials import Poly, RatFun
@@ -232,32 +231,10 @@ def test_product_witness_composes_constant_shifts():
     assert all(c == 1 for c in pw.diagonal(6).coeffs)
 
 
-def test_product_lift_accepts_interleaved_positions():
-    w1 = diagonal_witness(CORPUS_ANNIHILATORS["catalan-shifted"], 6)
-    w2 = diagonal_witness(CORPUS_ANNIHILATORS["geometric"], 6)
-    default = product_lift([w1, w2])
-    braided = product_lift([w1, w2], positions=[(0, 2), (1, 3)])
-    # the complete diagonal ignores how the blocks are interleaved
-    assert (diagonal_extract(default, 6).coeffs
-            == diagonal_extract(braided, 6).coeffs)
-
-
-def test_product_lift_rejects_overlapping_blocks():
-    w = diagonal_witness(CORPUS_ANNIHILATORS["geometric"], 4)
-    with pytest.raises(VariableCollision):
-        product_lift([w, w], positions=[(0, 1), (1, 2)])
-
-
 def test_product_lift_validates_positions():
     w = diagonal_witness(CORPUS_ANNIHILATORS["geometric"], 4)
     with pytest.raises(ValueError):
         product_lift([w])  # one factor is not a product
-    with pytest.raises(ValueError):
-        product_lift([w, w], positions=[(0, 1)])
-    with pytest.raises(ValueError):
-        product_lift([w, w], positions=[(0, 1), (2,)])
-    with pytest.raises(ValueError):
-        product_lift([w, w], positions=[(0, 1), (2, 9)])
 
 
 def test_random_disjoint_products_realize_hadamard_products():
@@ -297,12 +274,6 @@ def test_witness_validates_shape():
         DiagonalWitness(R, 1, 0)
     with pytest.raises(DenominatorVanishesAtOrigin):
         DiagonalWitness(RatFun(ONE, X + Y), 1, 4)
-    with pytest.raises(ValueError):
-        DiagonalWitness(R, 1, 4,
-                        factor_annihilators=(
-                            CORPUS_ANNIHILATORS["catalan"],
-                            CORPUS_ANNIHILATORS["catalan"],
-                        ))
 
 
 def test_witness_json_round_trip():
@@ -313,8 +284,6 @@ def test_witness_json_round_trip():
     assert back.constant_shift == w.constant_shift
     assert back.verified_order == w.verified_order
     assert back.diagonal(10).coeffs == w.diagonal(10).coeffs
-    # annihilators are deliberately not serialized
-    assert back.factor_annihilators == ()
 
 
 def test_witness_json_shape():

@@ -8,12 +8,7 @@ import oracles
 from conftest import rationals
 from gradeforge import _intpoly as ip
 from gradeforge import polynomials
-from gradeforge.errors import (
-    InexactDivision,
-    NoKernel,
-    PoleAtPoint,
-    VariableMismatch,
-)
+from gradeforge.errors import NoKernel, SchemaError, VariableMismatch
 from gradeforge.polynomials import (
     Poly,
     RatFun,
@@ -59,19 +54,6 @@ def test_variable_mismatch():
         p1({0: 1}) + p2({(0, 0): 1})
 
 
-def test_exact_div_example():
-    # (y^2 - y + zy) / y = y - 1 + z
-    num = p2({(0, 2): 1, (0, 1): -1, (1, 1): 1})
-    quotient = num.exact_div(p2({(0, 1): 1}))
-    assert quotient == p2({(0, 1): 1, (0, 0): -1, (1, 0): 1})
-    assert quotient * p2({(0, 1): 1}) == num
-
-
-def test_exact_div_rejects_remainder():
-    with pytest.raises(InexactDivision):
-        p2({(0, 2): 1, (0, 0): 1}).exact_div(p2({(0, 1): 1}))
-
-
 def test_derivative():
     p = p2({(1, 2): 3, (0, 1): 1, (2, 0): 5})
     assert p.derivative(1) == p2({(1, 1): 6, (0, 0): 1})
@@ -79,8 +61,10 @@ def test_derivative():
 
 def test_embed_keeps_coefficients():
     p = p2({(1, 2): 7, (0, 0): -2})
-    q = p.embed(4, (2, 3))
+    q = p.embed(4, 2)
     assert q.terms == {(0, 0, 1, 2): Fraction(7), (0, 0, 0, 0): Fraction(-2)}
+    with pytest.raises(VariableMismatch):
+        p.embed(3, 2)
 
 
 @st.composite
@@ -100,9 +84,9 @@ def sparse_polys(draw, max_vars=3, max_degree=6, max_terms=5):
 def test_mul_commutative_associative(a3, b3, c3):
     (a, na), (b, nb), (c, nc) = a3, b3, c3
     n = max(na, nb, nc)
-    a = a.embed(n, tuple(range(na)))
-    b = b.embed(n, tuple(range(nb)))
-    c = c.embed(n, tuple(range(nc)))
+    a = a.embed(n, 0)
+    b = b.embed(n, 0)
+    c = c.embed(n, 0)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
 
@@ -216,26 +200,13 @@ def test_conv_nonpositive_limit_is_empty(size, limit):
 # rational functions
 
 
-def test_ratfun_eval():
-    one = Poly.const(1, 1)
-    x = Poly.variable(1, 0)
-    geom = RatFun(one, one - x)
-    assert geom.eval([Fraction(1, 2)]) == 2
-
-
-def test_ratfun_pole():
-    one = Poly.const(1, 1)
-    x = Poly.variable(1, 0)
-    with pytest.raises(PoleAtPoint):
-        RatFun(one, one - x).eval([Fraction(1)])
-
-
 def test_catalan_witness_point_values():
     # y(2y-1)/(x+y-1) at (0, 1/2) -> 0; (y^2-y+z) at (0, 0) -> 0
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     one = Poly.const(2, 1)
     witness = RatFun(y * (y + y - one), x + y - one)
-    assert witness.eval([Fraction(0), Fraction(1, 2)]) == 0
+    point = [Fraction(0), Fraction(1, 2)]
+    assert witness.num.eval(point) == 0 and witness.den.eval(point) != 0
     p = p2({(0, 2): 1, (0, 1): -1, (1, 0): 1})
     assert p.eval([Fraction(0), Fraction(0)]) == 0
 
@@ -247,6 +218,26 @@ def test_ratfun_normalization_makes_equality_structural():
     b = RatFun(-one, x - one)
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_equal_ratfuns_hash_equal():
+    # 2 / (2 - 2x) == 1 / (1 - x) although the stored polynomials differ
+    x = Poly.variable(1, 0)
+    one = Poly.const(1, 1)
+    pairs = [
+        (RatFun(one * 2, one * 2 - x * 2), RatFun(one, one - x)),
+        (RatFun(x * x - one, (x - one) * 3), RatFun(x + one, one * 3)),
+        (RatFun(Poly.zero(1), one - x), RatFun(Poly.zero(1), one)),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def test_ratfun_rejects_zero_denominator():
+    with pytest.raises(SchemaError):
+        RatFun(Poly.const(2, 1), Poly.const(2, 0))
 
 
 # ---------------------------------------------------------------------------
