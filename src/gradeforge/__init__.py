@@ -2,9 +2,9 @@
 
 The package is organized around a few object families:
 
-* truncated series and exact coefficient arithmetic (:mod:`gradeforge.series`,
+* truncated series and their termwise product (:mod:`gradeforge.series`,
   :mod:`gradeforge.rationals`),
-* algebraic branches cut out by bivariate polynomials and their expansions
+* algebraic branches, expanded by one Newton iteration over Q or mod p^r
   (:mod:`gradeforge.polynomials`, :mod:`gradeforge.algebraic`),
 * linear recurrences with polynomial coefficients, their closure under the
   coefficientwise product, and sequence guessing (:mod:`gradeforge.holonomic`),
@@ -59,7 +59,7 @@ from gradeforge.errors import (
 from gradeforge.holonomic import PRecurrence, guess_recurrence, hadamard_recurrence
 from gradeforge.obstruction import ObstructionReport, obstruction_report
 from gradeforge.polynomials import Poly, RatFun
-from gradeforge.series import TruncSeries, cauchy_mul, compose_scale, hadamard_mul
+from gradeforge.series import TruncSeries, hadamard_mul
 
 __version__ = "0.1.0"
 
@@ -83,9 +83,7 @@ __all__ = [
     "SeriesDescriptor",
     "TruncSeries",
     "builtin_names",
-    "cauchy_mul",
     "christol_report",
-    "compose_scale",
     "diagonal_extract",
     "diagonal_witness",
     "euler_branch_formula",

@@ -9,7 +9,9 @@ computes its coefficients by Newton iteration with precision doubling:
 
 `branch_residues` runs the same iteration in (Z/p^r)[[z]] when the branch
 point stays a simple root mod p, so residues never pass through the exact
-coefficients, whose bit size grows linearly in n.
+coefficients, whose bit size grows linearly in n.  `_newton_branch` is the
+package's one Newton iteration (tan in :mod:`gradeforge.analytic` is a branch
+too); its truncated products run in the integer kernel `_intpoly`.
 
 Ramified branches (multiple roots of P(0, y) at y0, fractional exponents)
 are rejected outright rather than half-supported.
@@ -17,13 +19,16 @@ are rejected outright rather than half-supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
+from . import _intpoly as ip
 from .errors import NotARoot, RamifiedBranch, SchemaError, VerificationFailed
 from .polynomials import Poly
 from .rationals import coerce_rational, residue
-from .series import TruncSeries, _conv_frac, _conv_mod
+from .series import TruncSeries
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,31 @@ def _y_coefficient_lists(p: Poly) -> list[list[Fraction]]:
     out = [[Fraction(0)] * (dz + 1) for _ in range(dy + 1)]
     for (i, j), c in p.terms.items():
         out[j][i] = c
+    return out
+
+
+def _conv_frac(xs: Sequence[Fraction], ys: Sequence[Fraction],
+               limit: int) -> list[Fraction]:
+    """Truncated convolution over Fraction, zero-padded to `limit` entries.
+
+    Denominators are cleared once per operand so the product runs in the
+    integer kernel.
+    """
+    if not xs or not ys or limit <= 0:
+        return []
+    ia, da = ip.clear_denominators(xs)
+    ib, db = ip.clear_denominators(ys)
+    scale = da * db
+    out = [Fraction(c, scale) for c in ip.conv(ia, ib, limit)]
+    out.extend([Fraction(0)] * (limit - len(out)))
+    return out
+
+
+def _conv_mod(xs: Sequence[int], ys: Sequence[int], limit: int,
+              modulus: int) -> list[int]:
+    """Truncated convolution mod `modulus`, zero-padded to `limit` entries."""
+    out = [c % modulus for c in ip.conv(xs, ys, limit)]
+    out.extend([0] * (limit - len(out)))
     return out
 
 
@@ -97,7 +127,7 @@ def _newton_branch(pc, pyc, y0, g0, n, mul, norm):
     a negation back to a canonical ring element.
     """
     # f: branch prefix, correct mod z^m.
-    # g: reciprocal of P_y(z, f), maintained lazily at order gm.  Each pass
+    # g: inverse of P_y(z, f), maintained lazily at order gm.  Each pass
     # needs g only mod z^h where h = m2 - m <= m, so one Newton lift of g
     # (valid because h <= 2*gm throughout the doubling schedule) is enough,
     # and the expensive correction P/P_y reduces to a half-size "middle
@@ -143,53 +173,39 @@ def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
     return TruncSeries(tuple(f))
 
 
-def _valuation(x: Fraction, p: int) -> int:
-    """The p-adic valuation of a nonzero rational."""
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def branch_residues(ann: Annihilator, n: int, p: int,
                     r: int = 1) -> list[int] | None:
     """First n coefficients of the branch mod p^r (p prime), or None.
 
-    P is scaled by the power of p that makes its coefficients p-integral
-    with one of them a p-unit.  When y0 is p-integral and P_y(0, y0) is then
-    a p-unit, every quantity in the Newton iteration is p-integral, so the
-    iteration runs in (Z/p^r)[[z]] (Hensel lifting) with coefficients of
-    r·log2(p) bits instead of the Θ(n) bits of the exact ones, and the
-    result equals ``reduce_mod(expand_branch(ann, n), p, r)``.  Otherwise
-    this returns None and only the exact expansion can say whether the
-    branch is p-integral.  The exact checks at the branch point run first.
+    P is scaled by the rational k that makes k·P a primitive integer
+    polynomial.  When y0 is p-integral and k·P_y(0, y0) is a p-unit, every
+    quantity in the Newton iteration is p-integral, so the iteration runs
+    in (Z/p^r)[[z]] (Hensel lifting) with coefficients of r·log2(p) bits
+    instead of the Θ(n) bits of the exact ones, and the result equals
+    ``reduce_mod(expand_branch(ann, n), p, r)``.  Otherwise this returns
+    None and only the exact expansion can say whether the branch is
+    p-integral.  The exact checks at the branch point run first.
     """
     if n < 1:
         raise SchemaError("need at least one coefficient")
     if p < 2 or r < 1:
         raise SchemaError("need a prime p and an exponent r >= 1")
     py, py0 = _branch_derivative(ann)
-    if ann.y0.denominator % p == 0:
-        return None
-    shift = min(_valuation(c, p) for c in ann.poly.terms.values())
-    if _valuation(py0, p) != shift:
+    coeffs = ann.poly.terms.values()
+    den = math.lcm(*(c.denominator for c in coeffs))
+    k = Fraction(den, math.gcd(*(int(c * den) for c in coeffs)))
+    if ann.y0.denominator % p == 0 or (py0 * k).numerator % p == 0:
         return None
     modulus = p ** r
-    scale = Fraction(p) ** -shift
 
     def lists(poly: Poly) -> list[list[int]]:
-        return [[residue(c * scale, modulus) for c in row]
+        return [[residue(c * k, modulus) for c in row]
                 for row in _y_coefficient_lists(poly)]
 
     return _newton_branch(
         lists(ann.poly), lists(py), residue(ann.y0, modulus),
-        pow(residue(py0 * scale, modulus), -1, modulus), n,
-        lambda a, b, k: _conv_mod(a, b, k, modulus),
+        pow(residue(py0 * k, modulus), -1, modulus), n,
+        lambda a, b, limit: _conv_mod(a, b, limit, modulus),
         lambda x: x % modulus,
     )
 

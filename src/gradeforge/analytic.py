@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from .algebraic import Annihilator, expand_branch
 from .config import DEFAULTS
 from .errors import (
     InsufficientTerms,
@@ -25,8 +26,9 @@ from .errors import (
     SchemaError,
     TruncationExceeded,
 )
+from .polynomials import Poly
 from .rationals import wire_int
-from .series import TruncSeries, cauchy_mul, reciprocal
+from .series import TruncSeries
 
 #: Euler–Mascheroni constant, 30 digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -389,18 +391,13 @@ def optics_identity_check(
 # -- odd zeta values ----------------------------------------------------------
 
 def tangent_series(order: int) -> TruncSeries:
-    """Exact Maclaurin coefficients of tan through the given order."""
+    """Exact Maclaurin coefficients of tan through the given order: the branch
+    through y = 0 of cos(z)·y − sin(z), both cut at z^order."""
     if order < 1:
         raise SchemaError("need at least one coefficient")
-    sin = TruncSeries(tuple(
-        Fraction((-1) ** ((i - 1) // 2), math.factorial(i)) if i % 2 else Fraction(0)
-        for i in range(order)
-    ))
-    cos = TruncSeries(tuple(
-        Fraction((-1) ** (i // 2), math.factorial(i)) if i % 2 == 0 else Fraction(0)
-        for i in range(order)
-    ))
-    return cauchy_mul(sin, reciprocal(cos))
+    terms = {(i, 1 - i % 2): Fraction((-1) ** ((i + 1) // 2), math.factorial(i))
+             for i in range(order)}
+    return expand_branch(Annihilator(Poly(2, terms), Fraction(0)), order)
 
 
 def zeta_tail_bound(j: int, cutoff: int) -> float:

@@ -58,10 +58,6 @@ class NoKernel(MathPreconditionError):
 
 # -- series -----------------------------------------------------------------
 
-class ZeroConstantTerm(MathPreconditionError):
-    """Reciprocal of a series whose constant term is zero."""
-
-
 class TruncationExceeded(MathPreconditionError):
     """A truncated series holds fewer terms than the operation needs."""
 

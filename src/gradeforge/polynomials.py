@@ -280,7 +280,8 @@ class RatFun:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return (self.nvars == other.nvars
+                and self.num * other.den == other.num * self.den)
 
     def __hash__(self):
         # Equal ratios N/D = N'/D' have N D' = N' D, and graded-lex leading

@@ -197,13 +197,15 @@ def test_branch_residues_with_rational_inputs(terms, y0, p):
 
 
 def test_branch_residues_scale_p_out_of_the_coefficients():
-    # (y^2 - y + z)/2: after scaling by 2 it is the shifted Catalan branch,
-    # whose P_y(0, 0) = -1 is a unit mod 2
-    half = bivariate({(0, 2): Fraction(1, 2), (0, 1): Fraction(-1, 2),
-                      (1, 0): Fraction(1, 2)})
-    for r in (1, 2, 3):
-        assert branch_residues(half, 500, 2, r) == oracles.corpus_residues(
-            "catalan-shifted", 500, 2, r)
+    # factor·(y^2 - y + z): made primitive it is the shifted Catalan branch,
+    # whose P_y(0, 0) = -1 is a unit mod every p
+    cases = [(2, Fraction(1, 2)), (2, 4), (2, 12), (2, Fraction(3, 8)),
+             (3, 9), (3, Fraction(2, 27)), (5, Fraction(25, 7))]
+    for p, factor in cases:
+        scaled = bivariate({(0, 2): factor, (0, 1): -factor, (1, 0): factor})
+        for r in (1, 2, 3):
+            assert branch_residues(scaled, 500, p, r) == (
+                oracles.corpus_residues("catalan-shifted", 500, p, r))
 
 
 def test_branch_residues_keep_the_exact_checks():

@@ -270,8 +270,10 @@ def test_plate_indices_must_be_nonzero():
 # tangent coefficients and odd-denominator sums
 
 
-def test_tangent_series_matches_ode_oracle():
-    assert list(tangent_series(12).coeffs) == tangent_taylor(12)
+@pytest.mark.parametrize("order", [1, 2, 12, 31])
+def test_tangent_series_matches_ode_oracle(order):
+    # order 1 is the Newton iteration's exit before its first pass
+    assert list(tangent_series(order).coeffs) == tangent_taylor(order)
 
 
 def test_tangent_series_known_values():

@@ -235,6 +235,13 @@ def test_equal_ratfuns_hash_equal():
         assert len({a, b}) == 1
 
 
+def test_ratfuns_in_different_variable_counts_are_unequal():
+    a = RatFun(Poly.const(1, 1), Poly.const(1, 1))
+    b = RatFun(Poly.const(2, 1), Poly.const(2, 1))
+    assert a != b
+    assert len({a, b}) == 2
+
+
 def test_ratfun_rejects_zero_denominator():
     with pytest.raises(SchemaError):
         RatFun(Poly.const(2, 1), Poly.const(2, 0))

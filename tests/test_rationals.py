@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import random
@@ -180,3 +181,14 @@ def test_only_the_wire_module_reads_json_or_opens_files():
                for word in ("json.load", "open("))
     )
     assert readers == ["rationals.py"]
+
+
+def test_no_module_relies_on_assert_statements():
+    # `python -O` strips asserts, so a check written as one would vanish
+    package = Path(__file__).resolve().parents[1] / "src" / "gradeforge"
+    asserting = sorted(
+        path.name for path in package.glob("*.py")
+        if any(isinstance(node, ast.Assert)
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    )
+    assert asserting == []

@@ -1,18 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 import oracles
 from conftest import rationals, series_of
-from gradeforge.errors import ZeroConstantTerm
-from gradeforge.series import (
-    TruncSeries,
-    cauchy_mul,
-    compose_scale,
-    hadamard_mul,
-    reciprocal,
-)
+from gradeforge.series import TruncSeries, hadamard_mul
 
 
 def S(*values):
@@ -42,63 +35,6 @@ def test_alternating_factorial_times_exponential():
 def test_order_is_min_of_inputs():
     out = hadamard_mul(S(1, 2, 3), S(1, 1, 1, 1, 1))
     assert out.order == 3
-
-
-# ---------------------------------------------------------------------------
-# cauchy_mul / reciprocal / compose_scale
-
-
-def test_cauchy_difference_of_squares():
-    assert cauchy_mul(S(1, 1), S(1, -1)) == S(1, 0)
-    # padded variant sees the -z^2 term
-    assert cauchy_mul(S(1, 1, 0), S(1, -1, 0)) == S(1, 0, -1)
-
-
-def test_cauchy_geometric_squared():
-    geom = S(*([1] * 6))
-    assert list(cauchy_mul(geom, geom).coeffs) == [1, 2, 3, 4, 5, 6]
-
-
-def test_cauchy_catalan_functional_equation():
-    # f = z + z^2 + 2z^3 + 5z^4 + 14z^5 satisfies f^2 = f - z through order 5
-    cat = oracles.catalan_numbers(5)
-    f = TruncSeries.from_list([0] + cat)
-    lhs = cauchy_mul(f, f)
-    rhs = TruncSeries.from_list([0, -1 + cat[0]] + cat[1:])
-    assert lhs == rhs
-
-
-def test_reciprocal_geometric():
-    assert reciprocal(S(1, -1, 0, 0, 0)) == S(1, 1, 1, 1, 1)
-    assert reciprocal(S(1, 1, 0, 0, 0)) == S(1, -1, 1, -1, 1)
-
-
-def test_reciprocal_requires_unit():
-    with pytest.raises(ZeroConstantTerm):
-        reciprocal(S(0, 1, 2))
-
-
-def test_sin_over_cos_matches_tangent_recurrence():
-    order = 12
-    fact = oracles.factorials(order)
-    sin = TruncSeries.from_list(
-        [Fraction(0) if n % 2 == 0 else Fraction((-1) ** (n // 2), fact[n])
-         for n in range(order)]
-    )
-    cos = TruncSeries.from_list(
-        [Fraction((-1) ** (n // 2), fact[n]) if n % 2 == 0 else Fraction(0)
-         for n in range(order)]
-    )
-    tan = cauchy_mul(sin, reciprocal(cos))
-    assert list(tan.coeffs) == oracles.tangent_taylor(order)
-
-
-def test_compose_scale():
-    assert compose_scale(S(1, 1, 1), 2) == S(1, 2, 4)
-    assert compose_scale(S(1, 7, -2), 1) == S(1, 7, -2)
-    assert compose_scale(
-        S(0, 1, 0, Fraction(1, 2)), Fraction(1, 3)
-    ) == S(0, Fraction(1, 3), 0, Fraction(1, 54))
 
 
 def test_truncate_never_extends():
@@ -137,7 +73,7 @@ def test_hadamard_bilinear(a, b, c, lam, mu):
 
 
 def compose_scale_free(s, lam):
-    # scalar multiple of a series (not compose_scale, which scales z itself)
+    # scalar multiple of a series (the coefficients, not z, are scaled)
     return TruncSeries.from_list([lam * c for c in s.coeffs])
 
 
@@ -157,12 +93,3 @@ def test_even_times_odd_vanishes(even_part, odd_part):
         [odd_part[n] if n % 2 == 1 else Fraction(0) for n in range(10)]
     )
     assert all(c == 0 for c in hadamard_mul(even, odd).coeffs)
-
-
-@given(series_of(9), series_of(14))
-@settings(max_examples=40)
-def test_cauchy_matches_direct_convolution(a, b):
-    out = cauchy_mul(a, b)
-    assert out.order == 9
-    for n in range(9):
-        assert out[n] == sum(a[k] * b[n - k] for k in range(n + 1))
