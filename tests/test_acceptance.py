@@ -45,7 +45,7 @@ from gradeforge.holonomic import (
 )
 from gradeforge.series import TruncSeries
 
-from oracles import corpus_residues
+from oracles import catalan_numbers, central_binomials, corpus_residues
 
 
 def _within(budget: float, t0: float) -> None:
@@ -164,6 +164,15 @@ def test_bivariate_witness_roundtrip_and_product():
     square = product_witness([witness, witness], 8)
     cb = expand_builtin("central-binomial", 8)
     assert square.diagonal(8) == hadamard_mul(cb, cb)
+
+    # four-variable squares at order 12, the size of the CLI's
+    # `diagonal --square --order 12`
+    for name, oracle in (("catalan", catalan_numbers),
+                         ("central-binomial", central_binomials)):
+        witness = diagonal_witness(CORPUS_ANNIHILATORS[name], 12)
+        square = product_witness([witness, witness], 12)
+        assert list(square.diagonal(12).coeffs) == [
+            c * c for c in oracle(12)], name
 
     _within(30.0, t0)
 

@@ -17,6 +17,7 @@ from gradeforge.errors import (
     NotARoot,
     PrimeDividesDenominator,
     RamifiedBranch,
+    SchemaError,
 )
 from gradeforge.polynomials import Poly
 from gradeforge.series import TruncSeries
@@ -206,6 +207,16 @@ def test_branch_residues_scale_p_out_of_the_coefficients():
         for r in (1, 2, 3):
             assert branch_residues(scaled, 500, p, r) == (
                 oracles.corpus_residues("catalan-shifted", 500, p, r))
+
+
+@pytest.mark.parametrize("name, p", [
+    ("catalan", 4),            # used to return a list of residues mod 4
+    ("central-binomial", 6),   # used to raise a bare ValueError from pow
+])
+def test_branch_residues_refuse_a_composite_modulus(name, p):
+    with pytest.raises(SchemaError) as info:
+        branch_residues(CORPUS_ANNIHILATORS[name], 8, p)
+    assert info.value.exit_code == 2
 
 
 def test_branch_residues_keep_the_exact_checks():

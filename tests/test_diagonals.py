@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gradeforge.diagonals as diagonals
 from gradeforge import (
@@ -150,21 +150,34 @@ def test_diagonal_matches_linear_solve_oracle():
 
 @st.composite
 def small_ratfuns(draw):
-    """num/den in 2-4 variables with non-integer coefficients and a
-    constant term of den outside {0, 1, -1}."""
+    """num/den in 2-4 variables with exponents 0-3, non-integer
+    coefficients and a constant term of den outside {0, 1, -1}; orders
+    1-6 fall both below and above the largest step exponent."""
     m = draw(st.integers(2, 4))
-    expos = st.tuples(*[st.integers(0, 2)] * m)
+    expos = st.tuples(*[st.integers(0, 3)] * m)
     fractional = rationals(max_num=9, max_den=6).filter(
         lambda c: c.denominator != 1)
     num = draw(st.dictionaries(expos, fractional, max_size=4))
     den = draw(st.dictionaries(expos, fractional, max_size=4))
     den[(0,) * m] = draw(rationals(max_num=9, max_den=6).filter(
         lambda c: c not in (0, 1, -1)))
-    return m, num, den, draw(st.integers(1, 4))
+    return m, num, den, draw(st.integers(1, 6))
+
+
+F = Fraction
 
 
 @given(small_ratfuns())
 @settings(max_examples=60)
+# the step y^4 reaches past the box at order 3 and is dropped
+@example((2, {(0, 0): F(1, 2), (2, 2): F(3, 4)},
+          {(0, 0): F(2), (0, 4): F(-1, 3), (1, 1): F(5, 2)}, 3))
+# no denominator step touches x_3, so its largest step exponent is 0
+@example((3, {(0, 0, 1): F(1, 3), (1, 1, 2): F(-2, 5), (0, 0, 0): F(7, 2)},
+          {(0, 0, 0): F(-3, 2), (1, 0, 0): F(1, 2), (1, 2, 0): F(2, 3)}, 5))
+# one variable
+@example((1, {(0,): F(1, 2), (3,): F(-5, 3)},
+          {(0,): F(3), (1,): F(-1, 2), (2,): F(1, 5), (7,): F(2)}, 6))
 def test_diagonal_matches_both_oracles_on_random_ratfuns(case):
     m, num, den, order = case
     got = list(diagonal_extract(RatFun(Poly(m, num), Poly(m, den)),
