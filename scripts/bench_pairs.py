@@ -4,16 +4,19 @@
     python3 scripts/bench_pairs.py --parent REV --workload W [--workload W2]
         --pairs N --seed S --out FILE
 
-Exports REV with ``git archive`` into a temporary directory (under $TMPDIR
-when set), then, for each workload in turn, runs the benchmark command of
-BENCHMARK.json (``--trace 0`` with its ``run_seconds``) N times on each
-side, alternating:
-pair i runs with seed S + i on both sides, and the side that goes first
-swaps from one pair to the next.  Each run's last stdout line is its JSON
+Exports two trees with ``git archive`` into a temporary directory (under
+$TMPDIR when set): REV, and the checkout's tracked files as they stand
+(``git stash create``, or HEAD when nothing tracked is modified; untracked
+files are left out).  Both sides thus run from a fresh export and neither
+starts with a bytecode cache the other lacks.  Then, for each workload in
+turn, it runs the benchmark command of BENCHMARK.json (``--trace 0`` with
+its ``run_seconds``) N times on each side, alternating: pair i runs with
+seed S + i on both sides, and the side that goes first swaps from one
+pair to the next.  Each run's last stdout line is its JSON
 result.  FILE receives every run's metrics and, per workload, end-to-end
 metric and side, the median, the quartiles and the number of pairs that
-side won (ties count for neither).  The export is removed at the end,
-also when a run fails.
+side won (ties count for neither), and the tree id of each side.  The
+exports are removed at the end, also when a run fails.
 
 Standard library only; run from anywhere inside the checkout.
 """
@@ -86,16 +89,21 @@ def main() -> int:
     revs = {"parent": git("rev-parse", args.parent, cwd=checkout),
             "change": git("describe", "--always", "--dirty", "--abbrev=40",
                           cwd=checkout)}
+    exported = {"parent": revs["parent"],
+                "change": git("stash", "create", cwd=checkout)
+                or git("rev-parse", "HEAD", cwd=checkout)}
+    trees = {side: git("rev-parse", f"{rev}^{{tree}}", cwd=checkout)
+             for side, rev in exported.items()}
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    roots = {side: tmp / side for side in exported}
     runs = {w: [] for w in args.workload}
     try:
-        archive = subprocess.run(["git", "archive", revs["parent"]],
-                                 cwd=checkout, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "parent")
-        roots = {"parent": tmp / "parent", "change": checkout}
+        for side, rev in exported.items():
+            archive = subprocess.run(["git", "archive", rev], cwd=checkout,
+                                     check=True, capture_output=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(roots[side])
         for workload in args.workload:
             for i in range(args.pairs):
                 seed = args.seed + i
@@ -112,7 +120,7 @@ def main() -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     report = {"run_seconds": seconds, "pairs": args.pairs,
-              "revisions": revs, "workloads": {
+              "revisions": revs, "trees": trees, "workloads": {
                   w: {"metrics": summary(r, better), "runs": r}
                   for w, r in runs.items()}}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -41,7 +41,7 @@ from gradeforge.automata import (
 )
 from gradeforge.catalog import builtin_names, expand_builtin, get_builtin
 from gradeforge.config import Defaults, load_defaults
-from gradeforge.descriptors import SeriesDescriptor, expand_descriptor, materialize
+from gradeforge.descriptors import expand_series, read_series
 from gradeforge.diagonals import (
     DiagonalWitness,
     diagonal_extract,
@@ -80,7 +80,6 @@ __all__ = [
     "QuadratureConfig",
     "RatFun",
     "SchemaError",
-    "SeriesDescriptor",
     "TruncSeries",
     "builtin_names",
     "christol_report",
@@ -91,7 +90,7 @@ __all__ = [
     "euler_report",
     "expand_branch",
     "expand_builtin",
-    "expand_descriptor",
+    "expand_series",
     "furstenberg_bivariate",
     "get_builtin",
     "guess_recurrence",
@@ -99,12 +98,12 @@ __all__ = [
     "hadamard_recurrence",
     "kernel_closure",
     "load_defaults",
-    "materialize",
     "obstruction_report",
     "optics_identity_check",
     "product_lift",
     "product_witness",
     "rational_hadamard",
+    "read_series",
     "reduce_mod",
     "zeta_odd_denominator_check",
 ]

@@ -21,8 +21,6 @@ from .series import TruncSeries
 
 @dataclass(frozen=True)
 class BuiltinSeries:
-    name: str
-    summary: str
     coefficient: Callable[[int], Fraction]
     recurrence: Optional[PRecurrence] = None
     annihilator: Optional[Annihilator] = None
@@ -59,50 +57,34 @@ def _sign_by_bits(n: int) -> Fraction:
 
 
 BUILTINS: dict[str, BuiltinSeries] = {
-    "euler": BuiltinSeries(
-        "euler",
-        "alternating factorials (-1)^n n!",
+    "euler": BuiltinSeries(  # alternating factorials (-1)^n n!
         lambda n: Fraction((-1) ** n * math.factorial(n)),
         PRecurrence.from_dense([[1, 1], [1]], 0, [1]),
     ),
-    "exp": BuiltinSeries(
-        "exp",
-        "1/n!",
+    "exp": BuiltinSeries(  # 1/n!
         lambda n: Fraction(1, math.factorial(n)),
         PRecurrence.from_dense([[-1], [1, 1]], 0, [1]),
     ),
-    "log1p": BuiltinSeries(
-        "log1p",
-        "log(1+z): 0, then (-1)^(n+1)/n",
+    "log1p": BuiltinSeries(  # log(1+z): 0, then (-1)^(n+1)/n
         lambda n: Fraction((-1) ** (n + 1), n) if n else Fraction(0),
         PRecurrence.from_dense([[0, 1], [1, 1]], 1, [0, 1]),
     ),
-    "geometric": BuiltinSeries(
-        "geometric",
-        "all-ones 1/(1-z)",
+    "geometric": BuiltinSeries(  # all-ones 1/(1-z)
         lambda n: Fraction(1),
         PRecurrence.from_dense([[-1], [1]], 0, [1]),
         CORPUS_ANNIHILATORS["geometric"],
     ),
-    "central-binomial": BuiltinSeries(
-        "central-binomial",
-        "binomial(2n, n)",
+    "central-binomial": BuiltinSeries(  # binomial(2n, n)
         lambda n: Fraction(math.comb(2 * n, n)),
         PRecurrence.from_dense([[-2, -4], [1, 1]], 0, [1]),
         CORPUS_ANNIHILATORS["central-binomial"],
     ),
-    "catalan": BuiltinSeries(
-        "catalan",
-        "Catalan numbers binomial(2n, n)/(n+1)",
+    "catalan": BuiltinSeries(  # Catalan numbers binomial(2n, n)/(n+1)
         lambda n: Fraction(math.comb(2 * n, n), n + 1),
         PRecurrence.from_dense([[-2, -4], [2, 1]], 0, [1]),
         CORPUS_ANNIHILATORS["catalan"],
     ),
-    "thue-morse-signs": BuiltinSeries(
-        "thue-morse-signs",
-        "(-1)^(binary bit count of n)",
-        _sign_by_bits,
-    ),
+    "thue-morse-signs": BuiltinSeries(_sign_by_bits),  # (-1)^(bit count of n)
 }
 
 

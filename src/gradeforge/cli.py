@@ -23,13 +23,7 @@ from .analytic import QuadratureConfig, euler_report, optics_identity_check
 from .automata import KernelBudgets, automaton_dot, christol_report
 from .catalog import BuiltinSeries, builtin_names
 from .config import Defaults, load_defaults
-from .descriptors import (
-    SeriesDescriptor,
-    coeffs_json,
-    descriptor_from_tokens,
-    expand_descriptor,
-    materialize,
-)
+from .descriptors import KINDS, coeffs_json, expand_series, read_series
 from .diagonals import diagonal_witness, product_witness
 from .errors import GradeforgeError, SchemaError
 from .holonomic import PRecurrence, hadamard_recurrence
@@ -41,8 +35,7 @@ from .series import hadamard_mul
 
 # -- shared helpers -----------------------------------------------------------
 
-def _annihilator_of(desc: SeriesDescriptor) -> Annihilator:
-    obj = materialize(desc)
+def _annihilator_of(obj) -> Annihilator:
     if isinstance(obj, Annihilator):
         return obj
     if isinstance(obj, BuiltinSeries) and obj.annihilator is not None:
@@ -53,8 +46,7 @@ def _annihilator_of(desc: SeriesDescriptor) -> Annihilator:
     )
 
 
-def _recurrence_of(desc: SeriesDescriptor) -> PRecurrence:
-    obj = materialize(desc)
+def _recurrence_of(obj) -> PRecurrence:
     if isinstance(obj, PRecurrence):
         return obj
     if isinstance(obj, BuiltinSeries) and obj.recurrence is not None:
@@ -68,29 +60,25 @@ def _recurrence_of(desc: SeriesDescriptor) -> PRecurrence:
 # -- command handlers ---------------------------------------------------------
 
 def _cmd_expand(args, cfg: Defaults) -> dict:
-    series = expand_descriptor(
-        descriptor_from_tokens(args.kind, args.payload), args.terms
-    )
+    series = expand_series(read_series(args.kind, args.payload), args.terms)
     return coeffs_json(series)
 
 
 def _cmd_hadamard(args, cfg: Defaults) -> dict:
-    da = descriptor_from_tokens(args.kind_a, args.payload_a)
-    db = descriptor_from_tokens(args.kind_b, args.payload_b)
+    a = read_series(args.kind_a, args.payload_a)
+    b = read_series(args.kind_b, args.payload_b)
     product = hadamard_mul(
-        expand_descriptor(da, args.terms), expand_descriptor(db, args.terms)
+        expand_series(a, args.terms), expand_series(b, args.terms)
     )
     data = coeffs_json(product)
     if args.emit_recurrence:
-        rec = hadamard_recurrence(_recurrence_of(da), _recurrence_of(db))
+        rec = hadamard_recurrence(_recurrence_of(a), _recurrence_of(b))
         data["recurrence"] = rec.to_json_dict()
     return data
 
 
 def _cmd_obstruct(args, cfg: Defaults) -> dict:
-    f = expand_descriptor(
-        descriptor_from_tokens(args.kind, args.payload), args.terms
-    )
+    f = expand_series(read_series(args.kind, args.payload), args.terms)
     report = obstruction_report(
         f,
         window=args.window,
@@ -105,7 +93,7 @@ def _cmd_modp(args, cfg: Defaults) -> dict:
     if not is_prime(args.p):
         raise SchemaError("--p must be a prime")
     q = args.base if args.base is not None else args.p
-    ann = _annihilator_of(descriptor_from_tokens(args.kind, args.payload))
+    ann = _annihilator_of(read_series(args.kind, args.payload))
     budgets = KernelBudgets(
         max_states=args.max_states,
         max_depth=(
@@ -118,7 +106,7 @@ def _cmd_modp(args, cfg: Defaults) -> dict:
 
 
 def _cmd_diagonal(args, cfg: Defaults) -> dict:
-    ann = _annihilator_of(descriptor_from_tokens(args.kind, args.payload))
+    ann = _annihilator_of(read_series(args.kind, args.payload))
     witness = diagonal_witness(ann, verified_order=args.order)
     if args.square:
         witness = product_witness([witness, witness], args.order)
@@ -149,9 +137,7 @@ def _parse_plates(arg: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def _cmd_optics(args, cfg: Defaults) -> dict:
-    series = expand_descriptor(
-        descriptor_from_tokens(args.kind, args.payload), args.terms
-    )
+    series = expand_series(read_series(args.kind, args.payload), args.terms)
     plates = _parse_plates(args.plates)
     gap = optics_identity_check(plates, series, args.terms)
     return {
@@ -263,9 +249,9 @@ _COMMANDS = {
 # -- parser -------------------------------------------------------------------
 
 _DESCRIPTOR_HELP = (
-    "descriptor: KIND PAYLOAD, where KIND is one of coeffs, algebraic, "
-    "holonomic, rational-exppoly, builtin; PAYLOAD is inline JSON, @file, "
-    f"or a builtin name ({', '.join(builtin_names())})"
+    f"descriptor: KIND PAYLOAD, where KIND is one of {', '.join(KINDS)}; "
+    "PAYLOAD is inline JSON, @file, or a builtin name "
+    f"({', '.join(builtin_names())})"
 )
 
 

@@ -1,18 +1,18 @@
 """Series descriptors: the uniform way commands name a series.
 
-A descriptor is a kind plus a JSON payload.  Kinds: fixed coefficient
-lists, algebraic annihilators, P-recursive recurrences, exp-poly rational
-coefficient forms, and named builtins.  Command lines pass the payload
-inline, via @file, or (for builtins) as a bare name.
+A descriptor is a kind plus a payload.  Kinds: fixed coefficient lists,
+algebraic annihilators, P-recursive recurrences, exp-poly rational
+coefficient forms, and named builtins.  Command lines pass the payload as
+inline JSON, as @file, or (for builtins) as a bare name.  ``read_series``
+reads a (KIND, PAYLOAD) pair once into the exact object it names, and
+``expand_series`` expands that object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebraic import Annihilator, expand_branch
 from .analytic import ExpPolyRational
-from .catalog import BuiltinSeries, get_builtin
+from .catalog import get_builtin
 from .errors import SchemaError, TruncationExceeded
 from .holonomic import PRecurrence, unroll
 from .polynomials import poly_from_rows, poly_rows
@@ -20,35 +20,12 @@ from .rationals import (
     coerce_rational,
     format_rational,
     read_json_arg,
+    wire_int,
     wire_object,
 )
 from .series import TruncSeries
 
 KINDS = ("coeffs", "algebraic", "holonomic", "rational-exppoly", "builtin")
-
-
-@dataclass(frozen=True)
-class SeriesDescriptor:
-    kind: str
-    payload: object
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SchemaError(
-                f"unknown descriptor kind {self.kind!r}; "
-                f"choose from {', '.join(KINDS)}"
-            )
-
-
-def descriptor_from_tokens(kind: str, arg: str) -> SeriesDescriptor:
-    """Build a descriptor from a (kind, argument) command-line pair.
-
-    The argument is a builtin name for kind=builtin; otherwise inline
-    JSON, or @path to read the JSON from a file.
-    """
-    if kind == "builtin":
-        return SeriesDescriptor(kind, arg)
-    return SeriesDescriptor(kind, read_json_arg(arg, "descriptor"))
 
 
 def _check_kind_label(payload: dict, expected: str) -> None:
@@ -60,11 +37,19 @@ def _check_kind_label(payload: dict, expected: str) -> None:
 
 
 def _coeffs_from_json(payload) -> TruncSeries:
+    terms = None
     if isinstance(payload, dict):
         _check_kind_label(payload, "coeffs")
-        payload = wire_object(payload, ("coeffs",), "coeffs payload")["coeffs"]
+        wire_object(payload, ("coeffs",), "coeffs payload")
+        if "terms" in payload:
+            terms = wire_int(payload["terms"], 'coeffs "terms"', 1)
+        payload = payload["coeffs"]
     if not isinstance(payload, list) or not payload:
         raise SchemaError("coeffs payload must be a nonempty list")
+    if terms is not None and terms != len(payload):
+        raise SchemaError(
+            f'coeffs payload has "terms": {terms} but {len(payload)} entries'
+        )
     return TruncSeries.from_list(payload)
 
 
@@ -96,26 +81,32 @@ def _exppoly_from_json(payload) -> ExpPolyRational:
     return ExpPolyRational(tuple(built))
 
 
-def materialize(desc: SeriesDescriptor):
-    """Payload -> the exact object the descriptor names."""
-    if desc.kind == "coeffs":
-        return _coeffs_from_json(desc.payload)
-    if desc.kind == "algebraic":
-        return annihilator_from_json(desc.payload)
-    if desc.kind == "holonomic":
-        return PRecurrence.from_json_dict(desc.payload)
-    if desc.kind == "rational-exppoly":
-        return _exppoly_from_json(desc.payload)
-    if not isinstance(desc.payload, str):
-        raise SchemaError("builtin payload must be a name string")
-    return get_builtin(desc.payload)
+def read_series(kind: str, arg: str):
+    """The exact object a (kind, argument) command-line pair names.
+
+    The argument is a builtin name for kind=builtin; otherwise inline
+    JSON, or @path to read the JSON from a file.
+    """
+    if kind not in KINDS:
+        raise SchemaError(
+            f"unknown descriptor kind {kind!r}; choose from {', '.join(KINDS)}"
+        )
+    if kind == "builtin":
+        return get_builtin(arg)
+    payload = read_json_arg(arg, "descriptor")
+    if kind == "coeffs":
+        return _coeffs_from_json(payload)
+    if kind == "algebraic":
+        return annihilator_from_json(payload)
+    if kind == "holonomic":
+        return PRecurrence.from_json_dict(payload)
+    return _exppoly_from_json(payload)
 
 
-def expand_descriptor(desc: SeriesDescriptor, terms: int) -> TruncSeries:
-    """First ``terms`` exact coefficients of the series the descriptor names."""
+def expand_series(obj, terms: int) -> TruncSeries:
+    """First ``terms`` exact coefficients of an object ``read_series`` made."""
     if terms < 1:
         raise SchemaError("terms must be positive")
-    obj = materialize(desc)
     if isinstance(obj, TruncSeries):
         if obj.order < terms:
             raise TruncationExceeded(
@@ -127,9 +118,7 @@ def expand_descriptor(desc: SeriesDescriptor, terms: int) -> TruncSeries:
         return unroll(obj, terms)
     if isinstance(obj, Annihilator):
         return expand_branch(obj, terms)
-    if isinstance(obj, (ExpPolyRational, BuiltinSeries)):
-        return obj.expand(terms)
-    raise SchemaError(f"descriptor kind {desc.kind!r} names no series")
+    return obj.expand(terms)
 
 
 def coeffs_json(series: TruncSeries) -> dict:

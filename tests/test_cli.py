@@ -18,6 +18,7 @@ from gradeforge.automata import (
 )
 from gradeforge import cli
 from gradeforge.cli import main
+from gradeforge.descriptors import KINDS
 from gradeforge.errors import VerificationFailed
 from gradeforge.holonomic import PRecurrence, unroll
 from gradeforge.obstruction import MILLER_RABIN_EXACT_BELOW
@@ -58,7 +59,7 @@ def test_expand_inline_coeffs(capsys):
     assert data["coeffs"] == ["3", "1/2"]
 
 
-def test_expand_descriptor_from_file(capsys, tmp_path):
+def test_expand_payload_from_file(capsys, tmp_path):
     path = tmp_path / "branch.json"
     path.write_text(json.dumps(
         {"P": [[0, 2, "1"], [0, 1, "-1"], [1, 0, "1"]], "y0": "0"}
@@ -86,6 +87,22 @@ def test_expand_rejects_nonpositive_terms(capsys):
     assert rc == 2
 
 
+def test_expand_refuses_a_coeffs_terms_count_that_disagrees(capsys):
+    rc, out, err = run(capsys, "expand", "coeffs",
+                       '{"kind":"coeffs","terms":5,"coeffs":[1,2]}')
+    assert rc == 2
+    assert '"terms"' in err
+
+
+def test_expand_help_names_every_kind(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a kind
+    with pytest.raises(SystemExit) as info:
+        main(["expand", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(kind in out for kind in KINDS)
+
+
 # ---------------------------------------------------------------------------
 # hadamard
 
@@ -101,6 +118,24 @@ def test_hadamard_emit_recurrence(capsys):
                     "--terms", "6", "--emit-recurrence")
     rec = PRecurrence.from_json_dict(data["recurrence"])
     assert [str(c) for c in unroll(rec, 6).coeffs] == data["coeffs"]
+
+
+def test_hadamard_emit_recurrence_reads_each_payload_once(capsys,
+                                                         monkeypatch):
+    apery = ('{"order":2,"coeffs":[[1,3,3,1],[-117,-231,-153,-34],'
+             '[8,12,6,1]],"n0":0,"initial":["1","5"]}')
+    read = PRecurrence.from_json_dict
+    calls = []
+
+    def counted(cls, d):
+        calls.append(d)
+        return read(d)
+
+    monkeypatch.setattr(PRecurrence, "from_json_dict", classmethod(counted))
+    data = run_json(capsys, "hadamard", "holonomic", apery, "holonomic",
+                    apery, "--terms", "6", "--emit-recurrence")
+    assert data["coeffs"][:3] == ["1", "25", "5329"]
+    assert len(calls) == 2
 
 
 def test_hadamard_emit_recurrence_table_rendering(capsys):
@@ -511,6 +546,16 @@ def test_readme_command_examples_exit_zero(capsys, monkeypatch):
             rc = exc.code
         err = capsys.readouterr().err
         assert rc == 0, f"{line}: {err}"
+
+
+def test_readme_python_examples_run():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = [part.split("```", 1)[0]
+              for part in text.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 

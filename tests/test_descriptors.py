@@ -5,16 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from gradeforge import SeriesDescriptor, expand_descriptor, materialize
+from gradeforge import expand_series, read_series
 from gradeforge.algebraic import Annihilator
 from gradeforge.analytic import ExpPolyRational
-from gradeforge.catalog import BuiltinSeries, CORPUS_ANNIHILATORS
+from gradeforge.catalog import CORPUS_ANNIHILATORS, get_builtin
 from gradeforge.descriptors import (
     KINDS,
     annihilator_from_json,
     annihilator_to_json,
     coeffs_json,
-    descriptor_from_tokens,
 )
 from gradeforge.errors import SchemaError, TruncationExceeded
 from gradeforge.holonomic import PRecurrence
@@ -25,7 +24,7 @@ def test_kind_whitelist():
     assert KINDS == ("coeffs", "algebraic", "holonomic",
                      "rational-exppoly", "builtin")
     with pytest.raises(SchemaError):
-        SeriesDescriptor("polynomial", {})
+        read_series("polynomial", "{}")
 
 
 # ---------------------------------------------------------------------------
@@ -33,29 +32,26 @@ def test_kind_whitelist():
 
 
 def test_builtin_tokens_pass_through():
-    desc = descriptor_from_tokens("builtin", "catalan")
-    assert desc.payload == "catalan"
-    assert isinstance(materialize(desc), BuiltinSeries)
+    assert read_series("builtin", "catalan") is get_builtin("catalan")
 
 
 def test_inline_json_tokens():
-    desc = descriptor_from_tokens("coeffs", '[1, "1/2", 3]')
-    got = expand_descriptor(desc, 3)
+    got = expand_series(read_series("coeffs", '[1, "1/2", 3]'), 3)
     assert got.coeffs == (Fraction(1), Fraction(1, 2), Fraction(3))
 
 
 def test_file_reference_tokens(tmp_path):
     path = tmp_path / "series.json"
     path.write_text(json.dumps({"kind": "coeffs", "coeffs": [0, 1, 1, 2, 5]}))
-    desc = descriptor_from_tokens("coeffs", f"@{path}")
-    assert list(expand_descriptor(desc, 5).coeffs) == [0, 1, 1, 2, 5]
+    series = read_series("coeffs", f"@{path}")
+    assert list(expand_series(series, 5).coeffs) == [0, 1, 1, 2, 5]
 
 
 def test_missing_file_and_bad_json_are_schema_errors(tmp_path):
     with pytest.raises(SchemaError):
-        descriptor_from_tokens("coeffs", f"@{tmp_path / 'absent.json'}")
+        read_series("coeffs", f"@{tmp_path / 'absent.json'}")
     with pytest.raises(SchemaError):
-        descriptor_from_tokens("coeffs", "[1, 2")
+        read_series("coeffs", "[1, 2")
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +59,16 @@ def test_missing_file_and_bad_json_are_schema_errors(tmp_path):
 
 
 def test_coeffs_accepts_bare_list_and_labeled_object():
-    bare = SeriesDescriptor("coeffs", [1, 2, 3])
-    labeled = SeriesDescriptor("coeffs", {"kind": "coeffs", "coeffs": [1, 2, 3]})
-    assert expand_descriptor(bare, 3).coeffs == expand_descriptor(labeled, 3).coeffs
+    bare = read_series("coeffs", "[1, 2, 3]")
+    labeled = read_series("coeffs", '{"kind": "coeffs", "coeffs": [1, 2, 3]}')
+    assert expand_series(bare, 3).coeffs == expand_series(labeled, 3).coeffs
 
 
 def test_coeffs_truncates_but_never_extends():
-    desc = SeriesDescriptor("coeffs", [1, 2, 3])
-    assert expand_descriptor(desc, 2).coeffs == (Fraction(1), Fraction(2))
+    series = read_series("coeffs", "[1, 2, 3]")
+    assert expand_series(series, 2).coeffs == (Fraction(1), Fraction(2))
     with pytest.raises(TruncationExceeded):
-        expand_descriptor(desc, 4)
+        expand_series(series, 4)
 
 
 @pytest.mark.parametrize("payload", [
@@ -82,10 +78,11 @@ def test_coeffs_truncates_but_never_extends():
     ["1/0"],
     {"kind": "holonomic", "coeffs": [1]},
     {"coefficients": [1]},
+    {"kind": "coeffs", "terms": 5, "coeffs": [1, 2]},
 ])
 def test_coeffs_rejects_malformed_payloads(payload):
     with pytest.raises(SchemaError):
-        expand_descriptor(SeriesDescriptor("coeffs", payload), 1)
+        expand_series(read_series("coeffs", json.dumps(payload)), 1)
 
 
 def test_coeffs_json_round_trips():
@@ -93,7 +90,7 @@ def test_coeffs_json_round_trips():
     blob = coeffs_json(series)
     assert blob["kind"] == "coeffs"
     assert blob["terms"] == 4
-    back = expand_descriptor(SeriesDescriptor("coeffs", blob), 4)
+    back = expand_series(read_series("coeffs", json.dumps(blob)), 4)
     assert back.coeffs == series.coeffs
 
 
@@ -138,12 +135,12 @@ def test_annihilator_rejects_malformed_payloads(payload):
 
 
 def test_algebraic_descriptor_expands_the_branch():
-    desc = SeriesDescriptor("algebraic", {
+    ann = read_series("algebraic", json.dumps({
         "P": [[0, 2, "1"], [0, 1, "-1"], [1, 0, "1"]],  # y^2 - y + z
         "y0": "0",
-    })
-    assert isinstance(materialize(desc), Annihilator)
-    got = expand_descriptor(desc, 7)
+    }))
+    assert isinstance(ann, Annihilator)
+    got = expand_series(ann, 7)
     assert [int(c) for c in got.coeffs] == [0, 1, 1, 2, 5, 14, 42]
 
 
@@ -155,19 +152,18 @@ CATALAN_REC = PRecurrence.from_dense([[-2, -4], [2, 1]], 0, [1])
 
 
 def test_holonomic_descriptor_unrolls():
-    desc = SeriesDescriptor("holonomic", CATALAN_REC.to_json_dict())
-    assert materialize(desc) == CATALAN_REC
-    got = expand_descriptor(desc, 6)
+    rec = read_series("holonomic", json.dumps(CATALAN_REC.to_json_dict()))
+    assert rec == CATALAN_REC
+    got = expand_series(rec, 6)
     assert [int(c) for c in got.coeffs] == [1, 1, 2, 5, 14, 42]
 
 
 def test_exppoly_descriptor_expands():
-    desc = SeriesDescriptor("rational-exppoly", {
+    form = read_series("rational-exppoly", json.dumps({
         "terms": [["1/2", 1, ["1"]]],
-    })
-    form = materialize(desc)
+    }))
     assert isinstance(form, ExpPolyRational)
-    got = expand_descriptor(desc, 5)
+    got = expand_series(form, 5)
     assert [int(c) for c in got.coeffs] == [2, 4, 8, 16, 32]  # (1/2)^(-n-1)
 
 
@@ -182,7 +178,7 @@ def test_exppoly_descriptor_expands():
 ])
 def test_exppoly_rejects_malformed_payloads(payload):
     with pytest.raises(SchemaError):
-        materialize(SeriesDescriptor("rational-exppoly", payload))
+        read_series("rational-exppoly", json.dumps(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +187,14 @@ def test_exppoly_rejects_malformed_payloads(payload):
 
 def test_builtin_payload_must_be_a_name():
     with pytest.raises(SchemaError):
-        materialize(SeriesDescriptor("builtin", {"name": "exp"}))
-    with pytest.raises(SchemaError):
-        materialize(SeriesDescriptor("builtin", "unknown-series"))
+        read_series("builtin", "unknown-series")
 
 
 def test_expansion_needs_positive_count():
     with pytest.raises(SchemaError):
-        expand_descriptor(SeriesDescriptor("builtin", "exp"), 0)
+        expand_series(read_series("builtin", "exp"), 0)
 
 
 def test_holonomic_round_trip_through_descriptor():
     rec = PRecurrence.from_dense([[-2, -4], [2, 1]], 0, [1])
-    desc = SeriesDescriptor("holonomic", rec.to_json_dict())
-    assert materialize(desc) == rec
+    assert read_series("holonomic", json.dumps(rec.to_json_dict())) == rec

@@ -13,11 +13,7 @@ import pytest
 from gradeforge.automata import KernelBudgets, christol_report
 from gradeforge.catalog import get_builtin
 from gradeforge.cli import main
-from gradeforge.descriptors import (
-    annihilator_to_json,
-    descriptor_from_tokens,
-    materialize,
-)
+from gradeforge.descriptors import annihilator_to_json, read_series
 from gradeforge.diagonals import diagonal_witness
 from gradeforge.polynomials import Poly, RatFun
 
@@ -140,7 +136,7 @@ def test_modp_dot_matches_to_dot(capsys, case):
               "--depth", str(depth), "--fingerprint-length", str(length),
               "--dot")
     assert out == want
-    obj = materialize(descriptor_from_tokens(kind, payload))
+    obj = read_series(kind, payload)
     ann = obj.annihilator if kind == "builtin" else obj
     report = christol_report(ann, p, budgets=KernelBudgets(4096, depth, length))
     assert report.automaton.to_dot() + "\n" == want

@@ -12,7 +12,7 @@ from hypothesis import given
 from conftest import rationals
 from gradeforge import cli
 from gradeforge.config import Defaults, load_defaults
-from gradeforge.descriptors import descriptor_from_tokens, materialize
+from gradeforge.descriptors import read_series
 from gradeforge.diagonals import DiagonalWitness
 from gradeforge.errors import SchemaError
 from gradeforge.rationals import (
@@ -93,7 +93,7 @@ def test_arithmetic_exactness_bulk():
 
 
 def _descriptor_reader(kind):
-    return lambda arg: materialize(descriptor_from_tokens(kind, arg))
+    return lambda arg: read_series(kind, arg)
 
 
 # reader: (a well-formed payload, how the reader takes an argument)
@@ -111,7 +111,8 @@ WIRE_READERS = {
         {"terms": [["1/2", 2, ["1", "3"]]]},
         _descriptor_reader("rational-exppoly"),
     ),
-    "coeffs": ({"coeffs": [1, "1/2"]}, _descriptor_reader("coeffs")),
+    "coeffs": ({"terms": 2, "coeffs": [1, "1/2"]},
+               _descriptor_reader("coeffs")),
     "witness": (
         {"d": 1, "R": {"num": [[0, 0, "1"]],
                        "den": [[0, 0, "1"], [1, 0, "-1"], [0, 1, "-1"]]},
@@ -141,6 +142,7 @@ WIRE_FIELDS = [
     ("rational-exppoly", ("terms", 0, 0)),
     ("rational-exppoly", ("terms", 0, 1)),
     ("rational-exppoly", ("terms", 0, 2, 0)),
+    ("coeffs", ("terms",)),
     ("coeffs", ("coeffs", 0)),
     ("plates", (0, 0)),
     ("plates", (0, 1)),
