@@ -4,7 +4,8 @@ The package is organized around a few object families:
 
 * truncated series and their termwise product (:mod:`gradeforge.series`,
   :mod:`gradeforge.rationals`),
-* algebraic branches, expanded by one Newton iteration over Q or mod p^r
+* algebraic branches, expanded by unrolling a recurrence derived from P
+  past a short Newton prefix, or by Newton iteration mod p^r
   (:mod:`gradeforge.polynomials`, :mod:`gradeforge.algebraic`),
 * linear recurrences with polynomial coefficients, their closure under the
   coefficientwise product, and sequence guessing (:mod:`gradeforge.holonomic`),
@@ -20,7 +21,7 @@ The package is organized around a few object families:
 workflows as subcommands.
 """
 
-from gradeforge.algebraic import Annihilator, expand_branch
+from gradeforge.algebraic import Annihilator, branch_recurrence, expand_branch
 from gradeforge.analytic import (
     ExpPolyRational,
     QuadratureConfig,
@@ -81,6 +82,7 @@ __all__ = [
     "RatFun",
     "SchemaError",
     "TruncSeries",
+    "branch_recurrence",
     "builtin_names",
     "christol_report",
     "diagonal_extract",

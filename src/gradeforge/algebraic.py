@@ -2,12 +2,29 @@
 
 An :class:`Annihilator` is a nonzero P(z, y) together with a starting value
 y0 satisfying P(0, y0) = 0.  When the root is simple (P_y(0, y0) != 0) the
-branch through y0 is an unramified formal power series and `expand_branch`
-computes its coefficients by Newton iteration with precision doubling:
+branch through y0 is an unramified formal power series.
 
-    f  <-  f - P(z, f) / P_y(z, f)     (mod z^(2m))
+Every algebraic series is D-finite, so `branch_recurrence` derives, and
+proves, a linear recurrence for the branch straight from P (Bostan, Chyzak,
+Lecerf, Salvy and Schost, ISSAC 2007).  With D = P_y, each derivative is
+y^(k) = A_k(z, y)/D^(2k-1), where A_1 = -P_z and
 
-`branch_residues` runs the same iteration in (Z/p^r)[[z]] when the branch
+    A_(k+1) = D^2 ∂_z A_k - D P_z ∂_y A_k - (2k-1) A_k (D_z D - D_y P_z).
+
+Over the common denominator D^(2K-1), the rows 1, y, y', ..., y^(K) are
+pseudo-reduced mod P in y, scaled to one power of lc_y(P), and the first K
+whose rows have a left kernel over Z[z] gives a linear ODE.  A combination
+that vanishes mod P vanishes on the branch, because D(0, y0) != 0.  The ODE
+becomes a recurrence through [z^n] z^i y^(k) = (n-i+1)_k a_(n-i+k), valid
+past the degree of its inhomogeneous part.  `expand_branch` takes the
+recurrence's first n0 + r terms from Newton iteration over Q with precision
+doubling,
+
+    f  <-  f - P(z, f) / P_y(z, f)     (mod z^(2m)),
+
+and unrolls the rest in O(n) small-by-big steps.
+
+`branch_residues` runs the Newton iteration in (Z/p^r)[[z]] when the branch
 point stays a simple root mod p, so residues never pass through the exact
 coefficients, whose bit size grows linearly in n.  `_newton_branch` is the
 package's one Newton iteration (tan in :mod:`gradeforge.analytic` is a branch
@@ -25,9 +42,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _intpoly as ip
-from .errors import NotARoot, RamifiedBranch, SchemaError, VerificationFailed
+from .errors import (
+    NoKernel,
+    NotARoot,
+    RamifiedBranch,
+    SchemaError,
+    VerificationFailed,
+)
+from .holonomic import PRecurrence, _finish, unroll
 from .obstruction import is_prime
-from .polynomials import Poly
+from .polynomials import Poly, fraction_free_left_kernel
 from .rationals import coerce_rational, residue
 from .series import TruncSeries
 
@@ -159,19 +183,120 @@ def _newton_branch(pc, pyc, y0, g0, n, mul, norm):
     return f[:n]
 
 
-def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
-    """First n coefficients of the branch of P through (0, y0).
+def _primitive_scale(p: Poly) -> Fraction:
+    """The rational k that makes k·P a primitive integer polynomial."""
+    coeffs = p.terms.values()
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return Fraction(den, math.gcd(*(int(c * den) for c in coeffs)))
 
-    Quadratic Newton convergence: precision doubles each pass, so the loop
-    runs O(log n) times with the last pass dominating.
+
+def _z_rows(p: Poly) -> list[list[int]]:
+    """An integer P(z, y) as its y-coefficients, dense `_intpoly` lists in z."""
+    return [ip.trim([c.numerator for c in row])
+            for row in _y_coefficient_lists(p)]
+
+
+def _prem_y(row: list[list[int]], pc: list[list[int]]
+            ) -> tuple[list[list[int]], int]:
+    """(lc^e·row mod P, e): the pseudo-remainder in y over Z[z] of a row
+    given, like P, as y-coefficient lists."""
+    d = len(pc) - 1
+    row = list(row)
+    e = 0
+    while len(row) > d:
+        top = row.pop()
+        if not top:
+            continue
+        s = len(row) - d
+        row = [ip.mul(c, pc[d]) for c in row]
+        for j in range(d):
+            row[s + j] = ip.sub(row[s + j], ip.mul(top, pc[j]))
+        e += 1
+    return row + [[] for _ in range(d - len(row))], e
+
+
+def _linear_ode(p: Poly) -> list[list[int]]:
+    """Integer polynomials c_(-1), c_0, ..., c_K in z, not all of
+    c_0..c_K zero, with c_(-1) + Σ c_k·y^(k) = 0 on every simple branch of
+    P; K is the least order for which the derivation finds one."""
+    pz = p.derivative(0)
+    dp = p.derivative(1)
+    twist = dp.derivative(0) * dp - dp.derivative(1) * pz
+    dd, dpz = dp * dp, dp * pz
+    pc = _z_rows(p)
+    lc = pc[-1]
+    a = [None, -pz]  # a[k] = A_k, unreduced: y^(k) = A_k / D^(2k-1)
+    for order in range(len(pc) - 1):
+        if order > 1:
+            ak, k = a[-1], order - 1
+            a.append(dd * ak.derivative(0) - dpz * ak.derivative(1)
+                     - twist * ak * (2 * k - 1))
+        one = dp ** max(2 * order - 1, 0)
+        rows = [one, one * Poly.variable(2, 1)]
+        rows += [a[k] * dp ** (2 * order - 2 * k)
+                 for k in range(1, order + 1)]
+        reduced = [_prem_y(_z_rows(row), pc) for row in rows]
+        top = max(e for _, e in reduced)
+        scale = [[1]]
+        for _ in range(top):
+            scale.append(ip.mul(scale[-1], lc))
+        matrix = [[ip.mul(c, scale[top - e]) for c in row]
+                  for row, e in reduced]
+        try:
+            return fraction_free_left_kernel(matrix)
+        except NoKernel:
+            continue
+    raise VerificationFailed(
+        f"no linear ODE of order below deg_y P = {len(pc) - 1}")
+
+
+def _falling(j: int, k: int) -> list[int]:
+    """(m + j)(m + j - 1)...(m + j - k + 1) as a dense list in m."""
+    out = [1]
+    for t in range(k):
+        out = ip.mul(out, [j - t, 1])
+    return out
+
+
+def branch_recurrence(ann: Annihilator) -> PRecurrence:
+    """A proved P-recurrence for the branch of P through (0, y0).
+
+    The ODE c_(-1) + Σ_k c_k(z)·y^(k) = 0 of `_linear_ode` is read
+    coefficientwise: [z^n] z^i·y^(k) = (n-i+1)_k·a_(n-i+k).  With
+    m = n + lo, lo the least k - i over the terms, and j = k - i - lo,
+    that is Σ_j p_j(m)·a_(m+j) = 0 where p_j(m) sums c_(k,i) times the
+    falling factorial (m+j)(m+j-1)...(m+j-k+1).  It holds for every n past
+    deg c_(-1), and for every n < 0 with m >= 0 because each term then has
+    a zero factor; `holonomic._finish` raises the base past the integer
+    zeros of the leading coefficient.  The first n0 + r terms come from
+    Newton iteration over Q.
     """
+    py, py0 = _branch_derivative(ann)
+    ode = _linear_ode(ann.poly * _primitive_scale(ann.poly))
+    terms = [(k - i, k, c) for k, ck in enumerate(ode[1:])
+             for i, c in enumerate(ck) if c]
+    lo = min(t[0] for t in terms)
+    q_dense: list[list[int]] = [[] for _ in range(
+        max(t[0] for t in terms) - lo + 1)]
+    for shift, k, c in terms:
+        j = shift - lo
+        q_dense[j] = ip.add(q_dense[j], [c * x for x in _falling(j, k)])
+    n0_base = max(0, lo + len(ode[0]))
+
+    def terms_of(count: int) -> list[Fraction]:
+        return _newton_branch(_y_coefficient_lists(ann.poly),
+                              _y_coefficient_lists(py), ann.y0, 1 / py0,
+                              count, _conv_frac, _identity)
+
+    return _finish(q_dense, n0_base, terms_of, empirical=False)
+
+
+def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
+    """First n coefficients of the branch of P through (0, y0): the Newton
+    prefix of `branch_recurrence`, unrolled to n terms."""
     if n < 1:
         raise SchemaError("need at least one coefficient")
-    py, py0 = _branch_derivative(ann)
-    f = _newton_branch(_y_coefficient_lists(ann.poly),
-                       _y_coefficient_lists(py), ann.y0, 1 / py0, n,
-                       _conv_frac, _identity)
-    return TruncSeries(tuple(f))
+    return unroll(branch_recurrence(ann), n)
 
 
 def branch_residues(ann: Annihilator, n: int, p: int,
@@ -193,9 +318,7 @@ def branch_residues(ann: Annihilator, n: int, p: int,
         raise SchemaError(
             f"need a prime p and an exponent r >= 1, got p = {p}, r = {r}")
     py, py0 = _branch_derivative(ann)
-    coeffs = ann.poly.terms.values()
-    den = math.lcm(*(c.denominator for c in coeffs))
-    k = Fraction(den, math.gcd(*(int(c * den) for c in coeffs)))
+    k = _primitive_scale(ann.poly)
     if ann.y0.denominator % p == 0 or (py0 * k).numerator % p == 0:
         return None
     modulus = p ** r

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from .algebraic import Annihilator
+from .algebraic import Annihilator, branch_recurrence
 from .analytic import QuadratureConfig, euler_report, optics_identity_check
 from .automata import KernelBudgets, automaton_dot, christol_report
 from .catalog import BuiltinSeries, builtin_names
@@ -49,11 +50,13 @@ def _annihilator_of(obj) -> Annihilator:
 def _recurrence_of(obj) -> PRecurrence:
     if isinstance(obj, PRecurrence):
         return obj
+    if isinstance(obj, Annihilator):
+        return branch_recurrence(obj)
     if isinstance(obj, BuiltinSeries) and obj.recurrence is not None:
         return obj.recurrence
     raise SchemaError(
-        "--emit-recurrence needs holonomic descriptors (or builtins "
-        "carrying a recurrence) on both sides"
+        "--emit-recurrence needs holonomic or algebraic descriptors (or "
+        "builtins carrying a recurrence) on both sides"
     )
 
 
@@ -286,7 +289,9 @@ def _add_descriptor(sp, suffix: str = ""):
     sp.add_argument(f"payload{suffix}", metavar=f"PAYLOAD{suffix.upper()}")
 
 
+@functools.lru_cache(maxsize=8)
 def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
+    """The parser whose flag defaults are `cfg`; built once per value."""
     parser = argparse.ArgumentParser(
         prog="gradeforge",
         description="Exact Hadamard-product toolkit: expansion, closure, "
@@ -309,7 +314,7 @@ def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
     sp.add_argument("--terms", action=_AtLeast, default=cfg.terms)
     sp.add_argument("--emit-recurrence", action="store_true",
                     help="also derive the product recurrence "
-                         "(holonomic inputs only)")
+                         "(holonomic and algebraic inputs)")
     _add_output_flags(sp)
 
     sp = sub.add_parser("obstruct", help="scan for infinite-grade evidence")

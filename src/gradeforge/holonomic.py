@@ -163,18 +163,29 @@ class PRecurrence:
 
 
 def unroll(rec: PRecurrence, n: int) -> TruncSeries:
-    """First n terms of the sequence, in exact rational arithmetic."""
+    """First n terms of the sequence, in exact rational arithmetic.
+
+    A term stays an int while p_r(m) divides the sum exactly, so integer
+    sequences never pay for a gcd; it becomes a Fraction only where the
+    division is not exact.
+    """
     if n < 1:
         raise SchemaError("need at least one term")
-    r = rec.order
-    out = list(rec.initial[:n])
+    r, coeffs = rec.order, rec.coeffs
+    out: list = [x.numerator if x.denominator == 1 else x
+                 for x in rec.initial[:n]]
     while len(out) < n:
         m = len(out) - r
-        acc = Fraction(0)
+        acc = 0
         for i in range(r):
-            acc += ip.eval_at(rec.coeffs[i], m) * out[m + i]
-        out.append(-acc / ip.eval_at(rec.coeffs[r], m))
-    return TruncSeries(tuple(out))
+            acc -= ip.eval_at(coeffs[i], m) * out[m + i]
+        lead = ip.eval_at(coeffs[r], m)
+        if type(acc) is int:
+            q, rem = divmod(acc, lead)
+            out.append(Fraction(acc, lead) if rem else q)
+        else:
+            out.append(acc / lead)
+    return TruncSeries(tuple(map(Fraction, out)))
 
 
 def _companion(rec: PRecurrence
@@ -204,7 +215,7 @@ def _reject_zero(rec: PRecurrence) -> None:
 def _finish(q_dense: list[list[int]], n0_base: int,
             terms_of: Callable[[int], Sequence[Fraction]],
             empirical: bool) -> PRecurrence:
-    """Shared tail of closure and guessing.
+    """Shared tail of closure, guessing and `algebraic.branch_recurrence`.
 
     Takes the raw dependence coefficients q_0..q_m (integer dense lists,
     relation Σ q_k(n)·c_{n+k} = 0 valid for n >= n0_base), strips zero

@@ -14,7 +14,8 @@ by Cramer's rule every entry of the vector is a minor; no fraction is ever
 formed.  For constant matrices (the equations of recurrence guessing) a
 pre-pass finds the pivot equations modulo the prime 2^61 - 1, and Bareiss
 runs on those alone; the vector is then checked exactly against every
-equation, and a failed check falls back to the full elimination.  The
+equation, and a failed check falls back to the full elimination.  A pivot
+in every column proves full rank, so no elimination over Z runs at all.  The
 checked vector is the unique normalised one, so the result never depends on
 the prime (the argument is in the function's docstring).
 """
@@ -329,8 +330,9 @@ def fraction_free_left_kernel(
     every equation exactly, then unknown j0' depends on the ones before it
     in the full system, so j0' = j0 and the vector is the one above: the
     result is the same as without the pre-pass.  If a check fails (a prime
-    that drops the rank) or the pre-pass finds a pivot in every column, the
-    elimination runs on the full matrix.
+    that drops the rank), the elimination runs on the full matrix.  If the
+    pre-pass finds a pivot in every column, the matrix has full row rank
+    modulo the prime, hence over Q, and NoKernel is raised at once.
 
     Raises NoKernel when the matrix has full row rank (no such vector).
     """
@@ -345,13 +347,14 @@ def fraction_free_left_kernel(
     E = [[matrix[i][k] for i in range(rows)] for k in range(cols)]
     if all(len(x) <= 1 for eq in E for x in eq):
         pivots = _pivot_equations_mod_p(E, rows)
-        if pivots is not None:
-            r = len(pivots)
-            vec = _bareiss_kernel([E[k][:r + 1] for k in pivots], r + 1)
-            vec += [[] for _ in range(rows - r - 1)]
-            if all(sum(v[0] * x[0] for v, x in zip(vec, eq) if v and x) == 0
-                   for eq in E):
-                return vec
+        if pivots is None:
+            raise NoKernel("matrix has full row rank modulo 2^61 - 1")
+        r = len(pivots)
+        vec = _bareiss_kernel([E[k][:r + 1] for k in pivots], r + 1)
+        vec += [[] for _ in range(rows - r - 1)]
+        if all(sum(v[0] * x[0] for v, x in zip(vec, eq) if v and x) == 0
+               for eq in E):
+            return vec
     return _bareiss_kernel(E, rows)
 
 

@@ -7,12 +7,14 @@ Everything here is deterministic: randomized parts use fixed seeds.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
 from fractions import Fraction
 
 from gradeforge import (
+    cli,
     expand_builtin,
     hadamard_mul,
     obstruction_report,
@@ -45,7 +47,12 @@ from gradeforge.holonomic import (
 )
 from gradeforge.series import TruncSeries
 
-from oracles import catalan_numbers, central_binomials, corpus_residues
+from oracles import (
+    catalan_numbers,
+    catalan_numbers_fast,
+    central_binomials,
+    corpus_residues,
+)
 
 
 def _within(budget: float, t0: float) -> None:
@@ -149,6 +156,18 @@ def test_squared_recurrence_unrolls_to_squared_central_binomials():
     assert got[:5] == (1, 4, 36, 400, 4900)
     assert got == tuple(math.comb(2 * n, n) ** 2 for n in range(200))
     _within(5.0, t0)
+
+
+def test_long_algebraic_expansion_unrolls_its_derived_recurrence(capsys):
+    # Newton over Q took about 40 s here; the derived recurrence unrolls it.
+    catalan = '{"P": [[1, 2, "1"], [0, 1, "-1"], [0, 0, "1"]], "y0": "1"}'
+    t0 = time.perf_counter()
+    rc = cli.main(["expand", "algebraic", catalan, "--terms", "4096",
+                   "--json"])
+    coeffs = json.loads(capsys.readouterr().out)["coeffs"]
+    _within(1.0, t0)
+    assert rc == 0
+    assert coeffs == [str(c) for c in catalan_numbers_fast(4096)]
 
 
 # -- 6. bivariate witnesses and their products --------------------------------

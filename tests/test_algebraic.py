@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import lcm
 
@@ -5,20 +6,23 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from gradeforge import algebraic
 from gradeforge.algebraic import (
     Annihilator,
+    branch_recurrence,
     branch_residues,
     expand_branch,
     verify_annihilator,
 )
 from gradeforge.automata import reduce_mod
-from gradeforge.catalog import CORPUS_ANNIHILATORS
+from gradeforge.catalog import BUILTINS, CORPUS_ANNIHILATORS
 from gradeforge.errors import (
     NotARoot,
     PrimeDividesDenominator,
     RamifiedBranch,
     SchemaError,
 )
+from gradeforge.holonomic import unroll
 from gradeforge.polynomials import Poly
 from gradeforge.series import TruncSeries
 
@@ -123,6 +127,87 @@ def test_deep_expansion_matches_integer_recurrences():
     assert list(cb.coeffs) == oracles.central_binomials_fast(400)
     cat = expand_branch(CORPUS_ANNIHILATORS["catalan"], 400)
     assert list(cat.coeffs) == oracles.catalan_numbers_fast(400)
+
+
+# ---------------------------------------------------------------------------
+# the P-recurrence derived from P
+
+
+def newton_over_q(ann, n):
+    """The branch by Newton iteration over Q alone, without a recurrence."""
+    py, py0 = algebraic._branch_derivative(ann)
+    return algebraic._newton_branch(
+        algebraic._y_coefficient_lists(ann.poly),
+        algebraic._y_coefficient_lists(py), ann.y0, 1 / py0, n,
+        algebraic._conv_frac, algebraic._identity)
+
+
+def tangent_annihilator(order):
+    """cos(z)·y - sin(z), both cut at z^order (as `tangent_series` builds it)."""
+    return bivariate({(i, 1 - i % 2): Fraction((-1) ** ((i + 1) // 2),
+                                               math.factorial(i))
+                      for i in range(order)})
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ANNIHILATORS))
+def test_branch_recurrence_matches_newton(name):
+    ann = CORPUS_ANNIHILATORS[name]
+    rec = branch_recurrence(ann)
+    assert not rec.empirical
+    assert list(unroll(rec, 300).coeffs) == newton_over_q(ann, 300)
+    assert list(expand_branch(ann, 300).coeffs) == newton_over_q(ann, 300)
+
+
+@pytest.mark.parametrize("name, closed_form", [
+    ("catalan", oracles.catalan_numbers_fast),
+    ("central-binomial", oracles.central_binomials_fast),
+])
+def test_branch_recurrence_reproduces_the_closed_forms(name, closed_form):
+    rec = branch_recurrence(CORPUS_ANNIHILATORS[name])
+    assert rec == BUILTINS[name].recurrence
+    assert list(unroll(rec, 1000).coeffs) == closed_form(1000)
+    assert list(expand_branch(CORPUS_ANNIHILATORS[name], 1000).coeffs) == (
+        closed_form(1000))
+
+
+EDGE_BRANCHES = {
+    "y - 1 - z": bivariate({(0, 1): 1, (0, 0): -1, (1, 0): -1}, y0=1),
+    "tangent": tangent_annihilator(16),
+    # (1 + z)y^3 + y^2 + zy - 2 through y0 = 1: lc_y(P) depends on z, and
+    # the ODE has order 2, so A_2 comes from A_1 through the recursion
+    "cubic": bivariate({(0, 3): 1, (1, 3): 1, (0, 2): 1, (1, 1): 1,
+                        (0, 0): -2}, y0=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_BRANCHES))
+def test_branch_recurrence_edge_cases(name):
+    ann = EDGE_BRANCHES[name]
+    assert list(unroll(branch_recurrence(ann), 300).coeffs) == (
+        newton_over_q(ann, 300))
+
+
+def test_tangent_branch_keeps_the_taylor_coefficients():
+    assert list(expand_branch(tangent_annihilator(16), 16).coeffs) == (
+        oracles.tangent_taylor(16))
+
+
+def test_expand_branch_takes_only_the_recurrence_prefix_from_newton(
+        monkeypatch):
+    lengths = []
+    newton = algebraic._newton_branch
+
+    def spy(*args):
+        lengths.append(args[4])
+        return newton(*args)
+
+    monkeypatch.setattr(algebraic, "_newton_branch", spy)
+    ann = CORPUS_ANNIHILATORS["catalan-shifted"]
+    rec = branch_recurrence(ann)
+    lengths.clear()
+    assert list(expand_branch(ann, 500).coeffs)[1:] == (
+        oracles.catalan_numbers_fast(499))
+    assert lengths == [rec.n0 + rec.order] == [2]
 
 
 # ---------------------------------------------------------------------------

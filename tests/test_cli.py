@@ -103,6 +103,19 @@ def test_expand_help_names_every_kind(capsys, monkeypatch):
     assert all(kind in out for kind in KINDS)
 
 
+def test_parser_is_built_once_per_defaults_value(capsys, monkeypatch):
+    monkeypatch.delenv("GRADEFORGE_CONFIG", raising=False)
+    cfg = cli.load_defaults()
+    run_json(capsys, "expand", "builtin", "catalan", "--terms", "3")
+    parser = cli.build_parser(cfg)
+    run_json(capsys, "expand", "builtin", "catalan", "--terms", "3")
+    assert cli.build_parser(cfg) is parser
+    other = cli.build_parser(cli.Defaults(terms=cfg.terms + 1))
+    assert other is not parser
+    assert other.parse_args(["expand", "builtin", "exp"]).terms == (
+        cfg.terms + 1)
+
+
 # ---------------------------------------------------------------------------
 # hadamard
 
@@ -144,6 +157,17 @@ def test_hadamard_emit_recurrence_table_rendering(capsys):
     assert rc == 0
     assert "recurrence of order" in out
     assert "initial:" in out
+
+
+def test_hadamard_emit_recurrence_of_an_algebraic_factor(capsys):
+    catalan = '{"P": [[1, 2, "1"], [0, 1, "-1"], [0, 0, "1"]], "y0": "1"}'
+    apery = ('{"order":2,"coeffs":[[1,3,3,1],[-117,-231,-153,-34],'
+             '[8,12,6,1]],"n0":0,"initial":["1","5"]}')
+    data = run_json(capsys, "hadamard", "algebraic", catalan, "holonomic",
+                    apery, "--terms", "40", "--emit-recurrence")
+    rec = PRecurrence.from_json_dict(data["recurrence"])
+    assert [str(c) for c in unroll(rec, 40).coeffs] == data["coeffs"]
+    assert data["coeffs"][:3] == ["1", "5", "146"]
 
 
 def test_hadamard_emit_recurrence_needs_holonomic_inputs(capsys):

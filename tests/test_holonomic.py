@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from gradeforge import _intpoly as ip
 from gradeforge.algebraic import expand_branch
 from gradeforge.catalog import CORPUS_ANNIHILATORS
 from gradeforge.errors import DegenerateInput, NoFit, UnderdeterminedRecurrence
@@ -37,6 +38,30 @@ def test_unroll_euler():
 def test_unroll_constant():
     const = PRecurrence.from_dense([[-1], [1]], 0, [7])
     assert list(unroll(const, 6).coeffs) == [7] * 6
+
+
+def fraction_unroll(rec, n):
+    """Reference: every term a reduced Fraction."""
+    out = list(rec.initial[:n])
+    while len(out) < n:
+        m = len(out) - rec.order
+        acc = sum(ip.eval_at(c, m) * out[m + i]
+                  for i, c in enumerate(rec.coeffs[:-1]))
+        out.append(-Fraction(acc) / ip.eval_at(rec.coeffs[-1], m))
+    return out
+
+
+@pytest.mark.parametrize("rec", [
+    CENTRAL_BINOMIAL, EULER, EXP, CATALAN,
+    PRecurrence.from_dense([[0, 1], [1, 1]], 1, [0, 1]),    # log(1+z)
+    PRecurrence.from_dense(  # Apery B: integer division fails from n = 2
+        [[1, 3, 3, 1], [-117, -231, -153, -34], [8, 12, 6, 1]], 0, [0, 6]),
+    PRecurrence.from_dense([[-1], [2]], 0, ["3/5"]),        # 3/5 · 2^-n
+])
+def test_unroll_integer_path_matches_fraction_arithmetic(rec):
+    got = unroll(rec, 120).coeffs
+    assert list(got) == fraction_unroll(rec, 120)
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_leading_root_raises_base():

@@ -438,3 +438,15 @@ def test_constant_kernel_eliminates_only_the_pivot_equations(monkeypatch):
 def test_constant_full_rank_rejected_after_the_pre_pass():
     with pytest.raises(NoKernel):
         fraction_free_left_kernel(constant([[1, 2, 0], [0, 1, 1], [5, 0, 1]]))
+
+
+def test_constant_full_rank_raises_without_elimination(monkeypatch):
+    # A pivot in every column mod 2^61 - 1 proves full rank over Q, so no
+    # Bareiss run, on the pivot equations or on the full matrix, is needed.
+    calls = []
+    monkeypatch.setattr(polynomials, "_bareiss_kernel",
+                        lambda E, nvars: calls.append(len(E)))
+    matrix = [[k ** i + (i == k) for k in range(7)] for i in range(5)]
+    with pytest.raises(NoKernel):
+        fraction_free_left_kernel(constant(matrix))
+    assert calls == []
