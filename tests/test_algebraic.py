@@ -1,6 +1,5 @@
-import math
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -145,7 +144,7 @@ def newton_over_q(ann, n):
 def tangent_annihilator(order):
     """cos(z)·y - sin(z), both cut at z^order (as `tangent_series` builds it)."""
     return bivariate({(i, 1 - i % 2): Fraction((-1) ** ((i + 1) // 2),
-                                               math.factorial(i))
+                                               factorial(i))
                       for i in range(order)})
 
 
@@ -185,11 +184,6 @@ def test_branch_recurrence_edge_cases(name):
     ann = EDGE_BRANCHES[name]
     assert list(unroll(branch_recurrence(ann), 300).coeffs) == (
         newton_over_q(ann, 300))
-
-
-def test_tangent_branch_keeps_the_taylor_coefficients():
-    assert list(expand_branch(tangent_annihilator(16), 16).coeffs) == (
-        oracles.tangent_taylor(16))
 
 
 def test_expand_branch_takes_only_the_recurrence_prefix_from_newton(
