@@ -17,18 +17,22 @@ whose rows have a left kernel over Z[z] gives a linear ODE.  A combination
 that vanishes mod P vanishes on the branch, because D(0, y0) != 0.  The ODE
 becomes a recurrence through [z^n] z^i y^(k) = (n-i+1)_k a_(n-i+k), valid
 past the degree of its inhomogeneous part.  `expand_branch` takes the
-recurrence's first n0 + r terms from Newton iteration over Q with precision
-doubling,
+recurrence's first n0 + r terms from Newton iteration over Q,
 
-    f  <-  f - P(z, f) / P_y(z, f)     (mod z^(2m)),
+    f  <-  f - P(z, f) / P_y(z, f)     (mod z^m2),  m2 <= 2m,
 
 and unrolls the rest in O(n) small-by-big steps.
 
-`branch_residues` runs the Newton iteration in (Z/p^r)[[z]] when the branch
-point stays a simple root mod p, so residues never pass through the exact
-coefficients, whose bit size grows linearly in n.  `_newton_branch` is the
-package's one Newton iteration (tan in :mod:`gradeforge.analytic` is a branch
-too); its truncated products run in the integer kernel `_intpoly`.
+`branch_residue_prefixes` runs the Newton iteration in (Z/p^r)[[z]] when
+the branch point stays a simple root mod p, so residues never pass through
+the exact coefficients, whose bit size grows linearly in n.
+`_newton_prefixes` is the package's one Newton iteration (tan in
+:mod:`gradeforge.analytic` is a branch too).  It yields the prefix at each
+of a series of ascending sizes and resumes from the f and 1/P_y it holds;
+its step targets halve down from each size, so a fresh run ends exactly at
+n and an extension takes balanced steps.  `branch_residues` and the Q
+prefix are its one-size use.  Its truncated products run in the integer
+kernel `_intpoly`.
 
 Ramified branches (multiple roots of P(0, y) at y0, fractional exponents)
 are rejected outright rather than half-supported.
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _intpoly as ip
 from .errors import (
@@ -143,44 +147,57 @@ def _branch_derivative(ann: Annihilator) -> tuple[Poly, Fraction]:
     return py, py0
 
 
-def _newton_branch(pc, pyc, y0, g0, n, mul, norm):
-    """First n coefficients of the branch through y0, by Newton iteration.
+def _precision_steps(held: int, target: int) -> list[int]:
+    """Newton step targets from precision `held` up to `target`, ascending.
+
+    The schedule is read top-down: target, ⌈target/2⌉, ... while above
+    `held`, so every step at most doubles the precision, the steps are
+    balanced whatever `held` is, and the last one ends exactly at target.
+    """
+    steps = []
+    while target > held:
+        steps.append(target)
+        target = (target + 1) // 2
+    return steps[::-1]
+
+
+def _newton_prefixes(pc, pyc, y0, g0, sizes, mul, norm):
+    """Yield the first n coefficients of the branch through y0 for each n
+    in `sizes`, by one Newton iteration that resumes from the precision it
+    already holds, so a run through ascending sizes costs about what the
+    last size alone costs.
 
     pc and pyc are the y-coefficient lists of P and P_y over the ring, y0
     the branch point and g0 = 1/P_y(0, y0) in it.  `mul(a, b, k)` is the
     product truncated and zero-padded to k entries; `norm` brings a sum or
     a negation back to a canonical ring element.
     """
-    # f: branch prefix, correct mod z^m.
-    # g: inverse of P_y(z, f), maintained lazily at order gm.  Each pass
-    # needs g only mod z^h where h = m2 - m <= m, so one Newton lift of g
-    # (valid because h <= 2*gm throughout the doubling schedule) is enough,
-    # and the expensive correction P/P_y reduces to a half-size "middle
-    # product": P(z, f) vanishes mod z^m, so only its top h coefficients
-    # times g[:h] contribute.
+    # f: branch prefix, correct mod z^len(f).
+    # g: inverse of P_y(z, f), correct mod z^len(g) and lifted lazily.  A
+    # step from m to m2 needs g only mod z^h, h = m2 - m <= m, and the
+    # expensive correction P/P_y reduces to a half-size "middle product":
+    # P(z, f) vanishes mod z^m, so only its top h coefficients times g[:h]
+    # contribute.  P_y(z, f) mod z^h is final once f is, so g is lifted in
+    # place by its own Newton steps, each at most doubling its precision.
     f = [y0]
     g = [g0]
-    gm = 1
-    m = 1
-    while m < n:
-        m2 = min(2 * m, n)
-        h = m2 - m
-        if gm < h:
-            if h > 2 * gm:
-                raise VerificationFailed(
-                    f"one Newton lift cannot take 1/P_y from order {gm} to {h}"
-                )
-            dval = _eval_poly_at_series(pyc, f[:h], h, mul, norm)
-            ar = mul(dval, g, h)
-            two_minus = [norm(2 - ar[0])] + [norm(-x) for x in ar[1:]]
-            g = mul(g, two_minus, h)
-            gm = h
-        f_pad = f + [0] * (m2 - len(f))
-        val = _eval_poly_at_series(pc, f_pad, m2, mul, norm)
-        corr = mul(val[m:m2], g[:h], h)
-        f = f[:m] + [norm(-c) for c in corr]
-        m = m2
-    return f[:n]
+    for n in sizes:
+        for m2 in _precision_steps(len(f), n):
+            m = len(f)
+            h = m2 - m
+            for gm in _precision_steps(len(g), h):
+                dval = _eval_poly_at_series(pyc, f[:gm], gm, mul, norm)
+                ar = mul(dval, g, gm)
+                two_minus = [norm(2 - ar[0])] + [norm(-x) for x in ar[1:]]
+                g = mul(g, two_minus, gm)
+            val = _eval_poly_at_series(pc, f + [0] * h, m2, mul, norm)
+            f += [norm(-c) for c in mul(val[m:], g[:h], h)]
+        yield f[:n]
+
+
+def _newton_branch(pc, pyc, y0, g0, n, mul, norm):
+    """First n coefficients of the branch: `_newton_prefixes` at one size."""
+    return next(_newton_prefixes(pc, pyc, y0, g0, (n,), mul, norm))
 
 
 def _primitive_scale(p: Poly) -> Fraction:
@@ -299,21 +316,22 @@ def expand_branch(ann: Annihilator, n: int) -> TruncSeries:
     return unroll(branch_recurrence(ann), n)
 
 
-def branch_residues(ann: Annihilator, n: int, p: int,
-                    r: int = 1) -> list[int] | None:
-    """First n coefficients of the branch mod p^r (p prime), or None.
+def branch_residue_prefixes(ann: Annihilator, sizes: Iterable[int], p: int,
+                            r: int = 1) -> Iterator[list[int]] | None:
+    """The first n coefficients of the branch mod p^r (p prime) for each n
+    in `sizes`, from one resumed Newton iteration; or None.
 
     P is scaled by the rational k that makes k·P a primitive integer
     polynomial.  When y0 is p-integral and k·P_y(0, y0) is a p-unit, every
     quantity in the Newton iteration is p-integral, so the iteration runs
     in (Z/p^r)[[z]] (Hensel lifting) with coefficients of r·log2(p) bits
-    instead of the Θ(n) bits of the exact ones, and the result equals
+    instead of the Θ(n) bits of the exact ones, and each prefix equals
     ``reduce_mod(expand_branch(ann, n), p, r)``.  Otherwise this returns
     None and only the exact expansion can say whether the branch is
-    p-integral.  The exact checks at the branch point run first.
+    p-integral.  The exact checks at the branch point run first.  Sizes
+    are drawn lazily, so a caller may stop before the last; a size below
+    one already reached costs only a slice.
     """
-    if n < 1:
-        raise SchemaError("need at least one coefficient")
     if r < 1 or not is_prime(p):
         raise SchemaError(
             f"need a prime p and an exponent r >= 1, got p = {p}, r = {r}")
@@ -327,12 +345,22 @@ def branch_residues(ann: Annihilator, n: int, p: int,
         return [[residue(c * k, modulus) for c in row]
                 for row in _y_coefficient_lists(poly)]
 
-    return _newton_branch(
+    return _newton_prefixes(
         lists(ann.poly), lists(py), residue(ann.y0, modulus),
-        pow(residue(py0 * k, modulus), -1, modulus), n,
+        pow(residue(py0 * k, modulus), -1, modulus), sizes,
         lambda a, b, limit: _conv_mod(a, b, limit, modulus),
         lambda x: x % modulus,
     )
+
+
+def branch_residues(ann: Annihilator, n: int, p: int,
+                    r: int = 1) -> list[int] | None:
+    """First n coefficients of the branch mod p^r, or None: the one-size
+    use of `branch_residue_prefixes`."""
+    if n < 1:
+        raise SchemaError("need at least one coefficient")
+    prefixes = branch_residue_prefixes(ann, (n,), p, r)
+    return None if prefixes is None else next(prefixes)
 
 
 def verify_annihilator(ann: Annihilator, f: TruncSeries) -> bool:

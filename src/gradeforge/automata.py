@@ -16,9 +16,10 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebraic import Annihilator, branch_residues, expand_branch
+from .algebraic import Annihilator, branch_recurrence, branch_residue_prefixes
 from .config import DEFAULTS
 from .errors import BudgetTooSmall, PrimeDividesDenominator, SchemaError
+from .holonomic import unroll
 from .obstruction import is_prime
 from .rationals import residue
 from .series import TruncSeries
@@ -275,19 +276,22 @@ def christol_report(ann: Annihilator, p: int, r: int = 1,
                     budgets: Optional[KernelBudgets] = None) -> ChristolReport:
     """Expand the branch mod p^r, close the q-kernel.
 
-    The residues come from `branch_residues`, the Newton iteration run in
-    (Z/p^r)[[z]], whenever P_y(0, y0) is a p-unit for P scaled to p-integral
-    coefficients and y0 is p-integral; there the coefficients stay at
-    r·log2(p) bits.  In every other case the branch is expanded exactly and
-    reduced by `reduce_mod`, whose coefficients grow to Θ(n) bits and which
-    raises `PrimeDividesDenominator` when the branch is not p-integral.
+    The residues come from `branch_residue_prefixes`, the Newton iteration
+    run in (Z/p^r)[[z]], whenever P_y(0, y0) is a p-unit for P scaled to
+    p-integral coefficients and y0 is p-integral; there the coefficients
+    stay at r·log2(p) bits.  In every other case the branch's recurrence is
+    derived once, unrolled exactly and reduced by `reduce_mod`, whose
+    coefficients grow to Θ(n) bits and which raises
+    `PrimeDividesDenominator` when the branch is not p-integral.
 
     q defaults to p — the setting in which a finite closure is the expected
     outcome for an algebraic branch.  The depth budget (default: the global
     rule of 8 halvings worth of digits, scaled by log2 q) is a cap, not a
     commitment: expansion and closure run at increasing depth and stop at
-    the first closed kernel.  Each attempt is sized to exactly the closure
-    precondition L·q^k, so shallow kernels never pay for long expansions.
+    the first closed kernel.  Attempt k needs exactly the closure
+    precondition L·q^k terms, and one Newton iteration extends the previous
+    attempt's residues to it, so shallow kernels never pay for long
+    expansions and a deep one pays for its deepest attempt once.
     """
     if q is None:
         q = p
@@ -298,16 +302,17 @@ def christol_report(ann: Annihilator, p: int, r: int = 1,
     if budgets.max_depth < 1:
         raise BudgetTooSmall("the depth budget must allow at least one attempt")
     _check_prime_power(p, r)
-    for depth in range(1, budgets.max_depth + 1):
-        attempt = KernelBudgets(budgets.max_states, depth,
-                                budgets.fingerprint_length)
-        n = attempt.fingerprint_length * q**depth
-        terms = branch_residues(ann, n, p, r)
-        if terms is None:
-            seq = reduce_mod(expand_branch(ann, n), p, r)
-        else:
-            seq = ResidueSequence(p**r, tuple(terms))
-        automaton = kernel_closure(seq, q, attempt)
+    length = budgets.fingerprint_length
+    sizes = [length * q**depth for depth in range(1, budgets.max_depth + 1)]
+    prefixes = branch_residue_prefixes(ann, sizes, p, r)
+    if prefixes is None:
+        rec = branch_recurrence(ann)
+        seqs = (reduce_mod(unroll(rec, n), p, r) for n in sizes)
+    else:
+        seqs = (ResidueSequence(p**r, tuple(t)) for t in prefixes)
+    for depth, seq in enumerate(seqs, 1):
+        automaton = kernel_closure(
+            seq, q, KernelBudgets(budgets.max_states, depth, length))
         if automaton.status == "closed":
             break
     return ChristolReport(p=p, r=r, q=q, automaton=automaton)

@@ -9,6 +9,7 @@ from gradeforge import algebraic
 from gradeforge.algebraic import (
     Annihilator,
     branch_recurrence,
+    branch_residue_prefixes,
     branch_residues,
     expand_branch,
     verify_annihilator,
@@ -304,3 +305,51 @@ def test_branch_residues_keep_the_exact_checks():
                         4, 3)
     with pytest.raises(RamifiedBranch):
         branch_residues(bivariate({(0, 2): 1, (1, 0): -1}), 4, 3)
+
+
+# ---------------------------------------------------------------------------
+# one Newton iteration resumed across ascending sizes
+
+
+def test_precision_steps_halve_down_from_the_target():
+    assert algebraic._precision_steps(1, 1000) == [
+        2, 4, 8, 16, 32, 63, 125, 250, 500, 1000]
+    # extending 25,000 terms to 125,000 takes three balanced steps
+    assert algebraic._precision_steps(25000, 125000) == [31250, 62500, 125000]
+    assert algebraic._precision_steps(192, 576) == [288, 576]
+    assert algebraic._precision_steps(576, 576) == []
+    for held in range(1, 40):
+        for target in range(held, 200):
+            steps = algebraic._precision_steps(held, target)
+            assert steps[-1:] == ([target] if target > held else [])
+            for before, after in zip([held] + steps, steps):
+                assert before < after <= 2 * before
+
+
+#: every corpus branch at p in {2, 3, 5}, r in {1, 2} that the residue
+#: path serves
+RESUMABLE = [(name, p, r) for name in sorted(CORPUS_ANNIHILATORS)
+             for p in (2, 3, 5) for r in (1, 2)
+             if (name, p) not in NOT_A_UNIT]
+
+#: (q, L): attempt sizes L·q^k, most of them not powers of two
+ATTEMPT_SIZES = [(2, 7), (3, 5), (3, 64), (5, 7)]
+
+
+@pytest.mark.parametrize("name, p, r", RESUMABLE)
+def test_resumed_residue_prefixes_equal_fresh_runs(name, p, r):
+    ann = CORPUS_ANNIHILATORS[name]
+    exact = reduce_mod(expand_branch(ann, 900), p, r).terms
+    for q, length in ATTEMPT_SIZES:
+        sizes = [length * q**k for k in range(8) if length * q**k <= 900]
+        resumed = list(branch_residue_prefixes(ann, sizes, p, r))
+        assert [len(t) for t in resumed] == sizes
+        for n, got in zip(sizes, resumed):
+            assert got == branch_residues(ann, n, p, r) == list(exact[:n]), (
+                q, length, n)
+
+
+def test_residue_prefixes_decline_where_branch_residues_do():
+    for name, p in sorted(NOT_A_UNIT):
+        assert branch_residue_prefixes(CORPUS_ANNIHILATORS[name],
+                                       [8, 16], p) is None

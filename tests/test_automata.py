@@ -7,6 +7,7 @@ import pytest
 
 from gradeforge import (
     KernelBudgets,
+    algebraic,
     automata,
     christol_report,
     expand_branch,
@@ -17,6 +18,7 @@ from gradeforge import (
 from gradeforge.automata import ResidueSequence
 from gradeforge.catalog import CORPUS_ANNIHILATORS
 from gradeforge.errors import BudgetTooSmall, PrimeDividesDenominator
+from gradeforge.holonomic import unroll
 
 from oracles import corpus_residues, thue_morse_signs
 
@@ -395,7 +397,7 @@ def test_central_binomial_kernel_grows_past_desk_budgets_mod_25():
 # which expansion path the pipeline takes
 
 
-def _no_exact_expansion(ann, n):
+def _no_exact_expansion(*args):
     raise AssertionError("christol_report expanded the branch exactly")
 
 
@@ -407,7 +409,9 @@ def _no_exact_expansion(ann, n):
 ])
 def test_pipeline_takes_the_residue_path_at_unit_primes(monkeypatch, name,
                                                         p, r):
-    monkeypatch.setattr(automata, "expand_branch", _no_exact_expansion)
+    # the exact path derives the branch's recurrence and unrolls it
+    monkeypatch.setattr(automata, "branch_recurrence", _no_exact_expansion)
+    monkeypatch.setattr(automata, "unroll", _no_exact_expansion)
     rep = christol_report(CORPUS_ANNIHILATORS[name], p, r)
     assert rep.status == "closed"
     assert rep.state_count == EXPECTED_STATES[(name, p, r)]
@@ -424,15 +428,66 @@ def test_pipeline_falls_back_to_the_exact_path_when_p_divides_p_y(
     # central-binomial has P_y(0, 1) = 2
     calls = []
 
-    def counted(ann, n):
+    def counted(rec, n):
         calls.append(n)
-        return expand_branch(ann, n)
+        return unroll(rec, n)
 
-    monkeypatch.setattr(automata, "expand_branch", counted)
+    monkeypatch.setattr(automata, "unroll", counted)
     rep = christol_report(CORPUS_ANNIHILATORS["central-binomial"], 2)
     assert calls
     assert rep.status == "closed"
     assert rep.state_count == EXPECTED_STATES[("central-binomial", 2, 1)]
+
+
+@pytest.mark.parametrize("name, p, r, budgets", [
+    ("catalan", 2, 1, None),
+    ("central-binomial", 3, 2, None),              # exhausts every depth
+    ("sqrt1p", 5, 1, KernelBudgets(4096, 4, 7)),
+    ("central-binomial", 2, 1, None),              # the exact fallback
+])
+def test_pipeline_reaches_no_newton_target_twice(monkeypatch, name, p, r,
+                                                 budgets):
+    ann = CORPUS_ANNIHILATORS[name]
+    starts, derivations, attempts = [], [], []
+    targets: dict[int, list[int]] = {}
+    newton = algebraic._newton_prefixes
+    evaluate = algebraic._eval_poly_at_series
+    derive = automata.branch_recurrence
+    closure = automata.kernel_closure
+
+    def spy_newton(*args):
+        starts.append(args)
+        return newton(*args)
+
+    def spy_evaluate(coeff_lists, f, limit, *rest):
+        # P and P_y differ in their number of y-coefficients
+        targets.setdefault(len(coeff_lists), []).append(limit)
+        return evaluate(coeff_lists, f, limit, *rest)
+
+    def spy_derive(a):
+        derivations.append(a)
+        return derive(a)
+
+    def spy_closure(seq, q, attempt):
+        attempts.append(seq.source_truncation)
+        return closure(seq, q, attempt)
+
+    monkeypatch.setattr(algebraic, "_newton_prefixes", spy_newton)
+    monkeypatch.setattr(algebraic, "_eval_poly_at_series", spy_evaluate)
+    monkeypatch.setattr(automata, "branch_recurrence", spy_derive)
+    monkeypatch.setattr(automata, "kernel_closure", spy_closure)
+    rep = christol_report(ann, p, r, budgets=budgets)
+    assert len(attempts) > 1
+    assert attempts == sorted(set(attempts))
+    assert rep.automaton.truncation == attempts[-1]
+    assert len(starts) == 1
+    for limits in targets.values():
+        assert limits == sorted(set(limits))
+    if (name, p) == ("central-binomial", 2):
+        assert derivations == [ann]
+    else:
+        assert not derivations
+        assert targets[ann.poly.degree_in(1) + 1][-1] == attempts[-1]
 
 
 def test_pipeline_bad_prime_raises_on_the_exact_path():
