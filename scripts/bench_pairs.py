@@ -13,10 +13,14 @@ turn, it runs the benchmark command of BENCHMARK.json (``--trace 0`` with
 its ``run_seconds``) N times on each side, alternating: pair i runs with
 seed S + i on both sides, and the side that goes first swaps from one
 pair to the next.  Each run's last stdout line is its JSON
-result.  FILE receives every run's metrics and, per workload, end-to-end
-metric and side, the median, the quartiles and the number of pairs that
-side won (ties count for neither), and the tree id of each side.  The
-exports are removed at the end, also when a run fails.
+result.  FILE receives every run's metrics, its attempted and failed job
+counts and its pass count (attempted over the side's jobs per pass); per
+workload, end-to-end metric and side, the median, the quartiles and the
+number of pairs that side won (ties count for neither); per workload and
+side, the median pass count; and the tree id of each side.  The median
+pass counts are printed too: ``run.py`` keeps every pass's outputs, so
+``peak_rss_mb`` rises with the number of passes a run fits.  The exports
+are removed at the end, also when a run fails.
 
 Standard library only; run from anywhere inside the checkout.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import runpy
 import shutil
 import statistics
 import subprocess
@@ -40,8 +45,13 @@ def git(*args: str, cwd: Path) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def jobs_per_pass(root: Path, workload: str) -> int:
+    jobs = runpy.run_path(str(root / "perfbench" / "jobs.py"))
+    return len(jobs["WORKLOADS"][workload].jobs)
+
+
 def run_once(root: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> dict:
+             seconds: float, jobs: int) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
@@ -50,7 +60,10 @@ def run_once(root: Path, command: list[str], workload: str, seed: int,
         raise SystemExit(f"{' '.join(argv)} in {root} exited "
                          f"{proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    attempted, failed = result["attempted"], result["failed"]
+    return {**{name: m["value"] for name, m in result["metrics"].items()},
+            "attempted": attempted, "failed": failed,
+            "passes": attempted / jobs}
 
 
 def summary(runs: list[dict], better: dict[str, str]) -> dict:
@@ -105,6 +118,8 @@ def main() -> int:
             with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
                 tar.extractall(roots[side])
         for workload in args.workload:
+            jobs = {side: jobs_per_pass(root, workload)
+                    for side, root in roots.items()}
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = (("parent", "change") if i % 2 == 0
@@ -112,7 +127,7 @@ def main() -> int:
                 pair = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(roots[side], spec["command"],
-                                          workload, seed, seconds)
+                                          workload, seed, seconds, jobs[side])
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"{json.dumps(pair[side])}", flush=True)
                 runs[workload].append(pair)
@@ -121,10 +136,17 @@ def main() -> int:
 
     report = {"run_seconds": seconds, "pairs": args.pairs,
               "revisions": revs, "trees": trees, "workloads": {
-                  w: {"metrics": summary(r, better), "runs": r}
+                  w: {"metrics": summary(r, better),
+                      "median_passes": {
+                          side: statistics.median(p[side]["passes"] for p in r)
+                          for side in exported},
+                      "runs": r}
                   for w, r in runs.items()}}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, entry in report["workloads"].items():
+        passes = entry["median_passes"]
+        print(f"{workload} passes per run: parent median "
+              f"{passes['parent']:.4g}, change median {passes['change']:.4g}")
         for name, m in entry["metrics"].items():
             p, c = m["parent"], m["change"]
             print(f"{workload} {name}: parent {p['median']:.4g} "

@@ -320,9 +320,9 @@ def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
     sp = sub.add_parser("obstruct", help="scan for infinite-grade evidence")
     _add_descriptor(sp)
     sp.add_argument("--terms", action=_AtLeast, default=cfg.terms)
-    sp.add_argument("--window", type=int, default=cfg.window,
+    sp.add_argument("--window", action=_AtLeast, default=cfg.window,
                     help="tail window for the prime-support scan")
-    sp.add_argument("--max-period", type=int, default=cfg.max_period,
+    sp.add_argument("--max-period", action=_AtLeast, default=cfg.max_period,
                     help="largest sign period to test")
     _add_output_flags(sp)
 

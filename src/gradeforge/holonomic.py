@@ -165,27 +165,44 @@ class PRecurrence:
 def unroll(rec: PRecurrence, n: int) -> TruncSeries:
     """First n terms of the sequence, in exact rational arithmetic.
 
-    A term stays an int while p_r(m) divides the sum exactly, so integer
-    sequences never pay for a gcd; it becomes a Fraction only where the
-    division is not exact.
+    The last r terms are integer numerators over one running denominator
+    `den`, so a step is acc = −Σ p_i(m)·N_{m+i} and one divmod by p_r(m).
+    Where that division is inexact, `den` and the window are scaled by
+    s = |p_r(m)| / gcd(acc, p_r(m)), the sign of p_r(m) going into the new
+    numerator, and then divided by their gcd, so `den` stays the least
+    common denominator of the window.  Each term is reduced to a Fraction
+    once, at output; integer sequences keep den = 1 and never pay a gcd.
     """
     if n < 1:
         raise SchemaError("need at least one term")
     r, coeffs = rec.order, rec.coeffs
-    out: list = [x.numerator if x.denominator == 1 else x
-                 for x in rec.initial[:n]]
-    while len(out) < n:
-        m = len(out) - r
+    out = list(rec.initial[:n])
+    window, den = ip.clear_denominators(out[-r:])
+    pending = []
+    for m in range(len(out) - r, n - r):
         acc = 0
         for i in range(r):
-            acc -= ip.eval_at(coeffs[i], m) * out[m + i]
+            acc -= ip.eval_at(coeffs[i], m) * window[i]
         lead = ip.eval_at(coeffs[r], m)
-        if type(acc) is int:
-            q, rem = divmod(acc, lead)
-            out.append(Fraction(acc, lead) if rem else q)
+        q, rem = divmod(acc, lead)
+        if rem:
+            g = math.gcd(acc, lead)
+            s = abs(lead) // g
+            q = acc // g if lead > 0 else -acc // g
+            window = [x * s for x in window[1:]]
+            window.append(q)
+            den *= s
+            g = math.gcd(den, *window)
+            if g > 1:
+                window = [x // g for x in window]
+                den //= g
+            q = window[-1]
         else:
-            out.append(acc / lead)
-    return TruncSeries(tuple(map(Fraction, out)))
+            del window[0]
+            window.append(q)
+        pending.append((q, den))
+    out.extend(Fraction(a) if b == 1 else Fraction(a, b) for a, b in pending)
+    return TruncSeries(tuple(out))
 
 
 def _companion(rec: PRecurrence
@@ -319,14 +336,14 @@ def guess_recurrence(f: TruncSeries, max_order: int,
         )
     terms = f.coeffs
     npoints = f.order - R
-    # One equation per n; clearing its denominators leaves the kernel as is.
+    # One equation per n, scaled by the lcm of its R+1 terms' denominators;
+    # scaling an equation leaves the kernel as is.
     rows: list[list[list[int]]] = [[] for _ in range((R + 1) * (D + 1))]
     for n in range(npoints):
-        ints, _ = ip.clear_denominators(
-            terms[n + i] * n ** d for i in range(R + 1) for d in range(D + 1)
-        )
-        for row, x in zip(rows, ints):
-            row.append([x] if x else [])
+        ints, _ = ip.clear_denominators(terms[n:n + R + 1])
+        powers = [n ** d for d in range(D + 1)]
+        for row, y in zip(rows, (x * p for x in ints for p in powers)):
+            row.append([y] if y else [])
     try:
         v = fraction_free_left_kernel(rows)
     except NoKernel:

@@ -322,8 +322,11 @@ def obstruction_report(f: TruncSeries, *,
 
     The verdict is infinite-grade-evidence iff at least one scan fired:
     growing prime support, zero-radius growth, or an aperiodic ±1 sequence.
-    Budgets are clamped to what the truncation supports.
+    `window` and `max_period` below 1 are a SchemaError; larger budgets
+    are clamped down to what the truncation supports.
     """
+    if window < 1 or max_period < 1:
+        raise SchemaError("window and max_period must be at least 1")
     window = max(1, min(window, f.order // 2))
     support = prime_support_scan(f, window)
 

@@ -201,11 +201,21 @@ def test_obstruct_table_lists_the_scans(capsys):
 
 
 def test_obstruct_clamps_out_of_range_windows(capsys):
-    # the report clamps rather than refuses: the command still runs, but a
-    # one-index window is too blunt to certify growing prime support
-    data = run_json(capsys, "obstruct", "builtin", "exp", "--terms", "40",
-                    "--window", "0")
-    assert data["verdict"] == "no-obstruction-found"
+    # budgets below 1 are refused (a clamp to 1 would flip the verdict of
+    # the 1/prod(1 + k^2) scan); budgets above what the truncation supports
+    # are clamped down to it, half the terms for the window
+    q = ('{"order": 1, "coeffs": [["-1"], ["1", "0", "1"]], "n0": 0, '
+         '"initial": ["1"]}')
+    for flag in ("--window", "--max-period"):
+        for value in ("0", "-3"):
+            rc, out, err = run(capsys, "obstruct", "holonomic", q,
+                               "--terms", "40", flag, value, "--json")
+            assert (rc, out) == (2, "")
+            assert f"{flag} must be at least 1" in err
+    wide, clamped = (run_json(capsys, "obstruct", "holonomic", q, "--terms",
+                              "40", "--window", w) for w in ("1000", "20"))
+    assert wide == clamped
+    assert wide["verdict"] == "infinite-grade-evidence"
 
 
 # ---------------------------------------------------------------------------

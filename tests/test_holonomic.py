@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from gradeforge import _intpoly as ip
@@ -21,6 +23,10 @@ EULER = PRecurrence.from_dense([[1, 1], [1]], 0, [1])
 EXP = PRecurrence.from_dense([[-1], [1, 1]], 0, [1])
 GEOMETRIC = PRecurrence.from_dense([[-1], [1]], 0, [1])
 CATALAN = PRecurrence.from_dense([[-2, -4], [2, 1]], 0, [1])
+LOG1P = PRecurrence.from_dense([[0, 1], [1, 1]], 1, [0, 1])
+APERY_B = PRecurrence.from_dense(
+    [[1, 3, 3, 1], [-117, -231, -153, -34], [8, 12, 6, 1]], 0, [0, 6])
+GEOMETRIC_3_5 = PRecurrence.from_dense([[-1], [2]], 0, ["3/5"])  # 3/5·2^-n
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +59,45 @@ def fraction_unroll(rec, n):
 
 @pytest.mark.parametrize("rec", [
     CENTRAL_BINOMIAL, EULER, EXP, CATALAN,
-    PRecurrence.from_dense([[0, 1], [1, 1]], 1, [0, 1]),    # log(1+z)
-    PRecurrence.from_dense(  # Apery B: integer division fails from n = 2
-        [[1, 3, 3, 1], [-117, -231, -153, -34], [8, 12, 6, 1]], 0, [0, 6]),
-    PRecurrence.from_dense([[-1], [2]], 0, ["3/5"]),        # 3/5 · 2^-n
+    LOG1P,
+    APERY_B,            # integer division fails from n = 2
+    GEOMETRIC_3_5,
 ])
 def test_unroll_integer_path_matches_fraction_arithmetic(rec):
     got = unroll(rec, 120).coeffs
     assert list(got) == fraction_unroll(rec, 120)
     assert all(type(c) is Fraction for c in got)
+
+
+@st.composite
+def rational_recurrences(draw):
+    """Orders 1-3, small integer coefficients, rational or zero initials."""
+    r = draw(st.integers(1, 3))
+    poly = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
+    lead = draw(poly.filter(any))
+    coeffs = [draw(poly) for _ in range(r)] + [lead]
+    n0 = max([draw(st.integers(0, 2))]
+             + [x + 1 for x in ip.int_roots(ip.trim(list(lead)))])
+    term = st.one_of(st.just(0), st.fractions(-9, 9, max_denominator=12))
+    initial = draw(st.lists(term, min_size=n0 + r, max_size=n0 + r))
+    return PRecurrence.from_dense(coeffs, n0, initial)
+
+
+@given(rational_recurrences())
+@settings(max_examples=200, deadline=None)
+# p_r = 2n - 7 has no integer root, so the base stays 0 where p_r < 0
+@example(PRecurrence.from_dense([[-1], [-7, 2]], 0, ["3/5"]))
+@example(PRecurrence.from_dense([[1, 1], [0, -1], [-7, 2]], 0, ["1/3", 2]))
+# 2·a_{n+1} = (n+1)·a_n: exact and inexact divisions alternate
+@example(PRecurrence.from_dense([[-1, -1], [2]], 0, [1]))
+# a_{n+2} = a_n and a_{n+3} = -a_n/(n+1): every other term is zero
+@example(PRecurrence.from_dense([[-1], [], [1]], 0, ["1/3", 0]))
+@example(PRecurrence.from_dense([[1], [], [], [1, 1]], 0, [0, "2/7", 0]))
+def test_unroll_matches_fraction_arithmetic_on_rational_recurrences(rec):
+    got = unroll(rec, 30).coeffs
+    assert list(got) == fraction_unroll(rec, 30)
+    assert all(c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+               for c in got)
 
 
 def test_leading_root_raises_base():
@@ -209,12 +245,21 @@ def test_guess_needs_enough_terms():
 
 
 @pytest.mark.parametrize(
-    "rec", [CENTRAL_BINOMIAL, EULER, EXP, GEOMETRIC, CATALAN],
-    ids=["central-binomial", "euler", "exp", "geometric", "catalan"],
+    "rec, order, degree", [
+        (CENTRAL_BINOMIAL, 2, 2), (EULER, 2, 2), (EXP, 2, 2),
+        (GEOMETRIC, 2, 2), (CATALAN, 2, 2), (APERY_B, 2, 3),
+        (GEOMETRIC_3_5, 2, 2), (LOG1P, 2, 2),
+    ],
+    ids=["central-binomial", "euler", "exp", "geometric", "catalan",
+         "apery-b", "geometric-3-5", "log1p"],
 )
-def test_guess_round_trips_corpus(rec):
-    guessed = guess_recurrence(unroll(rec, 40), 2, 2)
+def test_guess_round_trips_corpus(rec, order, degree):
+    guessed = guess_recurrence(unroll(rec, 40), order, degree)
     assert unroll(guessed, 120) == unroll(rec, 120)
+
+
+def test_guess_finds_aperys_recurrence_for_b():
+    assert guess_recurrence(unroll(APERY_B, 200), 3, 6) == APERY_B
 
 
 def test_algebraic_factors_to_product_recurrence():

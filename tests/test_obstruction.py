@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from gradeforge.catalog import expand_builtin
-from gradeforge.errors import NotSignSequence, TooSparse
+from gradeforge.errors import NotSignSequence, SchemaError, TooSparse
 from gradeforge.holonomic import PRecurrence, unroll
 from gradeforge.obstruction import (
     MILLER_RABIN_EXACT_BELOW,
@@ -79,6 +79,13 @@ def test_support_window_preconditions():
         prime_support_scan(f, 0)
     with pytest.raises(ValueError):
         prime_support_scan(f, 6)  # needs 2*window terms
+
+
+@pytest.mark.parametrize("budget", [{"window": 0}, {"window": -3},
+                                    {"max_period": 0}, {"max_period": -1}])
+def test_report_refuses_budgets_below_one(budget):
+    with pytest.raises(SchemaError, match="must be at least 1"):
+        obstruction_report(expand_builtin("exp", 40), **budget)
 
 
 @pytest.mark.parametrize("name", ["exp", "log1p", "euler", "catalan"])
