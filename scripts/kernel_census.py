@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Census of kernel closures for the algebraic corpus mod p^r.
 
-Runs the full pipeline (branch expansion, reduction mod p^r, kernel
-closure) for each series and modulus, printing state counts and the
-number of terms the closure needed.  Exact expansion cost grows quickly
-with the term count, so the defaults stay at desk scale; push --moduli
-or --max-depth higher to reproduce the deeper entries, and expect the
-central binomials mod 25 and mod 49 to refuse to close at any budget a
-desk can afford.
+Runs the full pipeline for each series and modulus and prints the state
+count, the truncation the closure reached and its status.  The residues
+come from Newton iteration mod p^r, or, where p divides P_y at the branch
+point, from the branch's exact recurrence reduced mod p^r; attempt k of
+the closure needs L·q^k of them, so the cost grows geometrically with the
+depth k and with the fingerprint length L.  The defaults stay at desk
+scale (depth by the per-base rule, L from the configuration); push
+--moduli, --max-depth or --length higher to reproduce the deeper entries,
+and expect the central binomials mod 25 and mod 49 to refuse to close at
+any budget a desk can afford.
 """
 
 import argparse
@@ -33,16 +36,24 @@ def factor_prime_power(m: int) -> tuple[int, int]:
     raise SystemExit("moduli must be at least 2")
 
 
+def at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--names", nargs="*",
                     default=sorted(CORPUS_ANNIHILATORS))
     ap.add_argument("--moduli", nargs="*", type=int, default=[2, 3, 4],
                     help="prime-power moduli (default: 2 3 4)")
-    ap.add_argument("--max-depth", type=int, default=None,
+    ap.add_argument("--max-depth", type=at_least_one, default=None,
                     help="depth cap (default: the per-base rule)")
-    ap.add_argument("--length", type=int, default=DEFAULTS.fingerprint_length,
-                    help="fingerprint length")
+    ap.add_argument("--length", type=at_least_one,
+                    default=DEFAULTS.fingerprint_length,
+                    help="fingerprint length L")
     args = ap.parse_args(argv)
 
     print(f"{'series':<18}  {'mod':>4}  {'states':>6}  {'terms':>7}  "
@@ -50,11 +61,8 @@ def main(argv=None) -> int:
     for name in args.names:
         for modulus in args.moduli:
             p, r = factor_prime_power(modulus)
-            budgets = None
-            if args.max_depth is not None:
-                budgets = KernelBudgets(
-                    DEFAULTS.max_states, args.max_depth, args.length
-                )
+            depth = args.max_depth or DEFAULTS.depth_for_base(p)
+            budgets = KernelBudgets(DEFAULTS.max_states, depth, args.length)
             t0 = time.perf_counter()
             try:
                 rep = christol_report(

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the grade-obstruction report across the builtin catalog.
 
-One row per series: verdict, grade floor over the scan window, and the
-supporting notes.  Products of catalog entries can be added with
+One row per series: the verdict, the radius class, the number of primes
+in the coefficient denominators, and whether a new prime still appears
+in the tail scan window.  Products of catalog entries can be added with
 --product NAME NAME to see how verdicts behave under termwise
 multiplication.
 """
@@ -20,7 +21,7 @@ def main(argv=None) -> int:
     ap.add_argument("--terms", type=int, default=64,
                     help="expansion length fed to the detector")
     ap.add_argument("--window", type=int, default=DEFAULTS.window,
-                    help="scan window for the grade floor")
+                    help="tail window for the prime-support scan")
     ap.add_argument(
         "--product", nargs=2, action="append", metavar=("A", "B"),
         default=[], help="also report on the termwise product A*B",

@@ -40,9 +40,9 @@ from gradeforge.automata import (
     kernel_closure,
     reduce_mod,
 )
-from gradeforge.catalog import builtin_names, expand_builtin, get_builtin
+from gradeforge.catalog import builtin_names, get_builtin
 from gradeforge.config import Defaults, load_defaults
-from gradeforge.descriptors import expand_series, read_series
+from gradeforge.descriptors import expand_builtin, expand_series, read_series
 from gradeforge.diagonals import (
     DiagonalWitness,
     diagonal_extract,

@@ -1,8 +1,11 @@
 """Algebraic power series presented by a bivariate annihilating polynomial.
 
-An :class:`Annihilator` is a nonzero P(z, y) together with a starting value
-y0 satisfying P(0, y0) = 0.  When the root is simple (P_y(0, y0) != 0) the
-branch through y0 is an unramified formal power series.
+An :class:`Annihilator` is a nonzero P(z, y) together with a simple root
+y0 of P(0, y), so the branch through y0 is an unramified formal power
+series.  Its constructor checks this exactly, as `PRecurrence` checks its
+own invariants: `NotARoot` if P(0, y0) != 0, `RamifiedBranch` if
+P_y(0, y0) = 0.  Ramified branches (fractional exponents) are rejected
+outright rather than half-supported.
 
 Every algebraic series is D-finite, so `branch_recurrence` derives, and
 proves, a linear recurrence for the branch straight from P (Bostan, Chyzak,
@@ -33,9 +36,6 @@ its step targets halve down from each size, so a fresh run ends exactly at
 n and an extension takes balanced steps.  `branch_residues` and the Q
 prefix are its one-size use.  Its truncated products run in the integer
 kernel `_intpoly`.
-
-Ramified branches (multiple roots of P(0, y) at y0, fractional exponents)
-are rejected outright rather than half-supported.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ from .series import TruncSeries
 
 @dataclass(frozen=True)
 class Annihilator:
-    """P(z, y) plus the branch point y0; variables are (z, y) in that order."""
+    """P(z, y) plus the simple root y0 of P(0, y); variables are (z, y) in
+    that order."""
 
     poly: Poly
     y0: Fraction
@@ -74,7 +75,15 @@ class Annihilator:
             raise SchemaError("annihilator polynomial must be nonzero")
         if self.poly.degree_in(1) < 1:
             raise SchemaError("annihilator must involve y")
-        object.__setattr__(self, "y0", coerce_rational(self.y0))
+        y0 = coerce_rational(self.y0)
+        object.__setattr__(self, "y0", y0)
+        p0 = self.poly.eval([Fraction(0), y0])
+        if p0 != 0:
+            raise NotARoot(f"P(0, {y0}) = {p0} != 0")
+        if self.poly.derivative(1).eval([Fraction(0), y0]) == 0:
+            raise RamifiedBranch(
+                "P_y(0, y0) = 0: multiple root at the branch point"
+            )
 
 
 def _y_coefficient_lists(p: Poly) -> list[list[Fraction]]:
@@ -132,19 +141,9 @@ def _eval_poly_at_series(coeff_lists, f, limit, mul=_conv_frac,
 
 
 def _branch_derivative(ann: Annihilator) -> tuple[Poly, Fraction]:
-    """P_y and P_y(0, y0), after the exact checks at the branch point."""
-    p = ann.poly
-    y0 = ann.y0
-    p0 = p.eval([Fraction(0), y0])
-    if p0 != 0:
-        raise NotARoot(f"P(0, {y0}) = {p0} != 0")
-    py = p.derivative(1)
-    py0 = py.eval([Fraction(0), y0])
-    if py0 == 0:
-        raise RamifiedBranch(
-            "P_y(0, y0) = 0: multiple root at the branch point"
-        )
-    return py, py0
+    """P_y and P_y(0, y0), which the constructor checked is nonzero."""
+    py = ann.poly.derivative(1)
+    return py, py.eval([Fraction(0), ann.y0])
 
 
 def _precision_steps(held: int, target: int) -> list[int]:
@@ -328,9 +327,8 @@ def branch_residue_prefixes(ann: Annihilator, sizes: Iterable[int], p: int,
     instead of the Θ(n) bits of the exact ones, and each prefix equals
     ``reduce_mod(expand_branch(ann, n), p, r)``.  Otherwise this returns
     None and only the exact expansion can say whether the branch is
-    p-integral.  The exact checks at the branch point run first.  Sizes
-    are drawn lazily, so a caller may stop before the last; a size below
-    one already reached costs only a slice.
+    p-integral.  Sizes are drawn lazily, so a caller may stop before the
+    last; a size below one already reached costs only a slice.
     """
     if r < 1 or not is_prime(p):
         raise SchemaError(

@@ -1,39 +1,36 @@
 """Built-in series: the named examples every command can reference.
 
-Each entry carries an exact coefficient generator and, where the series
-has one, a P-recursive recurrence and/or an algebraic annihilator, so the
-CLI and tests never need external data files.
+Each entry is the exact object the pipelines consume, so the CLI and tests
+never need external data files: a `PRecurrence` for euler, exp and log1p,
+the corpus `Annihilator` for geometric, central-binomial and catalan, whose
+recurrence `algebraic.branch_recurrence` derives and proves, and a
+`BuiltinSeries` coefficient rule for thue-morse-signs, which has neither.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Union
 
 from .algebraic import Annihilator
 from .errors import SchemaError
-from .holonomic import PRecurrence, unroll
+from .holonomic import PRecurrence
 from .polynomials import Poly
 from .series import TruncSeries
 
 
 @dataclass(frozen=True)
 class BuiltinSeries:
+    """A series known only by a rule for its n-th coefficient."""
+
     coefficient: Callable[[int], Fraction]
-    recurrence: Optional[PRecurrence] = None
-    annihilator: Optional[Annihilator] = None
 
     def expand(self, terms: int) -> TruncSeries:
-        """First `terms` coefficients, unrolled from the recurrence where
-        there is one; `coefficient` stays as the reference for tests."""
-        if terms < 1:
-            raise SchemaError("need at least one coefficient")
-        if self.recurrence is not None:
-            return unroll(self.recurrence, terms)
         return TruncSeries(tuple(self.coefficient(n) for n in range(terms)))
 
+
+Builtin = Union[PRecurrence, Annihilator, BuiltinSeries]
 
 _Z = Poly.variable(2, 0)
 _Y = Poly.variable(2, 1)
@@ -56,34 +53,14 @@ def _sign_by_bits(n: int) -> Fraction:
     return Fraction(-1 if bin(n).count("1") % 2 else 1)
 
 
-BUILTINS: dict[str, BuiltinSeries] = {
-    "euler": BuiltinSeries(  # alternating factorials (-1)^n n!
-        lambda n: Fraction((-1) ** n * math.factorial(n)),
-        PRecurrence.from_dense([[1, 1], [1]], 0, [1]),
-    ),
-    "exp": BuiltinSeries(  # 1/n!
-        lambda n: Fraction(1, math.factorial(n)),
-        PRecurrence.from_dense([[-1], [1, 1]], 0, [1]),
-    ),
-    "log1p": BuiltinSeries(  # log(1+z): 0, then (-1)^(n+1)/n
-        lambda n: Fraction((-1) ** (n + 1), n) if n else Fraction(0),
-        PRecurrence.from_dense([[0, 1], [1, 1]], 1, [0, 1]),
-    ),
-    "geometric": BuiltinSeries(  # all-ones 1/(1-z)
-        lambda n: Fraction(1),
-        PRecurrence.from_dense([[-1], [1]], 0, [1]),
-        CORPUS_ANNIHILATORS["geometric"],
-    ),
-    "central-binomial": BuiltinSeries(  # binomial(2n, n)
-        lambda n: Fraction(math.comb(2 * n, n)),
-        PRecurrence.from_dense([[-2, -4], [1, 1]], 0, [1]),
-        CORPUS_ANNIHILATORS["central-binomial"],
-    ),
-    "catalan": BuiltinSeries(  # Catalan numbers binomial(2n, n)/(n+1)
-        lambda n: Fraction(math.comb(2 * n, n), n + 1),
-        PRecurrence.from_dense([[-2, -4], [2, 1]], 0, [1]),
-        CORPUS_ANNIHILATORS["catalan"],
-    ),
+BUILTINS: dict[str, Builtin] = {
+    "euler": PRecurrence.from_dense([[1, 1], [1]], 0, [1]),  # (-1)^n n!
+    "exp": PRecurrence.from_dense([[-1], [1, 1]], 0, [1]),  # 1/n!
+    # log(1+z): 0, then (-1)^(n+1)/n
+    "log1p": PRecurrence.from_dense([[0, 1], [1, 1]], 1, [0, 1]),
+    "geometric": CORPUS_ANNIHILATORS["geometric"],  # all-ones 1/(1-z)
+    "central-binomial": CORPUS_ANNIHILATORS["central-binomial"],  # C(2n, n)
+    "catalan": CORPUS_ANNIHILATORS["catalan"],  # C(2n, n)/(n+1)
     "thue-morse-signs": BuiltinSeries(_sign_by_bits),  # (-1)^(bit count of n)
 }
 
@@ -92,14 +69,10 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(BUILTINS)
 
 
-def get_builtin(name: str) -> BuiltinSeries:
+def get_builtin(name: str) -> Builtin:
     try:
         return BUILTINS[name]
     except KeyError:
         raise SchemaError(
             f"unknown builtin {name!r}; choose from {', '.join(BUILTINS)}"
         ) from None
-
-
-def expand_builtin(name: str, terms: int) -> TruncSeries:
-    return get_builtin(name).expand(terms)

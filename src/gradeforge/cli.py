@@ -22,7 +22,7 @@ from fractions import Fraction
 from .algebraic import Annihilator, branch_recurrence
 from .analytic import QuadratureConfig, euler_report, optics_identity_check
 from .automata import KernelBudgets, automaton_dot, christol_report
-from .catalog import BuiltinSeries, builtin_names
+from .catalog import builtin_names
 from .config import Defaults, load_defaults
 from .descriptors import KINDS, coeffs_json, expand_series, read_series
 from .diagonals import diagonal_witness, product_witness
@@ -39,11 +39,9 @@ from .series import hadamard_mul
 def _annihilator_of(obj) -> Annihilator:
     if isinstance(obj, Annihilator):
         return obj
-    if isinstance(obj, BuiltinSeries) and obj.annihilator is not None:
-        return obj.annihilator
     raise SchemaError(
         "this command needs an algebraic branch: pass an 'algebraic' "
-        "descriptor or a builtin that has an annihilator"
+        "descriptor or a builtin that is an annihilator"
     )
 
 
@@ -52,11 +50,9 @@ def _recurrence_of(obj) -> PRecurrence:
         return obj
     if isinstance(obj, Annihilator):
         return branch_recurrence(obj)
-    if isinstance(obj, BuiltinSeries) and obj.recurrence is not None:
-        return obj.recurrence
     raise SchemaError(
-        "--emit-recurrence needs holonomic or algebraic descriptors (or "
-        "builtins carrying a recurrence) on both sides"
+        "--emit-recurrence needs a holonomic or algebraic descriptor, or a "
+        "builtin of either kind, on both sides"
     )
 
 
@@ -70,13 +66,14 @@ def _cmd_expand(args, cfg: Defaults) -> dict:
 def _cmd_hadamard(args, cfg: Defaults) -> dict:
     a = read_series(args.kind_a, args.payload_a)
     b = read_series(args.kind_b, args.payload_b)
+    if args.emit_recurrence:  # an algebraic factor is derived once
+        a, b = _recurrence_of(a), _recurrence_of(b)
     product = hadamard_mul(
         expand_series(a, args.terms), expand_series(b, args.terms)
     )
     data = coeffs_json(product)
     if args.emit_recurrence:
-        rec = hadamard_recurrence(_recurrence_of(a), _recurrence_of(b))
-        data["recurrence"] = rec.to_json_dict()
+        data["recurrence"] = hadamard_recurrence(a, b).to_json_dict()
     return data
 
 

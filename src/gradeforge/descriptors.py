@@ -2,10 +2,10 @@
 
 A descriptor is a kind plus a payload.  Kinds: fixed coefficient lists,
 algebraic annihilators, P-recursive recurrences, exp-poly rational
-coefficient forms, and named builtins.  Command lines pass the payload as
-inline JSON, as @file, or (for builtins) as a bare name.  ``read_series``
-reads a (KIND, PAYLOAD) pair once into the exact object it names, and
-``expand_series`` expands that object.
+coefficient forms, and named builtins (each its catalog object).  Command
+lines pass the payload as inline JSON, as @file, or (for builtins) as a
+bare name.  ``read_series`` reads a (KIND, PAYLOAD) pair once into the
+exact object it names, and ``expand_series`` expands that object.
 """
 
 from __future__ import annotations
@@ -119,6 +119,11 @@ def expand_series(obj, terms: int) -> TruncSeries:
     if isinstance(obj, Annihilator):
         return expand_branch(obj, terms)
     return obj.expand(terms)
+
+
+def expand_builtin(name: str, terms: int) -> TruncSeries:
+    """First ``terms`` exact coefficients of the builtin ``name``."""
+    return expand_series(get_builtin(name), terms)
 
 
 def coeffs_json(series: TruncSeries) -> dict:

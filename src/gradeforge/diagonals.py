@@ -22,8 +22,6 @@ from .errors import (
     BranchNotAtZero,
     BudgetExceeded,
     DenominatorVanishesAtOrigin,
-    NotARoot,
-    RamifiedAtOrigin,
     SchemaError,
     VerificationFailed,
 )
@@ -67,18 +65,12 @@ def furstenberg_bivariate(ann: Annihilator) -> RatFun:
             f"branch point y0 = {format_rational(ann.y0)}; "
             "shift the branch to the origin first"
         )
-    p = ann.poly
-    if p.eval([Fraction(0), Fraction(0)]) != 0:
-        raise NotARoot("P(0, 0) != 0: no branch through the origin")
-    py = p.derivative(1)
-    if py.eval([Fraction(0), Fraction(0)]) == 0:
-        raise RamifiedAtOrigin("P_y(0, 0) = 0")
-
-    num = _substitute_first(py)          # P_y(xy, y), unit constant term
-    den = _substitute_first(p)           # P(xy, y)
-    # P(0,0) = 0 kills the constant term of den, while P_y(0,0) != 0 means P
-    # has a linear y term, which survives the substitution with y-exponent 1.
-    # So den is divisible by y exactly once and y^2 * num exactly twice.
+    num = _substitute_first(ann.poly.derivative(1))  # P_y(xy, y), unit term
+    den = _substitute_first(ann.poly)                # P(xy, y)
+    # The branch is simple (the constructor checked): P(0,0) = 0 kills the
+    # constant term of den, while P_y(0,0) != 0 means P has a linear y term,
+    # which survives the substitution with y-exponent 1.  So den is
+    # divisible by y exactly once and y^2 * num exactly twice.
     y = Poly.variable(2, 1)
     return RatFun(y * num, _shift_down_y(den))
 

@@ -119,10 +119,6 @@ class BranchNotAtZero(MathPreconditionError):
     """Bivariate lift requires a branch with constant term zero."""
 
 
-class RamifiedAtOrigin(MathPreconditionError):
-    """Lift denominator degenerates at the origin (P_y(0,0) = 0)."""
-
-
 class DenominatorVanishesAtOrigin(MathPreconditionError):
     """Diagonal extraction needs den(0, ..., 0) != 0."""
 

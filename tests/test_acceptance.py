@@ -37,7 +37,7 @@ from gradeforge.diagonals import (
     furstenberg_bivariate,
     product_witness,
 )
-from gradeforge.algebraic import expand_branch
+from gradeforge.algebraic import branch_recurrence, expand_branch
 from gradeforge.errors import DegenerateInput
 from gradeforge.holonomic import (
     PRecurrence,
@@ -150,7 +150,7 @@ def test_optics_identity_and_zeta_values():
 
 def test_squared_recurrence_unrolls_to_squared_central_binomials():
     t0 = time.perf_counter()
-    rec = get_builtin("central-binomial").recurrence
+    rec = branch_recurrence(get_builtin("central-binomial"))
     squared = hadamard_recurrence(rec, rec)
     got = unroll(squared, 200).coeffs
     assert got[:5] == (1, 4, 36, 400, 4900)

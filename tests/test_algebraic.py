@@ -15,14 +15,14 @@ from gradeforge.algebraic import (
     verify_annihilator,
 )
 from gradeforge.automata import reduce_mod
-from gradeforge.catalog import BUILTINS, CORPUS_ANNIHILATORS
+from gradeforge.catalog import CORPUS_ANNIHILATORS
 from gradeforge.errors import (
     NotARoot,
     PrimeDividesDenominator,
     RamifiedBranch,
     SchemaError,
 )
-from gradeforge.holonomic import unroll
+from gradeforge.holonomic import PRecurrence, unroll
 from gradeforge.polynomials import Poly
 from gradeforge.series import TruncSeries
 
@@ -52,14 +52,27 @@ def test_polynomial_root_branch():
 
 
 def test_branch_must_pass_through_y0():
+    # the constructor refuses it, so no pipeline ever sees it
     with pytest.raises(NotARoot):
-        expand_branch(bivariate({(0, 2): 1, (0, 1): -1, (1, 0): 1}, y0=5), 4)
+        bivariate({(0, 2): 1, (0, 1): -1, (1, 0): 1}, y0=5)
+    bivariate({(0, 2): 1, (0, 1): -1, (1, 0): 1}, y0=1)
 
 
 def test_ramified_branch_rejected():
     # y^2 - z: double root at (0, 0)
     with pytest.raises(RamifiedBranch):
-        expand_branch(bivariate({(0, 2): 1, (1, 0): -1}), 4)
+        bivariate({(0, 2): 1, (1, 0): -1})
+
+
+@pytest.mark.parametrize("terms, y0, error", [
+    ({(0, 2): 1, (0, 0): -1}, Fraction(1, 2), NotARoot),  # y^2 - 1
+    ({(0, 2): 1, (0, 1): -2, (0, 0): 1, (1, 0): -1}, 1,  # (y - 1)^2 - z
+     RamifiedBranch),
+], ids=["y^2-1 at 1/2", "(y-1)^2-z at 1"])
+def test_constructor_checks_a_branch_point_away_from_zero(terms, y0, error):
+    with pytest.raises(error) as info:
+        bivariate(terms, y0)
+    assert info.value.exit_code == 3
 
 
 def test_constructor_rejects_univariate_and_zero():
@@ -158,13 +171,27 @@ def test_branch_recurrence_matches_newton(name):
     assert list(expand_branch(ann, 300).coeffs) == newton_over_q(ann, 300)
 
 
+#: Hand-typed recurrences of three corpus branches: the reference for the
+#: ones derived from P.
+TYPED_RECURRENCES = {
+    "catalan": PRecurrence.from_dense([[-2, -4], [2, 1]], 0, [1]),
+    "central-binomial": PRecurrence.from_dense([[-2, -4], [1, 1]], 0, [1]),
+    "geometric": PRecurrence.from_dense([[-1], [1]], 0, [1]),
+}
+
+
+def ones(count):
+    return [1] * count
+
+
 @pytest.mark.parametrize("name, closed_form", [
     ("catalan", oracles.catalan_numbers_fast),
     ("central-binomial", oracles.central_binomials_fast),
+    ("geometric", ones),
 ])
 def test_branch_recurrence_reproduces_the_closed_forms(name, closed_form):
     rec = branch_recurrence(CORPUS_ANNIHILATORS[name])
-    assert rec == BUILTINS[name].recurrence
+    assert rec == TYPED_RECURRENCES[name]
     assert list(unroll(rec, 1000).coeffs) == closed_form(1000)
     assert list(expand_branch(CORPUS_ANNIHILATORS[name], 1000).coeffs) == (
         closed_form(1000))

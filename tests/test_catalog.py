@@ -1,16 +1,39 @@
-"""The builtin sequence registry and its cross-representation consistency."""
+"""The builtin sequence registry: each entry is the exact object it names,
+checked against an independent closed form from `oracles`."""
 
 from fractions import Fraction
 
 import pytest
 
 from gradeforge import builtin_names, expand_builtin, get_builtin
-from gradeforge.algebraic import expand_branch
+from gradeforge.algebraic import Annihilator, verify_annihilator
 from gradeforge.catalog import BUILTINS, CORPUS_ANNIHILATORS
 from gradeforge.errors import SchemaError
-from gradeforge.holonomic import unroll
+from gradeforge.series import TruncSeries
 
-from oracles import catalan_numbers, central_binomials, factorials, thue_morse_signs
+from oracles import (
+    catalan_numbers,
+    catalan_numbers_fast,
+    central_binomials,
+    central_binomials_fast,
+    factorials,
+    thue_morse_signs,
+)
+
+#: Each builtin's first terms from its closed form.
+CLOSED_FORMS = {
+    "euler": lambda n: [(-1) ** k * f for k, f in enumerate(factorials(n))],
+    "exp": lambda n: [Fraction(1, f) for f in factorials(n)],
+    "log1p": lambda n: [Fraction(0)] + [Fraction((-1) ** (k + 1), k)
+                                        for k in range(1, n)],
+    "geometric": lambda n: [1] * n,
+    "central-binomial": central_binomials_fast,
+    "catalan": catalan_numbers_fast,
+    "thue-morse-signs": thue_morse_signs,
+}
+
+ALGEBRAIC = sorted(name for name, b in BUILTINS.items()
+                   if isinstance(b, Annihilator))
 
 
 def test_registry_names():
@@ -64,34 +87,27 @@ def test_sign_sequence_doubling_identities():
         assert s[2 * n + 1] == -s[n]
 
 
-def closed_form(b, terms: int) -> tuple:
-    return tuple(b.coefficient(n) for n in range(terms))
-
-
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_recurrence_agrees_with_closed_form(name):
-    # expand unrolls the recurrence; the closed form is the reference
-    b = get_builtin(name)
-    if b.recurrence is None:
-        pytest.skip(f"{name} carries no recurrence")
-    assert unroll(b.recurrence, 1000).coeffs == closed_form(b, 1000)
-    assert b.expand(1000).coeffs == closed_form(b, 1000)
+    # expand unrolls the builtin's recurrence, given or derived from P, and
+    # reads thue-morse-signs, which has none, off its coefficient rule
+    assert list(expand_builtin(name, 1000).coeffs) == CLOSED_FORMS[name](1000)
 
 
-@pytest.mark.parametrize("name", sorted(BUILTINS))
+@pytest.mark.parametrize("name", ALGEBRAIC)
 def test_annihilator_agrees_with_closed_form(name):
-    b = get_builtin(name)
-    if b.annihilator is None:
-        pytest.skip(f"{name} carries no annihilator")
-    assert expand_branch(b.annihilator, 50).coeffs == closed_form(b, 50)
+    # P(z, f) vanishes on the closed form itself, not only on the expansion
+    closed = TruncSeries.from_list(CLOSED_FORMS[name](60))
+    assert verify_annihilator(get_builtin(name), closed)
 
 
 def test_algebraic_builtins_share_the_corpus_annihilators():
-    for name, b in BUILTINS.items():
-        if b.annihilator is not None:
-            assert b.annihilator == CORPUS_ANNIHILATORS[name]
+    assert ALGEBRAIC == ["catalan", "central-binomial", "geometric"]
+    for name in ALGEBRAIC:
+        assert BUILTINS[name] is CORPUS_ANNIHILATORS[name]
 
 
 def test_expand_needs_positive_count():
-    with pytest.raises(ValueError):
-        get_builtin("exp").expand(0)
+    for name in ("exp", "catalan", "thue-morse-signs"):
+        with pytest.raises(ValueError):
+            expand_builtin(name, 0)

@@ -16,7 +16,7 @@ from gradeforge.automata import (
     ResidueSequence,
     kernel_closure,
 )
-from gradeforge import cli
+from gradeforge import algebraic, cli
 from gradeforge.cli import main
 from gradeforge.descriptors import KINDS
 from gradeforge.errors import VerificationFailed
@@ -151,6 +151,33 @@ def test_hadamard_emit_recurrence_reads_each_payload_once(capsys,
     assert len(calls) == 2
 
 
+APERY_A = ('{"order":2,"coeffs":[[1,3,3,1],[-117,-231,-153,-34],'
+           '[8,12,6,1]],"n0":0,"initial":["1","5"]}')
+
+
+@pytest.mark.parametrize("factors, derivations, head", [
+    (("algebraic", '{"P": [[1, 2, "1"], [0, 1, "-1"], [0, 0, "1"]], '
+      '"y0": "1"}', "holonomic", APERY_A), 1, ["1", "5", "146"]),
+    (("builtin", "catalan", "builtin", "catalan"), 2, ["1", "1", "4", "25"]),
+], ids=["algebraic-holonomic", "builtin-builtin"])
+def test_hadamard_emit_recurrence_derives_each_algebraic_factor_once(
+        capsys, monkeypatch, factors, derivations, head):
+    derive = algebraic.branch_recurrence
+    calls = []
+
+    def counted(ann):
+        calls.append(ann)
+        return derive(ann)
+
+    # expand_branch looks the derivation up in its own module
+    monkeypatch.setattr(algebraic, "branch_recurrence", counted)
+    monkeypatch.setattr(cli, "branch_recurrence", counted)
+    data = run_json(capsys, "hadamard", *factors, "--terms", "6",
+                    "--emit-recurrence")
+    assert data["coeffs"][:len(head)] == head
+    assert len(calls) == derivations
+
+
 def test_hadamard_emit_recurrence_table_rendering(capsys):
     rc, out, err = run(capsys, "hadamard", "builtin", "euler", "builtin",
                        "exp", "--terms", "4", "--emit-recurrence")
@@ -260,6 +287,20 @@ def test_modp_needs_an_algebraic_input(capsys):
                        "--depth", "4")
     assert rc == 2
     assert "annihilator" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand",), ("modp", "--p", "3", "--depth", "2"), ("diagonal",),
+], ids=["expand", "modp", "diagonal"])
+@pytest.mark.parametrize("payload, message", [
+    ('{"P": [[0, 2, "1"], [0, 1, "-1"], [1, 0, "1"]], "y0": "2"}', "!= 0"),
+    ('{"P": [[0, 2, "1"], [1, 0, "-1"]], "y0": "0"}', "multiple root"),
+], ids=["not-a-root", "ramified"])
+def test_branch_that_is_not_a_simple_root_exits_3(capsys, argv, payload,
+                                                  message):
+    rc, out, err = run(capsys, argv[0], "algebraic", payload, *argv[1:])
+    assert (rc, out) == (3, "")
+    assert message in err
 
 
 def test_modp_bad_prime_power_is_a_precondition_error(capsys):

@@ -15,7 +15,12 @@ from gradeforge.descriptors import (
     annihilator_to_json,
     coeffs_json,
 )
-from gradeforge.errors import SchemaError, TruncationExceeded
+from gradeforge.errors import (
+    NotARoot,
+    RamifiedBranch,
+    SchemaError,
+    TruncationExceeded,
+)
 from gradeforge.holonomic import PRecurrence
 from gradeforge.series import TruncSeries
 
@@ -142,6 +147,15 @@ def test_algebraic_descriptor_expands_the_branch():
     assert isinstance(ann, Annihilator)
     got = expand_series(ann, 7)
     assert [int(c) for c in got.coeffs] == [0, 1, 1, 2, 5, 14, 42]
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({"P": [[0, 2, "1"], [0, 1, "-1"], [1, 0, "1"]], "y0": "2"}, NotARoot),
+    ({"P": [[0, 2, "1"], [1, 0, "-1"]], "y0": "0"}, RamifiedBranch),
+], ids=["not-a-root", "ramified"])
+def test_algebraic_descriptor_is_checked_when_read(payload, error):
+    with pytest.raises(error):
+        read_series("algebraic", json.dumps(payload))
 
 
 # ---------------------------------------------------------------------------

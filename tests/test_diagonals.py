@@ -30,7 +30,7 @@ from gradeforge.errors import (
     BudgetExceeded,
     DenominatorVanishesAtOrigin,
     NotARoot,
-    RamifiedAtOrigin,
+    RamifiedBranch,
     SchemaError,
     VerificationFailed,
 )
@@ -80,7 +80,8 @@ def test_bivariate_witness_requires_root_at_origin():
 
 
 def test_bivariate_witness_rejects_ramified_branch():
-    with pytest.raises(RamifiedAtOrigin):
+    # the constructor refuses the branch before any witness is built
+    with pytest.raises(RamifiedBranch):
         furstenberg_bivariate(Annihilator(Y * Y - X, Fraction(0)))
 
 

@@ -136,8 +136,7 @@ def test_modp_dot_matches_to_dot(capsys, case):
               "--depth", str(depth), "--fingerprint-length", str(length),
               "--dot")
     assert out == want
-    obj = read_series(kind, payload)
-    ann = obj.annihilator if kind == "builtin" else obj
+    ann = read_series(kind, payload)
     report = christol_report(ann, p, budgets=KernelBudgets(4096, depth, length))
     assert report.automaton.to_dot() + "\n" == want
 
@@ -166,7 +165,7 @@ def test_poly_repr_univariate_and_zero():
 
 
 def test_witness_json_rows():
-    w = diagonal_witness(get_builtin("catalan").annihilator, 4)
+    w = diagonal_witness(get_builtin("catalan"), 4)
     assert json.dumps(w.to_json_dict()) == (
         '{"d": 1, "R": {"num": [[1, 3, "2"], [1, 2, "2"], [0, 1, "-1"]], '
         '"den": [[1, 2, "1"], [1, 1, "2"], [1, 0, "1"], [0, 0, "-1"]]}, '
@@ -175,7 +174,7 @@ def test_witness_json_rows():
 
 
 def test_annihilator_json_rows():
-    got = [annihilator_to_json(get_builtin(name).annihilator)
+    got = [annihilator_to_json(get_builtin(name))
            for name in ("catalan", "central-binomial")]
     assert [json.dumps(d) for d in got] == [
         '{"kind": "algebraic", "P": [[1, 2, "1"], [0, 1, "-1"], [0, 0, "1"]], '

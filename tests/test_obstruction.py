@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from gradeforge.catalog import expand_builtin
+from gradeforge.descriptors import expand_builtin
 from gradeforge.errors import NotSignSequence, SchemaError, TooSparse
 from gradeforge.holonomic import PRecurrence, unroll
 from gradeforge.obstruction import (

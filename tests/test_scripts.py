@@ -1,0 +1,69 @@
+"""The scripts under scripts/, each run in process through its main(argv)
+with tiny arguments."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from gradeforge import builtin_names
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def rows(out):
+    """The table's rows below its header, split on whitespace."""
+    return [line.split() for line in out.splitlines()[1:]]
+
+
+def census_truncation(capsys, *argv):
+    assert load("kernel_census").main(["--names", "catalan",
+                                        "--moduli", "2", *argv]) == 0
+    (row,) = rows(capsys.readouterr().out)
+    assert row[:2] == ["catalan", "2"] and row[4] == "closed"
+    return int(row[3])
+
+
+def test_kernel_census_uses_the_length_without_a_depth(capsys):
+    # the truncation is L·2^k at the closing depth k, whatever L is
+    default = census_truncation(capsys)
+    short = census_truncation(capsys, "--length", "8")
+    assert default * 8 == short * 64
+    assert short % 8 == 0 and (short // 8).bit_count() == 1
+
+
+@pytest.mark.parametrize("flag", ["--max-depth", "--length"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_kernel_census_refuses_budgets_below_one(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        load("kernel_census").main(["--names", "catalan", "--moduli", "2",
+                                    flag, value])
+    assert info.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_obstruction_corpus_has_one_row_per_builtin(capsys):
+    assert load("obstruction_corpus").main(
+        ["--terms", "16", "--product", "catalan", "exp"]) == 0
+    got = rows(capsys.readouterr().out)
+    assert [r[0] for r in got] == [*builtin_names(), "catalan"]
+    assert got[-1][:3] == ["catalan", "*", "exp"]
+    verdicts = {r[0]: r[1] for r in got[:-1]}
+    assert verdicts["catalan"] == "no-obstruction-found"
+    assert verdicts["exp"] == "infinite-grade-evidence"
+
+
+def test_euler_crosscheck_at_one_point(capsys):
+    assert load("euler_crosscheck").main(["-z", "4.0"]) == 0
+    (row,) = rows(capsys.readouterr().out)
+    z, quad, branch, gap = row
+    assert z == "4.000"
+    assert abs(float(quad) - float(branch)) < 1e-8
+    assert float(gap) < 1e-8
