@@ -16,10 +16,12 @@ from gradeforge.analytic import (
     euler_derivative_check,
     euler_integral,
 )
+from gradeforge.cli import reports_errors
 from gradeforge.config import DEFAULTS
 from gradeforge.errors import InsufficientTerms
 
 
+@reports_errors
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(

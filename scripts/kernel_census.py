@@ -19,21 +19,22 @@ import time
 
 from gradeforge.automata import KernelBudgets, christol_report
 from gradeforge.catalog import CORPUS_ANNIHILATORS
+from gradeforge.cli import reports_errors
 from gradeforge.config import DEFAULTS
-from gradeforge.errors import PrimeDividesDenominator
+from gradeforge.errors import PrimeDividesDenominator, SchemaError
 
 
 def factor_prime_power(m: int) -> tuple[int, int]:
     for p in range(2, m + 1):
         if m % p == 0:
-            r = 0
-            while m % p == 0:
-                m //= p
+            r, rest = 0, m
+            while rest % p == 0:
+                rest //= p
                 r += 1
-            if m != 1:
-                raise SystemExit("moduli must be prime powers")
+            if rest != 1:
+                raise SchemaError(f"modulus {m} is not a prime power")
             return p, r
-    raise SystemExit("moduli must be at least 2")
+    raise SchemaError(f"modulus {m} is below 2")
 
 
 def at_least_one(text: str) -> int:
@@ -43,9 +44,10 @@ def at_least_one(text: str) -> int:
     return value
 
 
+@reports_errors
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--names", nargs="*",
+    ap.add_argument("--names", nargs="*", choices=sorted(CORPUS_ANNIHILATORS),
                     default=sorted(CORPUS_ANNIHILATORS))
     ap.add_argument("--moduli", nargs="*", type=int, default=[2, 3, 4],
                     help="prime-power moduli (default: 2 3 4)")
@@ -55,17 +57,18 @@ def main(argv=None) -> int:
                     default=DEFAULTS.fingerprint_length,
                     help="fingerprint length L")
     args = ap.parse_args(argv)
+    moduli = [(modulus, *factor_prime_power(modulus))
+              for modulus in args.moduli]
 
     print(f"{'series':<18}  {'mod':>4}  {'states':>6}  {'terms':>7}  "
           f"{'status':<18}  {'time':>7}")
     for name in args.names:
-        for modulus in args.moduli:
-            p, r = factor_prime_power(modulus)
+        for modulus, p, r in moduli:
             depth = args.max_depth or DEFAULTS.depth_for_base(p)
             budgets = KernelBudgets(DEFAULTS.max_states, depth, args.length)
             t0 = time.perf_counter()
             try:
-                rep = christol_report(
+                aut = christol_report(
                     CORPUS_ANNIHILATORS[name], p, r, budgets=budgets
                 )
             except PrimeDividesDenominator as exc:
@@ -73,9 +76,8 @@ def main(argv=None) -> int:
                       f"{'denominator hits ' + str(exc.p):<18}")
                 continue
             elapsed = time.perf_counter() - t0
-            aut = rep.automaton
-            print(f"{name:<18}  {modulus:>4}  {rep.state_count:>6}  "
-                  f"{aut.truncation:>7}  {rep.status:<18}  {elapsed:>6.2f}s")
+            print(f"{name:<18}  {modulus:>4}  {len(aut.states):>6}  "
+                  f"{aut.truncation:>7}  {aut.status:<18}  {elapsed:>6.2f}s")
     return 0
 
 

@@ -13,9 +13,11 @@ import sys
 
 from gradeforge import expand_builtin, hadamard_mul, obstruction_report
 from gradeforge.catalog import builtin_names
+from gradeforge.cli import reports_errors
 from gradeforge.config import DEFAULTS
 
 
+@reports_errors
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--terms", type=int, default=64,

@@ -33,7 +33,6 @@ from gradeforge.analytic import (
     zeta_odd_denominator_check,
 )
 from gradeforge.automata import (
-    ChristolReport,
     KernelAutomaton,
     KernelBudgets,
     christol_report,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Annihilator",
     "BudgetError",
-    "ChristolReport",
     "Defaults",
     "DiagonalWitness",
     "ExpPolyRational",

@@ -26,16 +26,16 @@ recurrence's first n0 + r terms from Newton iteration over Q,
 
 and unrolls the rest in O(n) small-by-big steps.
 
-`branch_residue_prefixes` runs the Newton iteration in (Z/p^r)[[z]] when
-the branch point stays a simple root mod p, so residues never pass through
-the exact coefficients, whose bit size grows linearly in n.
-`_newton_prefixes` is the package's one Newton iteration (tan in
-:mod:`gradeforge.analytic` is a branch too).  It yields the prefix at each
-of a series of ascending sizes and resumes from the f and 1/P_y it holds;
-its step targets halve down from each size, so a fresh run ends exactly at
-n and an extension takes balanced steps.  `branch_residues` and the Q
-prefix are its one-size use.  Its truncated products run in the integer
-kernel `_intpoly`.
+`branch_residue_prefixes`, the one residue entry, runs the Newton
+iteration in (Z/p^r)[[z]] when the branch point stays a simple root mod p,
+so residues never pass through the exact coefficients, whose bit size
+grows linearly in n.  `_newton_prefixes` is the package's one Newton
+iteration (tan in :mod:`gradeforge.analytic` is a branch too).  It yields
+the prefix at each of a series of ascending sizes, refusing a size below
+one, and resumes from the f and 1/P_y it holds; its step targets halve
+down from each size, so a fresh run ends exactly at n and an extension
+takes balanced steps.  The Q prefix of the recurrence is its one-size
+use.  Its truncated products run in the integer kernel `_intpoly`.
 """
 
 from __future__ import annotations
@@ -181,6 +181,8 @@ def _newton_prefixes(pc, pyc, y0, g0, sizes, mul, norm):
     f = [y0]
     g = [g0]
     for n in sizes:
+        if n < 1:
+            raise SchemaError(f"need at least one coefficient, got {n}")
         for m2 in _precision_steps(len(f), n):
             m = len(f)
             h = m2 - m
@@ -192,11 +194,6 @@ def _newton_prefixes(pc, pyc, y0, g0, sizes, mul, norm):
             val = _eval_poly_at_series(pc, f + [0] * h, m2, mul, norm)
             f += [norm(-c) for c in mul(val[m:], g[:h], h)]
         yield f[:n]
-
-
-def _newton_branch(pc, pyc, y0, g0, n, mul, norm):
-    """First n coefficients of the branch: `_newton_prefixes` at one size."""
-    return next(_newton_prefixes(pc, pyc, y0, g0, (n,), mul, norm))
 
 
 def _primitive_scale(p: Poly) -> Fraction:
@@ -300,9 +297,9 @@ def branch_recurrence(ann: Annihilator) -> PRecurrence:
     n0_base = max(0, lo + len(ode[0]))
 
     def terms_of(count: int) -> list[Fraction]:
-        return _newton_branch(_y_coefficient_lists(ann.poly),
-                              _y_coefficient_lists(py), ann.y0, 1 / py0,
-                              count, _conv_frac, _identity)
+        return next(_newton_prefixes(
+            _y_coefficient_lists(ann.poly), _y_coefficient_lists(py),
+            ann.y0, 1 / py0, (count,), _conv_frac, _identity))
 
     return _finish(q_dense, n0_base, terms_of, empirical=False)
 
@@ -328,7 +325,8 @@ def branch_residue_prefixes(ann: Annihilator, sizes: Iterable[int], p: int,
     ``reduce_mod(expand_branch(ann, n), p, r)``.  Otherwise this returns
     None and only the exact expansion can say whether the branch is
     p-integral.  Sizes are drawn lazily, so a caller may stop before the
-    last; a size below one already reached costs only a slice.
+    last; a size no larger than one already reached costs only a slice, and
+    a size below 1 raises `SchemaError` when it is drawn.
     """
     if r < 1 or not is_prime(p):
         raise SchemaError(
@@ -349,16 +347,6 @@ def branch_residue_prefixes(ann: Annihilator, sizes: Iterable[int], p: int,
         lambda a, b, limit: _conv_mod(a, b, limit, modulus),
         lambda x: x % modulus,
     )
-
-
-def branch_residues(ann: Annihilator, n: int, p: int,
-                    r: int = 1) -> list[int] | None:
-    """First n coefficients of the branch mod p^r, or None: the one-size
-    use of `branch_residue_prefixes`."""
-    if n < 1:
-        raise SchemaError("need at least one coefficient")
-    prefixes = branch_residue_prefixes(ann, (n,), p, r)
-    return None if prefixes is None else next(prefixes)
 
 
 def verify_annihilator(ann: Annihilator, f: TruncSeries) -> bool:

@@ -38,10 +38,6 @@ class ResidueSequence:
         if any(not (0 <= t < self.modulus) for t in self.terms):
             raise SchemaError("every term must lie in [0, modulus)")
 
-    @property
-    def source_truncation(self) -> int:
-        return len(self.terms)
-
 
 def _check_prime_power(p: int, r: int) -> None:
     if not is_prime(p):
@@ -117,9 +113,6 @@ class KernelAutomaton:
             ],
         }
 
-    def to_dot(self) -> str:
-        return automaton_dot(self.to_json_dict())
-
 
 def automaton_dot(aut: dict) -> str:
     """Graphviz DOT view of an automaton in its JSON form; unresolved
@@ -163,7 +156,7 @@ def kernel_closure(s: ResidueSequence, q: int,
         raise SchemaError("base q must be at least 2")
     S, K, L = (budgets.max_states, budgets.max_depth,
                budgets.fingerprint_length)
-    T = s.source_truncation
+    T = len(s.terms)
     if L * q ** K > T:
         raise BudgetTooSmall(
             f"truncation {T} < L*q^K = {L}*{q}^{K} = {L * q ** K}"
@@ -238,43 +231,11 @@ def kernel_closure(s: ResidueSequence, q: int,
     )
 
 
-@dataclass(frozen=True)
-class ChristolReport:
-    """Outcome of expand -> reduce -> closure for an algebraic branch."""
-
-    p: int
-    r: int
-    q: int
-    automaton: KernelAutomaton
-
-    @property
-    def status(self) -> str:
-        return self.automaton.status
-
-    @property
-    def state_count(self) -> int:
-        return len(self.automaton.states)
-
-    @property
-    def consistent_with_finite_kernel(self) -> bool:
-        return self.automaton.status == "closed"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "r": self.r,
-            "q": self.q,
-            "status": self.status,
-            "state_count": self.state_count,
-            "consistent": self.consistent_with_finite_kernel,
-            "automaton": self.automaton.to_json_dict(),
-        }
-
-
 def christol_report(ann: Annihilator, p: int, r: int = 1,
                     q: Optional[int] = None,
-                    budgets: Optional[KernelBudgets] = None) -> ChristolReport:
-    """Expand the branch mod p^r, close the q-kernel.
+                    budgets: Optional[KernelBudgets] = None
+                    ) -> KernelAutomaton:
+    """Expand the branch mod p^r, close its q-kernel, return the automaton.
 
     The residues come from `branch_residue_prefixes`, the Newton iteration
     run in (Z/p^r)[[z]], whenever P_y(0, y0) is a p-unit for P scaled to
@@ -301,7 +262,6 @@ def christol_report(ann: Annihilator, p: int, r: int = 1,
                                 fingerprint_length=DEFAULTS.fingerprint_length)
     if budgets.max_depth < 1:
         raise BudgetTooSmall("the depth budget must allow at least one attempt")
-    _check_prime_power(p, r)
     length = budgets.fingerprint_length
     sizes = [length * q**depth for depth in range(1, budgets.max_depth + 1)]
     prefixes = branch_residue_prefixes(ann, sizes, p, r)
@@ -315,4 +275,4 @@ def christol_report(ann: Annihilator, p: int, r: int = 1,
             seq, q, KernelBudgets(budgets.max_states, depth, length))
         if automaton.status == "closed":
             break
-    return ChristolReport(p=p, r=r, q=q, automaton=automaton)
+    return automaton

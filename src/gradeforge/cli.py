@@ -101,8 +101,11 @@ def _cmd_modp(args, cfg: Defaults) -> dict:
         ),
         fingerprint_length=args.fingerprint_length,
     )
-    report = christol_report(ann, args.p, args.r, q=q, budgets=budgets)
-    return report.to_json_dict()
+    aut = christol_report(ann, args.p, args.r, q=q, budgets=budgets)
+    return {"p": args.p, "r": args.r, "q": aut.q, "status": aut.status,
+            "state_count": len(aut.states),
+            "consistent": aut.status == "closed",
+            "automaton": aut.to_json_dict()}
 
 
 def _cmd_diagonal(args, cfg: Defaults) -> dict:
@@ -381,30 +384,40 @@ def _integers_of_any_size():
         sys.set_int_max_str_digits(saved)
 
 
+def reports_errors(command):
+    """``command(argv) -> int``, with a package error printed as ``error:``
+    on stderr and returned as its exit code (any other exception exits 1)."""
+    @functools.wraps(command)
+    def run(argv=None) -> int:
+        try:
+            return command(argv)
+        except GradeforgeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+    return run
+
+
+@reports_errors
 def main(argv=None) -> int:
-    try:
-        cfg = load_defaults()
-        parser = build_parser(cfg)
-        args = parser.parse_args(argv)
-        if args.show_config:
-            print(json.dumps(cfg.as_dict(), indent=2))
-            return 0
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return 2
-        handler, table = _COMMANDS[args.command]
-        with _integers_of_any_size():
-            data = handler(args, cfg)
-            if getattr(args, "dot", False):
-                print(automaton_dot(data["automaton"]))
-            elif args.json:
-                print(json.dumps(data, indent=2))
-            else:
-                print(table(data))
+    cfg = load_defaults()
+    parser = build_parser(cfg)
+    args = parser.parse_args(argv)
+    if args.show_config:
+        print(json.dumps(cfg.as_dict(), indent=2))
         return 0
-    except GradeforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    if args.command is None:
+        parser.print_usage(sys.stderr)
+        return 2
+    handler, table = _COMMANDS[args.command]
+    with _integers_of_any_size():
+        data = handler(args, cfg)
+        if getattr(args, "dot", False):
+            print(automaton_dot(data["automaton"]))
+        elif args.json:
+            print(json.dumps(data, indent=2))
+        else:
+            print(table(data))
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -39,6 +39,8 @@ class Defaults:
 
     def depth_for_base(self, q: int) -> int:
         """Kernel depth scaled so the work stays near q^depth ~ 2^depth_budget."""
+        if q < 2:
+            raise SchemaError(f"base q must be at least 2, got {q}")
         return max(1, int(self.depth_budget / math.log2(q)))
 
     def as_dict(self) -> dict:

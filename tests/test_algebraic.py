@@ -10,7 +10,6 @@ from gradeforge.algebraic import (
     Annihilator,
     branch_recurrence,
     branch_residue_prefixes,
-    branch_residues,
     expand_branch,
     verify_annihilator,
 )
@@ -149,10 +148,10 @@ def test_deep_expansion_matches_integer_recurrences():
 def newton_over_q(ann, n):
     """The branch by Newton iteration over Q alone, without a recurrence."""
     py, py0 = algebraic._branch_derivative(ann)
-    return algebraic._newton_branch(
+    return next(algebraic._newton_prefixes(
         algebraic._y_coefficient_lists(ann.poly),
-        algebraic._y_coefficient_lists(py), ann.y0, 1 / py0, n,
-        algebraic._conv_frac, algebraic._identity)
+        algebraic._y_coefficient_lists(py), ann.y0, 1 / py0, (n,),
+        algebraic._conv_frac, algebraic._identity))
 
 
 def tangent_annihilator(order):
@@ -217,13 +216,13 @@ def test_branch_recurrence_edge_cases(name):
 def test_expand_branch_takes_only_the_recurrence_prefix_from_newton(
         monkeypatch):
     lengths = []
-    newton = algebraic._newton_branch
+    newton = algebraic._newton_prefixes
 
     def spy(*args):
-        lengths.append(args[4])
+        lengths.extend(args[4])
         return newton(*args)
 
-    monkeypatch.setattr(algebraic, "_newton_branch", spy)
+    monkeypatch.setattr(algebraic, "_newton_prefixes", spy)
     ann = CORPUS_ANNIHILATORS["catalan-shifted"]
     rec = branch_recurrence(ann)
     lengths.clear()
@@ -237,6 +236,13 @@ def test_expand_branch_takes_only_the_recurrence_prefix_from_newton(
 
 #: (branch, p) where P_y(0, y0) is no p-unit: the residue path declines
 NOT_A_UNIT = {("central-binomial", 2), ("sqrt1p", 2), ("cbrt1m", 3)}
+
+
+def branch_residues(ann, n, p, r=1):
+    """The first n residues mod p^r, or None: one size drawn from
+    `branch_residue_prefixes`."""
+    prefixes = branch_residue_prefixes(ann, (n,), p, r)
+    return None if prefixes is None else next(prefixes)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_ANNIHILATORS))
@@ -374,6 +380,21 @@ def test_resumed_residue_prefixes_equal_fresh_runs(name, p, r):
         for n, got in zip(sizes, resumed):
             assert got == branch_residues(ann, n, p, r) == list(exact[:n]), (
                 q, length, n)
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_residue_prefixes_refuse_a_size_below_one(size):
+    # slicing f[:-2] would return a wrong prefix without a word
+    prefixes = branch_residue_prefixes(CORPUS_ANNIHILATORS["catalan"],
+                                       (size, 3), 3)
+    with pytest.raises(SchemaError) as info:
+        next(prefixes)
+    assert info.value.exit_code == 2
+    prefixes = branch_residue_prefixes(CORPUS_ANNIHILATORS["catalan"],
+                                       (3, size), 3)
+    assert next(prefixes) == [1, 1, 2]
+    with pytest.raises(SchemaError):
+        next(prefixes)
 
 
 def test_residue_prefixes_decline_where_branch_residues_do():

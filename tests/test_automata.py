@@ -15,9 +15,13 @@ from gradeforge import (
     kernel_closure,
     reduce_mod,
 )
-from gradeforge.automata import ResidueSequence
+from gradeforge.automata import ResidueSequence, automaton_dot
 from gradeforge.catalog import CORPUS_ANNIHILATORS
-from gradeforge.errors import BudgetTooSmall, PrimeDividesDenominator
+from gradeforge.errors import (
+    BudgetTooSmall,
+    PrimeDividesDenominator,
+    SchemaError,
+)
 from gradeforge.holonomic import unroll
 
 from oracles import corpus_residues, thue_morse_signs
@@ -47,7 +51,7 @@ def test_reduce_mod_central_binomial_mod_two():
     seq = reduce_mod(f, 2)
     assert seq.modulus == 2
     assert seq.terms == (1,) + (0,) * 31  # all later terms are even
-    assert seq.source_truncation == 32
+    assert len(seq.terms) == 32
 
 
 def test_reduce_mod_matches_modular_oracle():
@@ -249,14 +253,18 @@ def test_automaton_json_dict_shape():
     json.dumps(d)  # round-trippable
 
 
+def dot(aut):
+    return automaton_dot(aut.to_json_dict())
+
+
 def test_dot_output_marks_unresolved_transitions():
     closed = close([1] * 256, 2, depth=3, length=16)
-    assert "digraph" in closed.to_dot()
-    assert "dashed" not in closed.to_dot()
+    assert "digraph" in dot(closed)
+    assert "dashed" not in dot(closed)
 
     limited = close_corpus("catalan", 2, 1, 2)
     assert limited.status == "truncation-limited"
-    assert limited.to_dot().count("shape=plaintext") == sum(
+    assert dot(limited).count("shape=plaintext") == sum(
         t is None for s in limited.states for t in s.transitions
     )
 
@@ -266,25 +274,25 @@ def test_dot_output_marks_unresolved_transitions():
 
 
 def test_pipeline_report_catalan_mod_two():
-    rep = christol_report(CORPUS_ANNIHILATORS["catalan"], 2, 1,
+    aut = christol_report(CORPUS_ANNIHILATORS["catalan"], 2, 1,
                           budgets=KernelBudgets(4096, 5, 64))
-    assert rep.q == 2  # defaults to p
-    assert rep.status == "closed"
-    assert rep.state_count == 3
-    assert rep.consistent_with_finite_kernel
+    assert aut.q == 2  # defaults to p
+    assert aut.modulus == 2
+    assert aut.status == "closed"
+    assert len(aut.states) == 3
 
 
 def test_pipeline_report_central_binomial_mod_three():
-    rep = christol_report(CORPUS_ANNIHILATORS["central-binomial"], 3, 1,
+    aut = christol_report(CORPUS_ANNIHILATORS["central-binomial"], 3, 1,
                           budgets=KernelBudgets(4096, 3, 64))
-    assert rep.status == "closed"
-    assert rep.state_count == 3
+    assert aut.status == "closed"
+    assert len(aut.states) == 3
 
 
 def test_pipeline_report_default_budgets_close_geometric():
-    rep = christol_report(CORPUS_ANNIHILATORS["geometric"], 5)
-    assert rep.status == "closed"
-    assert rep.state_count == 1
+    aut = christol_report(CORPUS_ANNIHILATORS["geometric"], 5)
+    assert aut.status == "closed"
+    assert len(aut.states) == 1
 
 
 def test_pipeline_report_needs_a_depth_budget():
@@ -300,18 +308,12 @@ def test_pipeline_report_bad_prime_raises():
                         budgets=KernelBudgets(4096, 5, 64))
 
 
-def test_pipeline_report_json_shape():
-    rep = christol_report(CORPUS_ANNIHILATORS["geometric"], 5)
-    d = rep.to_json_dict()
-    assert d == {
-        "p": 5,
-        "r": 1,
-        "q": 5,
-        "status": "closed",
-        "state_count": 1,
-        "consistent": True,
-        "automaton": rep.automaton.to_json_dict(),
-    }
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_pipeline_report_refuses_a_base_below_two(q):
+    # the default depth rule takes log2(q), so it must check q first
+    with pytest.raises(SchemaError) as info:
+        christol_report(CORPUS_ANNIHILATORS["catalan"], 2, q=q)
+    assert info.value.exit_code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +414,9 @@ def test_pipeline_takes_the_residue_path_at_unit_primes(monkeypatch, name,
     # the exact path derives the branch's recurrence and unrolls it
     monkeypatch.setattr(automata, "branch_recurrence", _no_exact_expansion)
     monkeypatch.setattr(automata, "unroll", _no_exact_expansion)
-    rep = christol_report(CORPUS_ANNIHILATORS[name], p, r)
-    assert rep.status == "closed"
-    assert rep.state_count == EXPECTED_STATES[(name, p, r)]
-    aut = rep.automaton
+    aut = christol_report(CORPUS_ANNIHILATORS[name], p, r)
+    assert aut.status == "closed"
+    assert len(aut.states) == EXPECTED_STATES[(name, p, r)]
     depth = 1
     while aut.fingerprint_length * p**depth < aut.truncation:
         depth += 1
@@ -433,10 +434,10 @@ def test_pipeline_falls_back_to_the_exact_path_when_p_divides_p_y(
         return unroll(rec, n)
 
     monkeypatch.setattr(automata, "unroll", counted)
-    rep = christol_report(CORPUS_ANNIHILATORS["central-binomial"], 2)
+    aut = christol_report(CORPUS_ANNIHILATORS["central-binomial"], 2)
     assert calls
-    assert rep.status == "closed"
-    assert rep.state_count == EXPECTED_STATES[("central-binomial", 2, 1)]
+    assert aut.status == "closed"
+    assert len(aut.states) == EXPECTED_STATES[("central-binomial", 2, 1)]
 
 
 @pytest.mark.parametrize("name, p, r, budgets", [
@@ -469,17 +470,17 @@ def test_pipeline_reaches_no_newton_target_twice(monkeypatch, name, p, r,
         return derive(a)
 
     def spy_closure(seq, q, attempt):
-        attempts.append(seq.source_truncation)
+        attempts.append(len(seq.terms))
         return closure(seq, q, attempt)
 
     monkeypatch.setattr(algebraic, "_newton_prefixes", spy_newton)
     monkeypatch.setattr(algebraic, "_eval_poly_at_series", spy_evaluate)
     monkeypatch.setattr(automata, "branch_recurrence", spy_derive)
     monkeypatch.setattr(automata, "kernel_closure", spy_closure)
-    rep = christol_report(ann, p, r, budgets=budgets)
+    aut = christol_report(ann, p, r, budgets=budgets)
     assert len(attempts) > 1
     assert attempts == sorted(set(attempts))
-    assert rep.automaton.truncation == attempts[-1]
+    assert aut.truncation == attempts[-1]
     assert len(starts) == 1
     for limits in targets.values():
         assert limits == sorted(set(limits))

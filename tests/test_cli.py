@@ -258,6 +258,32 @@ def test_modp_catalan_closes(capsys):
     assert data["q"] == 2
 
 
+def test_pipeline_report_json_shape(capsys):
+    data = run_json(capsys, "modp", "builtin", "geometric", "--p", "5")
+    assert list(data) == ["p", "r", "q", "status", "state_count",
+                          "consistent", "automaton"]
+    assert data == {
+        "p": 5,
+        "r": 1,
+        "q": 5,
+        "status": "closed",
+        "state_count": 1,
+        "consistent": True,
+        "automaton": {
+            "q": 5,
+            "modulus": 5,
+            "fingerprint_length": 64,
+            "truncation": 320,
+            "status": "closed",
+            "states": [{"id": 0, "k": 0, "j": 0,
+                        "fingerprint_hash": "9911727a68de4d2c",
+                        "transitions": [0, 0, 0, 0, 0]}],
+        },
+    }
+    assert list(data["automaton"]) == ["q", "modulus", "fingerprint_length",
+                                       "truncation", "status", "states"]
+
+
 def test_modp_table_rendering(capsys):
     rc, out, err = run(capsys, "modp", "builtin", "catalan", "--p", "2",
                        "--depth", "5")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradeforge.automata import KernelBudgets, christol_report
+from gradeforge.automata import KernelBudgets, automaton_dot, christol_report
 from gradeforge.catalog import get_builtin
 from gradeforge.cli import main
 from gradeforge.descriptors import annihilator_to_json, read_series
@@ -137,8 +137,8 @@ def test_modp_dot_matches_to_dot(capsys, case):
               "--dot")
     assert out == want
     ann = read_series(kind, payload)
-    report = christol_report(ann, p, budgets=KernelBudgets(4096, depth, length))
-    assert report.automaton.to_dot() + "\n" == want
+    aut = christol_report(ann, p, budgets=KernelBudgets(4096, depth, length))
+    assert automaton_dot(aut.to_json_dict()) + "\n" == want
 
 
 # ---------------------------------------------------------------------------

@@ -67,3 +67,26 @@ def test_euler_crosscheck_at_one_point(capsys):
     assert z == "4.000"
     assert abs(float(quad) - float(branch)) < 1e-8
     assert float(gap) < 1e-8
+
+
+@pytest.mark.parametrize("script, argv, code", [
+    ("obstruction_corpus", ["--window", "0"], 2),
+    ("obstruction_corpus", ["--terms", "0"], 2),
+    ("euler_crosscheck", ["-z", "-1"], 3),
+    ("kernel_census", ["--moduli", "6"], 2),
+    ("kernel_census", ["--moduli", "1"], 2),
+])
+def test_scripts_exit_like_the_cli_on_package_errors(capsys, script, argv,
+                                                      code):
+    assert load(script).main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_kernel_census_refuses_an_unknown_name(capsys):
+    with pytest.raises(SystemExit) as info:
+        load("kernel_census").main(["--names", "nope", "--moduli", "2"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --names: invalid choice: 'nope'" in err
+    assert "Traceback" not in err
