@@ -256,6 +256,8 @@ def christol_report(ann: Annihilator, p: int, r: int = 1,
     """
     if q is None:
         q = p
+    if q < 2:
+        raise SchemaError(f"base q must be at least 2, got {q}")
     if budgets is None:
         budgets = KernelBudgets(max_states=DEFAULTS.max_states,
                                 max_depth=DEFAULTS.depth_for_base(q),

@@ -7,17 +7,19 @@ rendering of the same data; the default).  Exit codes: 0 success,
 budget, each taken from the class of the package error; any other
 exception is a defect and exits 1.  GRADEFORGE_CONFIG may name a JSON file
 overriding defaults, which become the flag defaults; --show-config prints
-the effective configuration.
+the effective configuration.  A run whose first argument names a
+subcommand builds the parser of that subcommand alone; any other run builds
+the parser of all seven.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from .algebraic import Annihilator, branch_recurrence
 from .analytic import QuadratureConfig, euler_report, optics_identity_check
@@ -30,7 +32,12 @@ from .errors import GradeforgeError, SchemaError
 from .holonomic import PRecurrence, hadamard_recurrence
 from .obstruction import is_prime, obstruction_report
 from .polynomials import rows_text
-from .rationals import coerce_rational, format_rational, read_json_arg
+from .rationals import (
+    coerce_rational,
+    format_rational,
+    integers_of_any_size,
+    read_json_arg,
+)
 from .series import hadamard_mul
 
 
@@ -238,17 +245,6 @@ def _table_optics(data: dict) -> str:
     ])
 
 
-_COMMANDS = {
-    "expand": (_cmd_expand, _table_coeffs),
-    "hadamard": (_cmd_hadamard, _table_coeffs),
-    "obstruct": (_cmd_obstruct, _table_obstruct),
-    "modp": (_cmd_modp, _table_modp),
-    "diagonal": (_cmd_diagonal, _table_diagonal),
-    "euler": (_cmd_euler, _table_euler),
-    "optics": (_cmd_optics, _table_optics),
-}
-
-
 # -- parser -------------------------------------------------------------------
 
 _DESCRIPTOR_HELP = (
@@ -289,26 +285,14 @@ def _add_descriptor(sp, suffix: str = ""):
     sp.add_argument(f"payload{suffix}", metavar=f"PAYLOAD{suffix.upper()}")
 
 
-@functools.lru_cache(maxsize=8)
-def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
-    """The parser whose flag defaults are `cfg`; built once per value."""
-    parser = argparse.ArgumentParser(
-        prog="gradeforge",
-        description="Exact Hadamard-product toolkit: expansion, closure, "
-                    "obstructions, kernel automata, diagonal lifts, and the "
-                    "analytic bench.",
-    )
-    parser.add_argument("--show-config", action="store_true",
-                        help="print the effective configuration and exit")
-    sub = parser.add_subparsers(dest="command")
-
-    sp = sub.add_parser("expand", help="print exact series coefficients")
+def _expand_arguments(sp, cfg: Defaults):
     _add_descriptor(sp)
     sp.add_argument("--terms", action=_AtLeast, default=cfg.terms,
                     help="coefficient count")
     _add_output_flags(sp)
 
-    sp = sub.add_parser("hadamard", help="termwise product of two series")
+
+def _hadamard_arguments(sp, cfg: Defaults):
     _add_descriptor(sp, "_a")
     _add_descriptor(sp, "_b")
     sp.add_argument("--terms", action=_AtLeast, default=cfg.terms)
@@ -317,7 +301,8 @@ def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
                          "(holonomic and algebraic inputs)")
     _add_output_flags(sp)
 
-    sp = sub.add_parser("obstruct", help="scan for infinite-grade evidence")
+
+def _obstruct_arguments(sp, cfg: Defaults):
     _add_descriptor(sp)
     sp.add_argument("--terms", action=_AtLeast, default=cfg.terms)
     sp.add_argument("--window", action=_AtLeast, default=cfg.window,
@@ -326,7 +311,8 @@ def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
                     help="largest sign period to test")
     _add_output_flags(sp)
 
-    sp = sub.add_parser("modp", help="residue kernel automaton mod p^r")
+
+def _modp_arguments(sp, cfg: Defaults):
     _add_descriptor(sp)
     sp.add_argument("--p", type=int, required=True, help="prime modulus base")
     sp.add_argument("--r", action=_AtLeast, default=1,
@@ -340,8 +326,8 @@ def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
                     default=cfg.fingerprint_length)
     _add_output_flags(sp, extra=("--dot",))
 
-    sp = sub.add_parser("diagonal",
-                        help="rational diagonal witness of a branch")
+
+def _diagonal_arguments(sp, cfg: Defaults):
     _add_descriptor(sp)
     sp.add_argument("--order", action=_AtLeast, default=cfg.diagonal_order,
                     help="verification order")
@@ -349,7 +335,8 @@ def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
                     help="lift the Hadamard square (4 variables)")
     _add_output_flags(sp)
 
-    sp = sub.add_parser("euler", help="exponential-integral bench I(z)")
+
+def _euler_arguments(sp, cfg: Defaults):
     sp.add_argument("--z", type=float, required=True)
     sp.add_argument("--nodes", type=int, default=cfg.laguerre_nodes,
                     help="Gauss-Laguerre node count")
@@ -358,30 +345,70 @@ def build_parser(cfg: Defaults) -> argparse.ArgumentParser:
                     help="branch-formula series terms")
     _add_output_flags(sp)
 
-    sp = sub.add_parser("optics", help="plate-stack identity check")
+
+def _optics_arguments(sp, cfg: Defaults):
     _add_descriptor(sp)
     sp.add_argument("--plates", required=True,
                     help='JSON [[weight, index], ...] or @file')
     sp.add_argument("--terms", action=_AtLeast, default=cfg.terms)
     _add_output_flags(sp)
 
+
+class _Command(NamedTuple):
+    handler: Callable    # (args, cfg) -> the command's JSON dict
+    table: Callable      # that dict -> the human rendering
+    help: str
+    arguments: Callable  # (subparser, cfg) -> None: adds the flags
+
+
+_COMMANDS = {
+    "expand": _Command(_cmd_expand, _table_coeffs,
+                       "print exact series coefficients", _expand_arguments),
+    "hadamard": _Command(_cmd_hadamard, _table_coeffs,
+                         "termwise product of two series",
+                         _hadamard_arguments),
+    "obstruct": _Command(_cmd_obstruct, _table_obstruct,
+                         "scan for infinite-grade evidence",
+                         _obstruct_arguments),
+    "modp": _Command(_cmd_modp, _table_modp,
+                     "residue kernel automaton mod p^r", _modp_arguments),
+    "diagonal": _Command(_cmd_diagonal, _table_diagonal,
+                         "rational diagonal witness of a branch",
+                         _diagonal_arguments),
+    "euler": _Command(_cmd_euler, _table_euler,
+                      "exponential-integral bench I(z)", _euler_arguments),
+    "optics": _Command(_cmd_optics, _table_optics,
+                       "plate-stack identity check", _optics_arguments),
+}
+
+
+def build_parser(cfg: Defaults, command: Optional[str] = None
+                 ) -> argparse.ArgumentParser:
+    """The parser whose flag defaults are `cfg`: with every subcommand, or
+    with `command`'s alone.  Built once per ``(cfg, command)``."""
+    return _parser(cfg, command)
+
+
+@functools.lru_cache(maxsize=32)
+def _parser(cfg: Defaults, command: Optional[str]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gradeforge",
+        description="Exact Hadamard-product toolkit: expansion, closure, "
+                    "obstructions, kernel automata, diagonal lifts, and the "
+                    "analytic bench.",
+    )
+    parser.add_argument("--show-config", action="store_true",
+                        help="print the effective configuration and exit")
+    # A one-command parser still names every command in its usage line, as
+    # the full parser's choices do; the full parser keeps argparse's own
+    # metavar, which also words its "invalid choice" error.
+    sub = parser.add_subparsers(
+        dest="command",
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    for name, spec in _COMMANDS.items():
+        if command in (None, name):
+            spec.arguments(sub.add_parser(name, help=spec.help), cfg)
     return parser
-
-
-@contextlib.contextmanager
-def _integers_of_any_size():
-    """Lift CPython's cap on int<->str digits while a command runs, so exact
-    coefficients of any size render and re-read (the cap only exists from
-    Python 3.10.7 on)."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def reports_errors(command):
@@ -399,8 +426,11 @@ def reports_errors(command):
 
 @reports_errors
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     cfg = load_defaults()
-    parser = build_parser(cfg)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(cfg, command)
     args = parser.parse_args(argv)
     if args.show_config:
         print(json.dumps(cfg.as_dict(), indent=2))
@@ -408,15 +438,15 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    handler, table = _COMMANDS[args.command]
-    with _integers_of_any_size():
-        data = handler(args, cfg)
+    spec = _COMMANDS[args.command]
+    with integers_of_any_size():
+        data = spec.handler(args, cfg)
         if getattr(args, "dot", False):
             print(automaton_dot(data["automaton"]))
         elif args.json:
             print(json.dumps(data, indent=2))
         else:
-            print(table(data))
+            print(spec.table(data))
     return 0
 
 if __name__ == "__main__":

@@ -38,9 +38,8 @@ class Defaults:
                 raise SchemaError(f"config field {f.name} must be positive")
 
     def depth_for_base(self, q: int) -> int:
-        """Kernel depth scaled so the work stays near q^depth ~ 2^depth_budget."""
-        if q < 2:
-            raise SchemaError(f"base q must be at least 2, got {q}")
+        """Kernel depth scaled so the work stays near q^depth ~ 2^depth_budget,
+        for a base q >= 2 (`christol_report` refuses any other first)."""
         return max(1, int(self.depth_budget / math.log2(q)))
 
     def as_dict(self) -> dict:

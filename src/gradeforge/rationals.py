@@ -11,8 +11,10 @@ integers (never booleans) and rationals.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -34,12 +36,39 @@ def parse_rational(text: str) -> Fraction:
         raise SchemaError(f"rational literal too long: {exc}") from exc
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction in the wire format (lowest terms, '-3/7' style)."""
-    value = Fraction(value)
+@contextlib.contextmanager
+def integers_of_any_size():
+    """Lift CPython's cap on int<->str digits inside the block, so exact
+    integers of any size render and re-read (the cap only exists from
+    Python 3.10.7 on)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _wire_text(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_rational(value: Fraction) -> str:
+    """Render a Fraction in the wire format (lowest terms, '-3/7' style).
+
+    Any size renders: past CPython's int->str digit cap, the cap is lifted
+    for this one rendering."""
+    value = Fraction(value)
+    try:
+        return _wire_text(value)
+    except ValueError:  # more digits than the int->str cap allows
+        with integers_of_any_size():
+            return _wire_text(value)
 
 
 def residue(value: Fraction, modulus: int) -> int:

@@ -316,6 +316,24 @@ def test_pipeline_report_refuses_a_base_below_two(q):
     assert info.value.exit_code == 2
 
 
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("name", ["catalan", "central-binomial"])
+def test_pipeline_report_refuses_a_base_below_two_before_any_residue(
+        monkeypatch, name, q):
+    drawn = []
+
+    def spy(*args):
+        drawn.append(args)
+        raise AssertionError("residues drawn before the base was checked")
+
+    for path in ("branch_residue_prefixes", "branch_recurrence", "unroll"):
+        monkeypatch.setattr(automata, path, spy)
+    with pytest.raises(SchemaError, match=f"base q must be at least 2, got {q}"):
+        christol_report(CORPUS_ANNIHILATORS[name], 2, q=q,
+                        budgets=KernelBudgets(4096, 3, 64))
+    assert drawn == []
+
+
 # ---------------------------------------------------------------------------
 # the corpus closes at every good prime
 

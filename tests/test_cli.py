@@ -114,6 +114,86 @@ def test_parser_is_built_once_per_defaults_value(capsys, monkeypatch):
     assert other is not parser
     assert other.parse_args(["expand", "builtin", "exp"]).terms == (
         cfg.terms + 1)
+    # one parser per (defaults, command) as well
+    assert cli.build_parser(cfg, None) is parser
+    expand = cli.build_parser(cfg, "expand")
+    run_json(capsys, "expand", "builtin", "catalan", "--terms", "3")
+    assert cli.build_parser(cfg, "expand") is expand
+    ones = {name: cli.build_parser(cfg, name) for name in cli._COMMANDS}
+    assert len({id(one) for one in ones.values()} | {id(parser)}) == 8
+    assert all(cli.build_parser(cfg, name) is one
+               for name, one in ones.items())
+    other_expand = cli.build_parser(cli.Defaults(terms=cfg.terms + 1),
+                                    "expand")
+    assert other_expand is not expand
+    assert other_expand.parse_args(["expand", "builtin", "exp"]).terms == (
+        cfg.terms + 1)
+
+
+# A cheap, valid invocation of every subcommand.
+ONE_RUN = {
+    "expand": ["builtin", "catalan", "--terms", "3"],
+    "hadamard": ["builtin", "catalan", "builtin", "exp", "--terms", "3"],
+    "obstruct": ["builtin", "catalan", "--terms", "20"],
+    "modp": ["builtin", "catalan", "--p", "2"],
+    "diagonal": ["builtin", "catalan", "--order", "3"],
+    "euler": ["--z", "1"],
+    "optics": ["coeffs", '[0,1,0,"1/3",0,"2/15",0]',
+               "--plates", '[[1,1],["1/2",3]]', "--terms", "7"],
+}
+
+
+def parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_one_command_parser_prints_what_the_full_parser_prints(
+        capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("GRADEFORGE_CONFIG", raising=False)
+    cfg = cli.load_defaults()
+    full, one = cli.build_parser(cfg), cli.build_parser(cfg, name)
+    helped = parse_exit(capsys, full, [name, "--help"])
+    assert helped[0] == 0 and helped[1].startswith(f"usage: gradeforge {name}")
+    assert parse_exit(capsys, one, [name, "--help"]) == helped
+    # an unrecognized flag is reported by the top-level parser, whose usage
+    # line names every command
+    argv = [name, *ONE_RUN[name], "--frobnicate"]
+    refused = parse_exit(capsys, full, argv)
+    assert refused[0] == 2
+    assert refused[2].endswith("unrecognized arguments: --frobnicate\n")
+    assert "{expand,hadamard,obstruct,modp,diagonal,euler,optics}" in (
+        refused[2])
+    assert parse_exit(capsys, one, argv) == refused
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_a_command_builds_no_other_subparser(capsys, monkeypatch, name):
+    def refuse(sp, cfg):
+        raise AssertionError(f"built the parser of {sp.prog}")
+
+    for other, spec in cli._COMMANDS.items():
+        if other != name:
+            monkeypatch.setitem(cli._COMMANDS, other,
+                                spec._replace(arguments=refuse))
+    cli._parser.cache_clear()
+    try:
+        rc, out, err = run(capsys, name, *ONE_RUN[name])
+    finally:
+        cli._parser.cache_clear()
+    assert rc == 0, err
+    assert out
+
+
+def test_module_entry_reads_its_arguments_from_the_command_line(capsys):
+    argv = ["modp", "builtin", "catalan", "--p", "2", "--json"]
+    proc = run_python("-m", "gradeforge.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == run_json(capsys, *argv[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +551,7 @@ sys.exit(f"rc={rc}, loaded {loaded}" if rc != 2 or loaded else 0)
 
 
 def test_euler_refuses_nodes_past_the_bound_before_loading_numpy():
-    proc = run_python(_HUGE_NODES)
+    proc = run_python("-c", _HUGE_NODES)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -579,17 +659,18 @@ import sys
 from gradeforge import cli
 def broken(args, cfg):
     raise ValueError("a defect in a handler")
-cli._COMMANDS["expand"] = (broken, None)
+cli._COMMANDS["expand"] = cli._COMMANDS["expand"]._replace(handler=broken)
 sys.exit(cli.main(["expand", "builtin", "exp"]))
 """
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` with this checkout's package first on the path."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", code],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -597,13 +678,14 @@ def test_defects_exit_1_never_3(capsys, monkeypatch):
     def failed_self_check(args, cfg):
         raise VerificationFailed("result disagrees with its recomputation")
 
-    monkeypatch.setitem(cli._COMMANDS, "expand", (failed_self_check, None))
+    monkeypatch.setitem(cli._COMMANDS, "expand", cli._COMMANDS["expand"]
+                        ._replace(handler=failed_self_check))
     rc, out, err = run(capsys, "expand", "builtin", "exp")
     assert rc == 1
     assert "disagrees" in err
     # any other exception is not translated: it propagates, and the
     # interpreter exits 1 with its traceback
-    proc = run_python(_DEFECT)
+    proc = run_python("-c", _DEFECT)
     assert proc.returncode == 1
     assert "ValueError: a defect in a handler" in proc.stderr
 
@@ -731,5 +813,5 @@ sys.exit(f"rc={rc}, loaded {loaded}" if rc or loaded else 0)
 
 
 def test_commands_other_than_euler_do_not_load_numpy_or_scipy():
-    proc = run_python(_IMPORT_GUARD)
+    proc = run_python("-c", _IMPORT_GUARD)
     assert proc.returncode == 0, proc.stderr

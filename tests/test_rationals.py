@@ -11,13 +11,15 @@ from hypothesis import given
 
 from conftest import rationals
 from gradeforge import cli
+from gradeforge.catalog import get_builtin
 from gradeforge.config import Defaults, load_defaults
-from gradeforge.descriptors import read_series
+from gradeforge.descriptors import coeffs_json, expand_series, read_series
 from gradeforge.diagonals import DiagonalWitness
 from gradeforge.errors import SchemaError
 from gradeforge.rationals import (
     coerce_rational,
     format_rational,
+    integers_of_any_size,
     parse_rational,
     read_json_arg,
 )
@@ -50,6 +52,21 @@ def test_parse_rejects_literals_past_the_digit_cap():
         pytest.skip("this interpreter has no int<->str digit cap")
     with pytest.raises(SchemaError):
         parse_rational("1" * (cap + 1))
+
+
+def test_library_renders_integers_past_the_digit_cap(capsys):
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    # 1699! has 4,700 digits, past the default cap of 4,300
+    data = coeffs_json(expand_series(get_builtin("euler"), 1700))
+    assert len(data["coeffs"][-1]) > 4300
+    assert cli.main(["expand", "builtin", "euler", "--terms", "1700",
+                     "--json"]) == 0
+    assert data["coeffs"] == json.loads(capsys.readouterr().out)["coeffs"]
+    big = Fraction(-(10 ** 5000) - 1, 3 ** 9000)
+    with integers_of_any_size():
+        expected = f"{big.numerator}/{big.denominator}"
+    assert format_rational(big) == expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
 
 @given(rationals(max_num=10**6, max_den=10**6))
