@@ -17,10 +17,11 @@ result.  FILE receives every run's metrics, its attempted and failed job
 counts and its pass count (attempted over the side's jobs per pass); per
 workload, end-to-end metric and side, the median, the quartiles and the
 number of pairs that side won (ties count for neither); per workload and
-side, the median pass count; and the tree id of each side.  The median
-pass counts are printed too: ``run.py`` keeps every pass's outputs, so
-``peak_rss_mb`` rises with the number of passes a run fits.  The exports
-are removed at the end, also when a run fails.
+side, the median pass count; and the tree id and the line count of
+``src/gradeforge/*.py`` (as ``wc -l`` counts it) of each side.  The median
+pass counts and the line counts are printed too: ``run.py`` keeps every
+pass's outputs, so ``peak_rss_mb`` rises with the number of passes a run
+fits.  The exports are removed at the end, also when a run fails.
 
 Standard library only; run from anywhere inside the checkout.
 """
@@ -43,6 +44,12 @@ from pathlib import Path
 def git(*args: str, cwd: Path) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def src_lines(root: Path) -> int:
+    """Newlines in the tree's src/gradeforge/*.py: ``wc -l``'s total."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "gradeforge").glob("*.py"))
 
 
 def jobs_per_pass(root: Path, workload: str) -> int:
@@ -117,6 +124,7 @@ def main() -> int:
                                      check=True, capture_output=True).stdout
             with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
                 tar.extractall(roots[side])
+        lines = {side: src_lines(root) for side, root in roots.items()}
         for workload in args.workload:
             jobs = {side: jobs_per_pass(root, workload)
                     for side, root in roots.items()}
@@ -135,7 +143,8 @@ def main() -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     report = {"run_seconds": seconds, "pairs": args.pairs,
-              "revisions": revs, "trees": trees, "workloads": {
+              "revisions": revs, "trees": trees, "src_lines": lines,
+              "workloads": {
                   w: {"metrics": summary(r, better),
                       "median_passes": {
                           side: statistics.median(p[side]["passes"] for p in r)
@@ -143,6 +152,8 @@ def main() -> int:
                       "runs": r}
                   for w, r in runs.items()}}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"src/gradeforge/*.py lines: parent {lines['parent']}, "
+          f"change {lines['change']}")
     for workload, entry in report["workloads"].items():
         passes = entry["median_passes"]
         print(f"{workload} passes per run: parent median "

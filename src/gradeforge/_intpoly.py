@@ -214,17 +214,12 @@ def deriv(a: list[int]) -> list[int]:
 def _sturm_chain(p: list[int]) -> list[list[int]]:
     chain = [list(p), deriv(p)]
     while chain[-1]:
-        a, b = chain[-2], chain[-1]
-        if len(a) < len(b):
-            break
-        r = _prem_positive(a, b)
-        r = [-x for x in r]
+        r = [-x for x in _prem_positive(chain[-2], chain[-1])]
         if r:
             g = content(r)
             r = [x // g for x in r]
         chain.append(r)
-    if chain and not chain[-1]:
-        chain.pop()
+    chain.pop()  # the zero remainder that ended the loop
     return chain
 
 
@@ -309,9 +304,6 @@ def shift_arg(a: list[int], k: int) -> list[int]:
         nxt = [0] + out
         for i, x in enumerate(out):
             nxt[i] += k * x
-        if nxt:
-            nxt[0] += c
-        elif c:
-            nxt = [c]
+        nxt[0] += c
         out = trim(nxt)
     return out

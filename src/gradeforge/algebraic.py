@@ -54,7 +54,7 @@ from .errors import (
     VerificationFailed,
 )
 from .holonomic import PRecurrence, _finish, unroll
-from .obstruction import is_prime
+from .obstruction import check_prime_power
 from .polynomials import Poly, fraction_free_left_kernel
 from .rationals import coerce_rational, residue
 from .series import TruncSeries
@@ -86,16 +86,6 @@ class Annihilator:
             )
 
 
-def _y_coefficient_lists(p: Poly) -> list[list[Fraction]]:
-    """Coefficients of y^j as dense lists in z, index j = 0..deg_y."""
-    dy = p.degree_in(1)
-    dz = p.degree_in(0)
-    out = [[Fraction(0)] * (dz + 1) for _ in range(dy + 1)]
-    for (i, j), c in p.terms.items():
-        out[j][i] = c
-    return out
-
-
 def _conv_frac(xs: Sequence[Fraction], ys: Sequence[Fraction],
                limit: int) -> list[Fraction]:
     """Truncated convolution over Fraction, zero-padded to `limit` entries.
@@ -103,8 +93,6 @@ def _conv_frac(xs: Sequence[Fraction], ys: Sequence[Fraction],
     Denominators are cleared once per operand so the product runs in the
     integer kernel.
     """
-    if not xs or not ys or limit <= 0:
-        return []
     ia, da = ip.clear_denominators(xs)
     ib, db = ip.clear_denominators(ys)
     scale = da * db
@@ -127,9 +115,10 @@ def _identity(x):
 
 def _eval_poly_at_series(coeff_lists, f, limit, mul=_conv_frac,
                          norm=_identity):
-    """P(z, f(z)) mod z^limit by Horner in y; the ring is given by `mul`
-    (product truncated and zero-padded to `limit`) and `norm`."""
-    res = list(coeff_lists[-1][:limit])
+    """P(z, f(z)) mod z^limit by Horner in y, for P given by integer
+    y-rows; the ring is given by `mul` (product truncated and zero-padded
+    to `limit`) and `norm`, which also maps an integer into it."""
+    res = [norm(c) for c in coeff_lists[-1][:limit]]
     res += [0] * (limit - len(res))
     for j in range(len(coeff_lists) - 2, -1, -1):
         res = mul(res, f, limit)
@@ -138,12 +127,6 @@ def _eval_poly_at_series(coeff_lists, f, limit, mul=_conv_frac,
             if cj[i]:
                 res[i] = norm(res[i] + cj[i])
     return res
-
-
-def _branch_derivative(ann: Annihilator) -> tuple[Poly, Fraction]:
-    """P_y and P_y(0, y0), which the constructor checked is nonzero."""
-    py = ann.poly.derivative(1)
-    return py, py.eval([Fraction(0), ann.y0])
 
 
 def _precision_steps(held: int, target: int) -> list[int]:
@@ -166,8 +149,8 @@ def _newton_prefixes(pc, pyc, y0, g0, sizes, mul, norm):
     already holds, so a run through ascending sizes costs about what the
     last size alone costs.
 
-    pc and pyc are the y-coefficient lists of P and P_y over the ring, y0
-    the branch point and g0 = 1/P_y(0, y0) in it.  `mul(a, b, k)` is the
+    pc and pyc are the integer y-rows of P and P_y, y0 the branch point
+    and g0 = 1/P_y(0, y0) in the ring.  `mul(a, b, k)` is the
     product truncated and zero-padded to k entries; `norm` brings a sum or
     a negation back to a canonical ring element.
     """
@@ -196,17 +179,25 @@ def _newton_prefixes(pc, pyc, y0, g0, sizes, mul, norm):
         yield f[:n]
 
 
-def _primitive_scale(p: Poly) -> Fraction:
-    """The rational k that makes k·P a primitive integer polynomial."""
+def _primitive(p: Poly) -> Poly:
+    """k·P for the rational k that makes it a primitive integer polynomial."""
     coeffs = p.terms.values()
     den = math.lcm(*(c.denominator for c in coeffs))
-    return Fraction(den, math.gcd(*(int(c * den) for c in coeffs)))
+    return p * Fraction(den, math.gcd(*(int(c * den) for c in coeffs)))
 
 
 def _z_rows(p: Poly) -> list[list[int]]:
     """An integer P(z, y) as its y-coefficients, dense `_intpoly` lists in z."""
-    return [ip.trim([c.numerator for c in row])
-            for row in _y_coefficient_lists(p)]
+    rows = [[0] * (p.degree_in(0) + 1) for _ in range(p.degree_in(1) + 1)]
+    for (i, j), c in p.terms.items():
+        rows[j][i] = c.numerator
+    return [ip.trim(row) for row in rows]
+
+
+def _dy(pc: list[list[int]], y0: Fraction) -> tuple[list[list[int]], Fraction]:
+    """The y-rows of P_y from those of P, and P_y(0, y0)."""
+    pyc = [[j * c for c in row] for j, row in enumerate(pc)][1:]
+    return pyc, sum(row[0] * y0 ** j for j, row in enumerate(pyc) if row)
 
 
 def _prem_y(row: list[list[int]], pc: list[list[int]]
@@ -228,15 +219,15 @@ def _prem_y(row: list[list[int]], pc: list[list[int]]
     return row + [[] for _ in range(d - len(row))], e
 
 
-def _linear_ode(p: Poly) -> list[list[int]]:
+def _linear_ode(p: Poly, pc: list[list[int]]) -> list[list[int]]:
     """Integer polynomials c_(-1), c_0, ..., c_K in z, not all of
     c_0..c_K zero, with c_(-1) + Σ c_k·y^(k) = 0 on every simple branch of
-    P; K is the least order for which the derivation finds one."""
+    the integer P, whose y-rows are pc; K is the least order for which the
+    derivation finds one."""
     pz = p.derivative(0)
     dp = p.derivative(1)
     twist = dp.derivative(0) * dp - dp.derivative(1) * pz
     dd, dpz = dp * dp, dp * pz
-    pc = _z_rows(p)
     lc = pc[-1]
     a = [None, -pz]  # a[k] = A_k, unreduced: y^(k) = A_k / D^(2k-1)
     for order in range(len(pc) - 1):
@@ -284,8 +275,9 @@ def branch_recurrence(ann: Annihilator) -> PRecurrence:
     zeros of the leading coefficient.  The first n0 + r terms come from
     Newton iteration over Q.
     """
-    py, py0 = _branch_derivative(ann)
-    ode = _linear_ode(ann.poly * _primitive_scale(ann.poly))
+    kp = _primitive(ann.poly)
+    pc = _z_rows(kp)
+    ode = _linear_ode(kp, pc)
     terms = [(k - i, k, c) for k, ck in enumerate(ode[1:])
              for i, c in enumerate(ck) if c]
     lo = min(t[0] for t in terms)
@@ -297,9 +289,9 @@ def branch_recurrence(ann: Annihilator) -> PRecurrence:
     n0_base = max(0, lo + len(ode[0]))
 
     def terms_of(count: int) -> list[Fraction]:
-        return next(_newton_prefixes(
-            _y_coefficient_lists(ann.poly), _y_coefficient_lists(py),
-            ann.y0, 1 / py0, (count,), _conv_frac, _identity))
+        pyc, py0 = _dy(pc, ann.y0)
+        return next(_newton_prefixes(pc, pyc, ann.y0, 1 / py0, (count,),
+                                     _conv_frac, _identity))
 
     return _finish(q_dense, n0_base, terms_of, empirical=False)
 
@@ -328,39 +320,26 @@ def branch_residue_prefixes(ann: Annihilator, sizes: Iterable[int], p: int,
     last; a size no larger than one already reached costs only a slice, and
     a size below 1 raises `SchemaError` when it is drawn.
     """
-    if r < 1 or not is_prime(p):
-        raise SchemaError(
-            f"need a prime p and an exponent r >= 1, got p = {p}, r = {r}")
-    py, py0 = _branch_derivative(ann)
-    k = _primitive_scale(ann.poly)
-    if ann.y0.denominator % p == 0 or (py0 * k).numerator % p == 0:
+    check_prime_power(p, r)
+    pc = _z_rows(_primitive(ann.poly))
+    pyc, py0 = _dy(pc, ann.y0)
+    if ann.y0.denominator % p == 0 or py0.numerator % p == 0:
         return None
     modulus = p ** r
-
-    def lists(poly: Poly) -> list[list[int]]:
-        return [[residue(c * k, modulus) for c in row]
-                for row in _y_coefficient_lists(poly)]
-
     return _newton_prefixes(
-        lists(ann.poly), lists(py), residue(ann.y0, modulus),
-        pow(residue(py0 * k, modulus), -1, modulus), sizes,
+        pc, pyc, residue(ann.y0, modulus),
+        pow(residue(py0, modulus), -1, modulus), sizes,
         lambda a, b, limit: _conv_mod(a, b, limit, modulus),
         lambda x: x % modulus,
     )
 
 
 def verify_annihilator(ann: Annihilator, f: TruncSeries) -> bool:
-    """Check P(z, f) vanishes through the trustworthy window.
+    """Check that P(z, f) vanishes mod z^order(f).
 
-    The residual is checked through order(f) - deg_z(P): the final deg_z(P)
-    coefficient slots could in principle mix in unknown coefficients of f, so
-    they are excluded (a deliberately conservative margin).
+    [z^k] P(z, f) for k < order(f) involves only the known coefficients
+    f_0..f_k, so the whole window is checked.
     """
-    n = f.order
-    slack = max(ann.poly.degree_in(0), 0)
-    window = n - slack
-    if window <= 0:
-        return True
-    pc = _y_coefficient_lists(ann.poly)
-    res = _eval_poly_at_series(pc, list(f.coeffs), n)
-    return all(res[i] == 0 for i in range(window))
+    res = _eval_poly_at_series(_z_rows(_primitive(ann.poly)), list(f.coeffs),
+                               f.order)
+    return not any(res)

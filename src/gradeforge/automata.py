@@ -20,7 +20,7 @@ from .algebraic import Annihilator, branch_recurrence, branch_residue_prefixes
 from .config import DEFAULTS
 from .errors import BudgetTooSmall, PrimeDividesDenominator, SchemaError
 from .holonomic import unroll
-from .obstruction import is_prime
+from .obstruction import check_prime_power
 from .rationals import residue
 from .series import TruncSeries
 
@@ -39,16 +39,9 @@ class ResidueSequence:
             raise SchemaError("every term must lie in [0, modulus)")
 
 
-def _check_prime_power(p: int, r: int) -> None:
-    if not is_prime(p):
-        raise SchemaError(f"{p} is not prime")
-    if r < 1:
-        raise SchemaError("exponent r must be at least 1")
-
-
 def reduce_mod(f: TruncSeries, p: int, r: int = 1) -> ResidueSequence:
     """Coefficients of f mod p^r, via modular inverse of the denominators."""
-    _check_prime_power(p, r)
+    check_prime_power(p, r)
     modulus = p ** r
     terms = []
     for n, c in enumerate(f.coeffs):

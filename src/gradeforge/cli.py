@@ -153,9 +153,8 @@ def _cmd_optics(args, cfg: Defaults) -> dict:
     return {
         "order": args.terms,
         "plates": len(plates),
-        "exact": isinstance(gap, Fraction),
-        "discrepancy": format_rational(gap) if isinstance(gap, Fraction)
-        else gap,
+        "exact": True,
+        "discrepancy": format_rational(gap),
     }
 
 

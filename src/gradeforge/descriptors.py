@@ -13,7 +13,7 @@ from __future__ import annotations
 from .algebraic import Annihilator, expand_branch
 from .analytic import ExpPolyRational
 from .catalog import get_builtin
-from .errors import SchemaError, TruncationExceeded
+from .errors import SchemaError
 from .holonomic import PRecurrence, unroll
 from .polynomials import poly_from_rows, poly_rows
 from .rationals import (
@@ -39,7 +39,6 @@ def _check_kind_label(payload: dict, expected: str) -> None:
 def _coeffs_from_json(payload) -> TruncSeries:
     terms = None
     if isinstance(payload, dict):
-        _check_kind_label(payload, "coeffs")
         wire_object(payload, ("coeffs",), "coeffs payload")
         if "terms" in payload:
             terms = wire_int(payload["terms"], 'coeffs "terms"', 1)
@@ -66,7 +65,6 @@ def annihilator_to_json(ann: Annihilator) -> dict:
 
 def _exppoly_from_json(payload) -> ExpPolyRational:
     payload = wire_object(payload, ("terms",), "rational-exppoly payload")
-    _check_kind_label(payload, "rational-exppoly")
     if not isinstance(payload["terms"], list):
         raise SchemaError('rational-exppoly payload needs a "terms" list')
     built = []
@@ -94,10 +92,12 @@ def read_series(kind: str, arg: str):
     if kind == "builtin":
         return get_builtin(arg)
     payload = read_json_arg(arg, "descriptor")
+    if kind == "algebraic":  # a reader of its own, label check included
+        return annihilator_from_json(payload)
+    if isinstance(payload, dict):
+        _check_kind_label(payload, kind)
     if kind == "coeffs":
         return _coeffs_from_json(payload)
-    if kind == "algebraic":
-        return annihilator_from_json(payload)
     if kind == "holonomic":
         return PRecurrence.from_json_dict(payload)
     return _exppoly_from_json(payload)
@@ -108,11 +108,6 @@ def expand_series(obj, terms: int) -> TruncSeries:
     if terms < 1:
         raise SchemaError("terms must be positive")
     if isinstance(obj, TruncSeries):
-        if obj.order < terms:
-            raise TruncationExceeded(
-                f"descriptor holds {obj.order} coefficients, "
-                f"requested {terms}"
-            )
         return obj.truncate(terms)
     if isinstance(obj, PRecurrence):
         return unroll(obj, terms)

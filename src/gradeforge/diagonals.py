@@ -271,8 +271,6 @@ def product_witness(
 ) -> DiagonalWitness:
     """Combine witnesses; the result's diagonal is the Hadamard product
     of the factors' diagonals (shifts composed at n = 0)."""
-    if len(factors) < 2:
-        raise SchemaError("need at least two factors")
     rat = product_lift(factors)
     d = sum(f.d for f in factors)
     # The diagonals multiply pointwise, so only n = 0 needs a correction:

@@ -308,8 +308,6 @@ def hadamard_recurrence(ra: PRecurrence, rb: PRecurrence) -> PRecurrence:
     n0_base = max(ra.n0, rb.n0)
 
     def terms_of(count: int) -> list[Fraction]:
-        if count == 0:
-            return []
         ua = unroll(ra, count)
         ub = unroll(rb, count)
         return [x * y for x, y in zip(ua.coeffs, ub.coeffs)]

@@ -82,6 +82,13 @@ def is_prime(n: int) -> bool:
     return n % 2 == 1 and _is_probable_prime(n)
 
 
+def check_prime_power(p: int, r: int) -> None:
+    """SchemaError unless p is prime and r >= 1."""
+    if r < 1 or not is_prime(p):
+        raise SchemaError(
+            f"need a prime p and an exponent r >= 1, got p = {p}, r = {r}")
+
+
 def _is_probable_prime(n: int) -> bool:
     """Miller–Rabin on the odd n > 41 to the bases MILLER_RABIN_BASES."""
     d, s = n - 1, 0

@@ -45,14 +45,13 @@ class Poly:
         self.nvars = nvars
         clean: dict[tuple[int, ...], Fraction] = {}
         for expo, coeff in terms.items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != nvars or any(e < 0 for e in expo):
+            expo = tuple(expo)
+            if len(expo) != nvars or any(
+                    type(e) is not int or e < 0 for e in expo):
                 raise SchemaError(f"bad exponent tuple {expo} for {nvars} vars")
             c = coerce_rational(coeff) if not isinstance(coeff, Fraction) else coeff
             if c:
-                clean[expo] = clean.get(expo, Fraction(0)) + c
-                if not clean[expo]:
-                    del clean[expo]
+                clean[expo] = c
         self.terms = clean
 
     # -- constructors --------------------------------------------------

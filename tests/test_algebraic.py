@@ -147,10 +147,10 @@ def test_deep_expansion_matches_integer_recurrences():
 
 def newton_over_q(ann, n):
     """The branch by Newton iteration over Q alone, without a recurrence."""
-    py, py0 = algebraic._branch_derivative(ann)
+    pc = algebraic._z_rows(algebraic._primitive(ann.poly))
+    pyc, py0 = algebraic._dy(pc, ann.y0)
     return next(algebraic._newton_prefixes(
-        algebraic._y_coefficient_lists(ann.poly),
-        algebraic._y_coefficient_lists(py), ann.y0, 1 / py0, (n,),
+        pc, pyc, ann.y0, 1 / py0, (n,),
         algebraic._conv_frac, algebraic._identity))
 
 

@@ -299,6 +299,12 @@ def test_obstruct_passes_geometric(capsys):
     assert data["verdict"] == "no-obstruction-found"
 
 
+def test_obstruct_reports_thue_morse_as_aperiodic(capsys):
+    data = run_json(capsys, "obstruct", "builtin", "thue-morse-signs")
+    assert data["periodicity"] == {"kind": "aperiodic-up-to", "bound": 10}
+    assert data["verdict"] == "infinite-grade-evidence"
+
+
 def test_obstruct_table_lists_the_scans(capsys):
     rc, out, err = run(capsys, "obstruct", "builtin", "euler",
                        "--terms", "30")
@@ -543,10 +549,12 @@ def test_euler_at_the_node_bound_still_uses_gauss_laguerre(capsys):
 _HUGE_NODES = """
 import contextlib, io, sys
 from gradeforge.cli import main
-with contextlib.redirect_stderr(io.StringIO()):
-    rc = main(["euler", "--z", "1", "--nodes", "100000"])
-loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
-sys.exit(f"rc={rc}, loaded {loaded}" if rc != 2 or loaded else 0)
+for argv, want in ((["--z", "1", "--nodes", "100000"], 2), (["--z", "inf"], 3)):
+    with contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["euler", *argv])
+    loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+    if rc != want or loaded:
+        sys.exit(f"{argv}: rc={rc}, loaded {loaded}")
 """
 
 
@@ -634,9 +642,12 @@ def test_broken_config_file_is_a_schema_error(capsys, tmp_path, monkeypatch):
     (2, ("expand", "holonomic",
          '{"order": true, "coeffs": [["-1"], ["1"]], "n0": false, '
          '"initial": ["1"]}', "--terms", "3")),
+    # 2 again: a rational-exppoly term that is not [pole, mult, [coeffs]]
+    (2, ("expand", "rational-exppoly", '{"terms": [["1", 1]]}')),
 ], ids=["no-y", "zero-pole", "initial-off-recurrence", "obstruct-10-terms",
         "obstruct-1-term", "truncated-coeffs", "underdetermined",
-        "infinite-z", "branch-formula-terms", "boolean-order"])
+        "infinite-z", "branch-formula-terms", "boolean-order",
+        "exppoly-row-shape"])
 def test_exit_code_follows_the_error_family(capsys, rc, argv):
     got, out, err = run(capsys, *argv)
     assert got == rc, err

@@ -162,6 +162,20 @@ def test_algebraic_descriptor_is_checked_when_read(payload, error):
 # holonomic and pole-form payloads
 
 
+@pytest.mark.parametrize("kind, payload", [
+    ("coeffs", {"coeffs": [1, 2]}),
+    ("algebraic", {"P": [[0, 2, "1"], [0, 1, "-1"], [1, 0, "1"]], "y0": "0"}),
+    ("holonomic", {"order": 1, "coeffs": [["-1"], ["1"]], "n0": 0,
+                   "initial": ["1"]}),
+    ("rational-exppoly", {"terms": [["1/2", 1, ["1"]]]}),
+])
+def test_every_reader_refuses_a_mismatched_kind_label(kind, payload):
+    assert read_series(kind, json.dumps({"kind": kind, **payload}))
+    other = "algebraic" if kind != "algebraic" else "holonomic"
+    with pytest.raises(SchemaError, match="payload says kind"):
+        read_series(kind, json.dumps({"kind": other, **payload}))
+
+
 CATALAN_REC = PRecurrence.from_dense([[-2, -4], [2, 1]], 0, [1])
 
 

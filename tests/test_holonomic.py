@@ -239,6 +239,24 @@ def test_guess_random_data_has_no_fit():
         guess_recurrence(data, 2, 2)
 
 
+def test_guess_refuses_a_fit_it_cannot_certify():
+    # (n - 100)·a_(n+1) = a_n fits every term, but its base rises past
+    # n = 100, far beyond the 15 supplied terms
+    terms = [Fraction(1)]
+    for n in range(14):
+        terms.append(terms[-1] / (n - 100))
+    with pytest.raises(NoFit, match="needs 102 terms, only 15 supplied"):
+        guess_recurrence(TruncSeries.from_list(terms), 1, 1)
+
+
+def test_guess_refuses_a_fit_that_misses_the_last_term():
+    # with order 2, no equation reaches the last term through a_(n+1), so
+    # a_(n+1) = 2·a_n fits all equations but does not reproduce that term
+    terms = [2**n for n in range(14)] + [2**14 + 1]
+    with pytest.raises(NoFit, match="does not extend to all supplied terms"):
+        guess_recurrence(TruncSeries.from_list(terms), 2, 0)
+
+
 def test_guess_needs_enough_terms():
     with pytest.raises(ValueError):
         guess_recurrence(unroll(CATALAN, 12), 2, 2)

@@ -1,12 +1,14 @@
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from gradeforge import obstruction
 from gradeforge.descriptors import expand_builtin
 from gradeforge.errors import NotSignSequence, SchemaError, TooSparse
 from gradeforge.holonomic import PRecurrence, unroll
@@ -135,6 +137,23 @@ def test_product_of_two_large_primes_is_split():
     scan = prime_support_scan(series_with_denominator(2 * p * q), 4)
     assert scan.primes == ((2, 3), (p, 3), (q, 3))
     assert scan.incomplete == ()
+
+
+def test_pollard_brent_redoes_a_batch_that_spans_both_factors(monkeypatch):
+    # With one batch as long as each cycle search, the gcd of the batch
+    # product catches both collisions at once and is n itself; the batch is
+    # then replayed one step at a time.
+    p, q = 1_000_003, 2_000_003
+    gcds = []
+
+    def spy_gcd(a, b):
+        gcds.append(math.gcd(a, b))
+        return gcds[-1]
+
+    monkeypatch.setattr(obstruction, "_BRENT_BATCH", 1 << 20)
+    monkeypatch.setattr(obstruction, "math", SimpleNamespace(gcd=spy_gcd))
+    assert obstruction._pollard_brent(p * q) in (p, q)
+    assert p * q in gcds
 
 
 def test_unsplittable_cofactor_is_marked_incomplete_quickly():

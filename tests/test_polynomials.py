@@ -38,6 +38,17 @@ def test_zero_coefficients_dropped():
     assert Poly(2, {}).is_zero()
 
 
+@pytest.mark.parametrize("terms", [
+    {(1.9, 0): 2},                    # was read as 2·z
+    {(1.5, 0): 1, (1, 0): -1},        # was read as 0
+    {(True, 0): 1},
+    {("1", 0): 1},
+], ids=["float", "float-cancelling", "bool", "string"])
+def test_non_integer_exponents_are_refused(terms):
+    with pytest.raises(SchemaError, match="bad exponent tuple"):
+        Poly(2, terms)
+
+
 def test_difference_of_squares():
     y = Poly.variable(2, 1)
     one = Poly.const(2, 1)
@@ -194,6 +205,46 @@ def test_conv_matches_schoolbook_slot_by_slot(operands):
 def test_conv_nonpositive_limit_is_empty(size, limit):
     a = list(range(-size, size, 2))
     assert ip.conv(a, a, limit) == []
+
+
+# ---------------------------------------------------------------------------
+# integer roots
+
+
+def brute_roots(a, bound):
+    return [x for x in range(-bound, bound + 1) if ip.eval_at(a, x) == 0]
+
+
+def test_sturm_chain_flips_the_sign_after_a_degree_drop_of_two(monkeypatch):
+    # x^4 + x - 2 = (x - 1)(x^3 + x^2 + x + 2).  Its chain is p, p' = 4x^3
+    # + 1, then 8 - 3x: p mod p' has no x^2 term, so that remainder drops
+    # two degrees and leads with -3.  Dividing p' by it takes the odd power
+    # (-3)^3, and the pseudo-remainder's sign must be flipped back.
+    p = [-2, 1, 0, 0, 1]
+    flipped = []
+    prem = ip._prem_positive
+
+    def spy(a, b):
+        if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
+            flipped.append((a, b))
+        return prem(a, b)
+
+    monkeypatch.setattr(ip, "_prem_positive", spy)
+    assert ip._sturm_chain(p) == [p, [1, 0, 0, 4], [8, -3], [-1]]
+    assert flipped == [([1, 0, 0, 4], [8, -3])]
+    assert ip.int_roots(p) == brute_roots(p, 3) == [1]
+
+
+@given(st.lists(st.integers(-30, 30), max_size=4),
+       st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(
+           lambda q: q[-1] != 0))
+def test_int_roots_of_a_product_with_known_integer_roots(rs, q):
+    a = list(q)
+    for r in rs:
+        a = ip.mul(a, [-r, 1])
+    # every integer root of q has |x| <= max|q_i| because |lead| >= 1
+    bound = max(abs(c) for c in q)
+    assert ip.int_roots(a) == sorted(set(rs) | set(brute_roots(q, bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -90,3 +90,14 @@ def test_kernel_census_refuses_an_unknown_name(capsys):
     err = capsys.readouterr().err
     assert "error: argument --names: invalid choice: 'nope'" in err
     assert "Traceback" not in err
+
+
+def test_bench_pairs_counts_source_lines_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "gradeforge"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n\n")
+    (package / "b.py").write_text("z = 3\nno_final_newline = 4")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    # wc -l counts newlines, so b.py's unterminated last line is not one
+    assert load("bench_pairs").src_lines(tmp_path) == 4
