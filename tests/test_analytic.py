@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import scipy.integrate
 import scipy.special
+from numpy.polynomial.laguerre import laggauss
 
 from gradeforge import (
     ExpPolyRational,
@@ -19,6 +20,7 @@ from gradeforge import (
     zeta_odd_denominator_check,
 )
 from gradeforge.analytic import (
+    _laguerre_rule,
     branch_offset,
     euler_derivative_check,
     euler_report,
@@ -26,7 +28,12 @@ from gradeforge.analytic import (
     tangent_series,
     zeta_tail_bound,
 )
-from gradeforge.errors import InsufficientTerms, NonPositiveArgument, NotOdd
+from gradeforge.errors import (
+    InsufficientTerms,
+    NonPositiveArgument,
+    NotOdd,
+    SchemaError,
+)
 
 from oracles import squares_plus_one, tangent_taylor
 
@@ -127,6 +134,11 @@ def test_float_poles_do_not_expand():
         f.expand(4)
 
 
+def test_float_pole_coefficient_is_a_float():
+    value = ExpPolyRational(((2.0, 1, (1.0,)),)).coefficient(3)
+    assert isinstance(value, float) and value == 0.0625
+
+
 # ---------------------------------------------------------------------------
 # the exponential-integral pair
 
@@ -187,6 +199,11 @@ def test_branch_offset_value():
         branch_offset(0.0)
 
 
+def test_branch_offset_overflows_to_infinity():
+    # e^(1/z) overflows a float once 1/z > 709
+    assert branch_offset(1e-3) == math.inf
+
+
 def test_report_contents():
     rep = euler_report(0.5)
     assert set(rep) == {"value", "error_estimate", "reference",
@@ -211,6 +228,40 @@ def test_quadrature_config_validation():
         QuadratureConfig(nodes=4)
     with pytest.raises(ValueError):
         QuadratureConfig(tolerance=0.0)
+
+
+@pytest.mark.parametrize("nodes", [16.0, 16.5])
+def test_quadrature_nodes_must_be_an_integer(nodes):
+    with pytest.raises(SchemaError):
+        QuadratureConfig(nodes=nodes)
+
+
+@pytest.mark.parametrize("n", [16, 64, 93, 128, 186])
+def test_laguerre_rule_matches_numpy(n):
+    nodes, weights = _laguerre_rule(n)
+    want_nodes, want_weights = laggauss(n)
+    assert len(nodes) == len(weights) == n
+    for got, want in zip(nodes, want_nodes):
+        assert abs(got - want) <= 1e-12 * want
+    for got, want in zip(weights, want_weights):
+        assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("z, method", [
+    (0.5, "gauss-laguerre-128"),
+    (1.0, "gauss-laguerre-128"),
+    (3.9, "adaptive"),
+    (4.0, "adaptive"),
+    (10.0, "adaptive"),
+    (100.0, "adaptive"),
+    (1e4, "adaptive"),
+])
+def test_report_value_and_method_against_exp1(z, method):
+    # I(z) = y e^y E_1(y) with y = 1/z
+    y = 1.0 / z
+    report = euler_report(z)
+    assert report["method"] == method
+    assert abs(report["value"] - y * math.exp(y) * scipy.special.exp1(y)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

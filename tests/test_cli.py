@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.special
 
 from gradeforge.analytic import MAX_LAGUERRE_NODES
 from gradeforge.automata import (
@@ -546,21 +547,19 @@ def test_euler_at_the_node_bound_still_uses_gauss_laguerre(capsys):
     assert abs(data["value"] - 0.5963473623) < 1e-9
 
 
-_HUGE_NODES = """
-import contextlib, io, sys
-from gradeforge.cli import main
-for argv, want in ((["--z", "1", "--nodes", "100000"], 2), (["--z", "inf"], 3)):
-    with contextlib.redirect_stderr(io.StringIO()):
-        rc = main(["euler", *argv])
-    loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
-    if rc != want or loaded:
-        sys.exit(f"{argv}: rc={rc}, loaded {loaded}")
-"""
+def test_euler_at_a_tiny_z_exhausts_the_series_budget(capsys):
+    # (1/z)^terms overflows, so the tail bound reads inf
+    rc, out, err = run(capsys, "euler", "--z", "1e-300")
+    assert rc == 4
+    assert "tail bound inf" in err
 
 
-def test_euler_refuses_nodes_past_the_bound_before_loading_numpy():
-    proc = run_python("-c", _HUGE_NODES)
-    assert proc.returncode == 0, proc.stderr
+def test_euler_exp_sinh_stops_at_an_unmeetable_tolerance(capsys):
+    data = run_json(capsys, "euler", "--z", "10", "--tolerance", "1e-300")
+    assert data["method"] == "adaptive"
+    assert math.isfinite(data["error_estimate"])
+    y = 0.1
+    assert abs(data["value"] - y * math.exp(y) * scipy.special.exp1(y)) < 1e-15
 
 
 def test_euler_table_rendering(capsys):
@@ -816,13 +815,22 @@ def test_modp_central_binomial_mod_nine_ends_at_its_depth_budget(capsys):
 _IMPORT_GUARD = """
 import contextlib, io, sys
 from gradeforge.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = main(["modp", "builtin", "catalan", "--p", "2"])
-loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
-sys.exit(f"rc={rc}, loaded {loaded}" if rc or loaded else 0)
+for argv, want in ((["modp", "builtin", "catalan", "--p", "2"], 0),
+                   (["euler", "--z", "1"], 0),
+                   (["euler", "--z", "10"], 0),
+                   (["euler", "--z", "1", "--nodes", "100000"], 2),
+                   (["euler", "--z", "inf"], 3)):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        rc = main(argv)
+    loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+    if rc != want or loaded:
+        sys.exit(f"{argv}: rc={rc}, loaded {loaded}")
 """
 
 
-def test_commands_other_than_euler_do_not_load_numpy_or_scipy():
+def test_no_command_loads_numpy_or_scipy():
+    # both are test oracles only: euler runs its quadrature on the
+    # standard library, by Gauss-Laguerre at z = 1 and exp-sinh at z = 10
     proc = run_python("-c", _IMPORT_GUARD)
     assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,8 @@ import oracles
 from conftest import rationals
 from gradeforge import _intpoly as ip
 from gradeforge import polynomials
+from gradeforge.algebraic import Annihilator
+from gradeforge.catalog import CORPUS_ANNIHILATORS
 from gradeforge.errors import NoKernel, SchemaError, VariableMismatch
 from gradeforge.polynomials import (
     Poly,
@@ -260,6 +262,20 @@ def test_catalan_witness_point_values():
     assert witness.num.eval(point) == 0 and witness.den.eval(point) != 0
     p = p2({(0, 2): 1, (0, 1): -1, (1, 0): 1})
     assert p.eval([Fraction(0), Fraction(0)]) == 0
+
+
+def test_equal_polys_hash_equal_and_key_a_dict():
+    a = p2({(1, 0): 1, (0, 1): -1})
+    b = p2({(0, 1): -1, (1, 0): 1})
+    assert a == b and hash(a) == hash(b)
+    geometric = CORPUS_ANNIHILATORS["geometric"]
+    twin = Annihilator(Poly(2, dict(geometric.poly.terms)), geometric.y0)
+    assert {geometric: "geometric"}[twin] == "geometric"
+
+
+def test_only_the_zero_poly_is_false():
+    assert not Poly.zero(2)
+    assert Poly.const(2, 1)
 
 
 def test_ratfun_normalization_makes_equality_structural():

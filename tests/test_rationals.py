@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -211,3 +212,32 @@ def test_no_module_relies_on_assert_statements():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
     )
     assert asserting == []
+
+
+def _absolute_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_numpy_or_scipy():
+    # the package has no runtime dependencies; both libraries are test oracles
+    package = Path(__file__).resolve().parents[1] / "src" / "gradeforge"
+    importing = sorted(
+        path.name for path in package.glob("*.py")
+        if any(name.split(".")[0] in ("numpy", "scipy") for name in
+               _absolute_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    )
+    assert importing == []
+
+
+def test_numpy_and_scipy_are_test_dependencies_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    test_extra = {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower()
+                  for requirement in project["optional-dependencies"]["test"]}
+    assert {"numpy", "scipy"} <= test_extra
