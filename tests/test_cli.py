@@ -815,22 +815,34 @@ def test_modp_central_binomial_mod_nine_ends_at_its_depth_budget(capsys):
 _IMPORT_GUARD = """
 import contextlib, io, sys
 from gradeforge.cli import main
-for argv, want in ((["modp", "builtin", "catalan", "--p", "2"], 0),
-                   (["euler", "--z", "1"], 0),
-                   (["euler", "--z", "10"], 0),
-                   (["euler", "--z", "1", "--nodes", "100000"], 2),
-                   (["euler", "--z", "inf"], 3)):
+for argv, want in {runs}:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         rc = main(argv)
     loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
     if rc != want or loaded:
-        sys.exit(f"{argv}: rc={rc}, loaded {loaded}")
+        sys.exit(f"{{argv}}: rc={{rc}}, loaded {{loaded}}")
 """
+
+
+def assert_runs_load_neither(*runs):
+    # each (argv, exit code) runs in one fresh interpreter, in order
+    proc = run_python("-c", _IMPORT_GUARD.format(runs=repr(runs)))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_other_than_euler_do_not_load_numpy_or_scipy():
+    assert_runs_load_neither((["modp", "builtin", "catalan", "--p", "2"], 0))
+
+
+def test_euler_refuses_nodes_past_the_bound_before_loading_numpy():
+    assert_runs_load_neither((["euler", "--z", "1", "--nodes", "100000"], 2),
+                             (["euler", "--z", "inf"], 3))
 
 
 def test_no_command_loads_numpy_or_scipy():
     # both are test oracles only: euler runs its quadrature on the
     # standard library, by Gauss-Laguerre at z = 1 and exp-sinh at z = 10
-    proc = run_python("-c", _IMPORT_GUARD)
-    assert proc.returncode == 0, proc.stderr
+    assert_runs_load_neither((["modp", "builtin", "catalan", "--p", "2"], 0),
+                             (["euler", "--z", "1"], 0),
+                             (["euler", "--z", "10"], 0))
