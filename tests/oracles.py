@@ -106,6 +106,31 @@ def squares_plus_one(order: int) -> list[Fraction]:
     return out
 
 
+def branch_prefix(P: dict, y0, n: int) -> list[Fraction]:
+    """First n coefficients of the branch of P(z, y) = 0 through (0, y0).
+
+    P maps (i, j) to the coefficient of z^i y^j, and y0 must be a simple
+    root of P(0, y).  Only the linear term in f_k of P(z, f) reaches z^k,
+    with factor P_y(0, y0), so f_k = -[z^k] P(z, f_<k) / P_y(0, y0); the
+    powers of f_<k are schoolbook Cauchy products.
+    """
+    y0 = Fraction(y0)
+    slope = sum(Fraction(c) * j * y0 ** (j - 1)
+                for (i, j), c in P.items() if i == 0 and j > 0)
+    f = [y0]
+    for k in range(1, n):
+        prefix = f + [Fraction(0)]
+        powers = [[Fraction(1)] + [Fraction(0)] * k]
+        for _ in range(max(j for _, j in P)):
+            last = powers[-1]
+            powers.append([sum(last[a] * prefix[t - a] for a in range(t + 1))
+                           for t in range(k + 1)])
+        at_k = sum(Fraction(c) * powers[j][k - i]
+                   for (i, j), c in P.items() if i <= k)
+        f.append(-at_k / slope)
+    return f[:n]
+
+
 # ---------------------------------------------------------------------------
 # multivariate series (plain dict arithmetic, graded-order linear solve)
 

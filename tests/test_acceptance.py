@@ -31,6 +31,7 @@ from gradeforge.analytic import (
 )
 from gradeforge.automata import KernelBudgets, ResidueSequence, kernel_closure
 from gradeforge.catalog import CORPUS_ANNIHILATORS, get_builtin
+from gradeforge.descriptors import annihilator_from_json
 from gradeforge.diagonals import (
     diagonal_extract,
     diagonal_witness,
@@ -48,6 +49,7 @@ from gradeforge.holonomic import (
 from gradeforge.series import TruncSeries
 
 from oracles import (
+    branch_prefix,
     catalan_numbers,
     catalan_numbers_fast,
     central_binomials,
@@ -194,6 +196,25 @@ def test_bivariate_witness_roundtrip_and_product():
             c * c for c in oracle(12)], name
 
     _within(30.0, t0)
+
+
+# A branch with deg_y P = 5 and deg_z P = 2.  Its witness is checked against
+# P itself; deriving the branch's recurrence for the check took 3.6 s
+# (Python 3.11, 2 vCPUs of a shared VM).
+_P52 = {"P": [[0, 1, "1"], [0, 2, "3"], [0, 3, "3"], [0, 4, "3"],
+              [0, 5, "-3"], [1, 0, "-1"], [1, 1, "-3"], [1, 3, "3"],
+              [2, 0, "2"], [2, 2, "3"], [2, 3, "-2"], [2, 4, "-3"],
+              [2, 5, "1"]], "y0": "0"}
+
+
+def test_witness_of_a_degree_five_branch_needs_no_recurrence():
+    ann = annihilator_from_json(_P52)
+    t0 = time.perf_counter()
+    witness = diagonal_witness(ann, 10)
+    _within(1.0, t0)
+    expected = branch_prefix({(a, b): c for a, b, c in _P52["P"]}, 0, 10)
+    assert expected == [0, 1, -2, 3, -12, 68, -375, 1910, -9777, 52478]
+    assert list(witness.diagonal(10).coeffs) == expected
 
 
 # -- 7. obstruction verdicts on the builtin catalog ---------------------------

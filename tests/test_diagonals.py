@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gradeforge.algebraic as algebraic
 import gradeforge.diagonals as diagonals
 from gradeforge import (
     DiagonalWitness,
@@ -39,6 +40,7 @@ from gradeforge.series import TruncSeries
 
 from conftest import rationals
 from oracles import (
+    branch_prefix,
     catalan_witness_diagonal,
     diagonal_from_box,
     geometric_series_diagonal,
@@ -202,13 +204,46 @@ def test_witness_round_trips_corpus_branch(name):
 
 
 @pytest.mark.parametrize("poly", [
-    Y**3 + Y - X,            # cubic branch through the origin
-    Y * Y + Poly.const(2, 2) * Y - X,
+    (Y**3 + Y - X, 0),       # cubic branch through the origin
+    (Y * Y + Poly.const(2, 2) * Y - X, 0),
+    (Poly.const(2, 2) * Y - ONE - X, Fraction(1, 2)),  # non-integer point
+    (Y * Y - Poly.const(2, 4) + X, -2),                # negative point
 ])
 def test_witness_round_trips_other_branches(poly):
-    ann = Annihilator(poly, Fraction(0))
+    ann = Annihilator(*poly)
     w = diagonal_witness(ann, 10)
+    assert w.constant_shift == ann.y0
     assert w.diagonal(10).coeffs == expand_branch(ann, 10).coeffs
+
+
+def _translate_by_poly_arithmetic(p, c):
+    """P(z, y + c) by `Poly` powers and products: the earlier form of
+    `diagonals._translate_branch`, kept as its oracle."""
+    shifted_y = Y + Poly.const(2, c)
+    out = Poly.zero(2)
+    for (a, b), coeff in p.terms.items():
+        out = out + Poly.const(2, coeff) * X**a * shifted_y**b
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ANNIHILATORS))
+def test_translation_matches_poly_arithmetic(name):
+    p = CORPUS_ANNIHILATORS[name].poly
+    for c in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2),
+              Fraction(-3, 7)):
+        moved = diagonals._translate_branch(p, c)
+        assert moved == _translate_by_poly_arithmetic(p, c), c
+        assert diagonals._translate_branch(moved, -c) == p, c
+
+
+def test_witnesses_need_no_derived_recurrence(monkeypatch):
+    def refuse(ann):
+        raise AssertionError("a witness check derived a recurrence")
+
+    monkeypatch.setattr(algebraic, "branch_recurrence", refuse)
+    ws = [diagonal_witness(CORPUS_ANNIHILATORS[name], 10)
+          for name in ("catalan", "central-binomial")]
+    assert product_witness(ws, 10).d == 2
 
 
 def test_witness_records_branch_constant():
@@ -343,11 +378,25 @@ def _off_by_one(series):
 
 
 def test_diagonal_witness_check_rejects_a_wrong_expansion(monkeypatch):
-    real = diagonals.expand_branch
-    monkeypatch.setattr(diagonals, "expand_branch",
-                        lambda ann, n: _off_by_one(real(ann, n)))
+    real = diagonals.diagonal_extract
+    monkeypatch.setattr(diagonals, "diagonal_extract",
+                        lambda rat, n: _off_by_one(real(rat, n)))
     with pytest.raises(VerificationFailed):
         diagonal_witness(CORPUS_ANNIHILATORS["catalan"], 4)
+
+
+def test_diagonal_witness_check_rejects_another_branch(monkeypatch):
+    # P = (y - 1)(y - 2) - z has simple branches through y0 = 1 and 2, and
+    # P(z, D) = 0 holds for both; only D(0) = y0 tells them apart.
+    rows = {(0, 2): 1, (0, 1): -3, (0, 0): 2, (1, 0): -1}
+    other = branch_prefix(rows, 2, 6)
+    # the witness re-adds its shift y0 = 1 at n = 0
+    monkeypatch.setattr(diagonals, "diagonal_extract",
+                        lambda rat, n: TruncSeries.from_list(
+                            [other[0] - 1, *other[1:n]]))
+    ann = Annihilator(Poly(2, rows), Fraction(1))
+    with pytest.raises(VerificationFailed):
+        diagonal_witness(ann, 6)
 
 
 def test_product_witness_check_rejects_a_wrong_product(monkeypatch):
@@ -368,15 +417,15 @@ from gradeforge.series import TruncSeries
 def off_by_one(s):
     return TruncSeries(s.coeffs[:-1] + (s.coeffs[-1] + 1,))
 
-expand, mul = diagonals.expand_branch, diagonals.hadamard_mul
+extract, mul = diagonals.diagonal_extract, diagonals.hadamard_mul
 ann = CORPUS_ANNIHILATORS["catalan"]
 fired = []
-diagonals.expand_branch = lambda a, n: off_by_one(expand(a, n))
+diagonals.diagonal_extract = lambda r, n: off_by_one(extract(r, n))
 try:
     diagonals.diagonal_witness(ann, 4)
 except VerificationFailed:
     fired.append("diagonal")
-diagonals.expand_branch = expand
+diagonals.diagonal_extract = extract
 w = diagonals.diagonal_witness(ann, 3)
 diagonals.hadamard_mul = lambda a, b: off_by_one(mul(a, b))
 try:
