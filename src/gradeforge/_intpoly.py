@@ -2,8 +2,9 @@
 
 Coefficient lists are ascending (index = exponent) with no trailing zeros;
 the zero polynomial is the empty list.  Everything here is exact integer
-arithmetic; callers clear rational denominators before entering
-(``clear_denominators``) and restore them on the way out.
+arithmetic.  `Poly` coefficients are integers already, cleared when they
+were read; callers holding Fractions (series terms, recurrence windows)
+clear them with ``clear_denominators`` and restore them on the way out.
 
 Two pieces deserve a note:
 

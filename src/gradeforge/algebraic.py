@@ -2,10 +2,11 @@
 
 An :class:`Annihilator` is a nonzero P(z, y) together with a simple root
 y0 of P(0, y), so the branch through y0 is an unramified formal power
-series.  Its constructor checks this exactly, as `PRecurrence` checks its
-own invariants: `NotARoot` if P(0, y0) != 0, `RamifiedBranch` if
-P_y(0, y0) = 0.  Ramified branches (fractional exponents) are rejected
-outright rather than half-supported.
+series.  P matters only up to a constant factor, so the constructor
+stores the primitive integer k·P, and checks the branch point exactly, as
+`PRecurrence` checks its own invariants: `NotARoot` if P(0, y0) != 0,
+`RamifiedBranch` if P_y(0, y0) = 0.  Ramified branches (fractional
+exponents) are rejected outright rather than half-supported.
 
 Every algebraic series is D-finite, so `branch_recurrence` derives, and
 proves, a linear recurrence for the branch straight from P (Bostan, Chyzak,
@@ -63,7 +64,8 @@ from .series import TruncSeries
 @dataclass(frozen=True)
 class Annihilator:
     """P(z, y) plus the simple root y0 of P(0, y); variables are (z, y) in
-    that order."""
+    that order.  `poly` holds the primitive k·P (k > 0), so positive
+    multiples of one P give equal annihilators."""
 
     poly: Poly
     y0: Fraction
@@ -77,10 +79,14 @@ class Annihilator:
             raise SchemaError("annihilator must involve y")
         y0 = coerce_rational(self.y0)
         object.__setattr__(self, "y0", y0)
-        p0 = self.poly.eval([Fraction(0), y0])
+        content = math.gcd(*self.poly.terms.values())
+        object.__setattr__(self, "poly", Poly(2, {
+            e: c // content for e, c in self.poly.terms.items()}))
+        pc = _z_rows(self.poly)
+        p0 = sum(row[0] * y0 ** j for j, row in enumerate(pc) if row)
         if p0 != 0:
             raise NotARoot(f"P(0, {y0}) = {p0} != 0")
-        if self.poly.derivative(1).eval([Fraction(0), y0]) == 0:
+        if _dy(pc, y0)[1] == 0:
             raise RamifiedBranch(
                 "P_y(0, y0) = 0: multiple root at the branch point"
             )
@@ -179,18 +185,11 @@ def _newton_prefixes(pc, pyc, y0, g0, sizes, mul, norm):
         yield f[:n]
 
 
-def _primitive(p: Poly) -> Poly:
-    """k·P for the rational k that makes it a primitive integer polynomial."""
-    coeffs = p.terms.values()
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return p * Fraction(den, math.gcd(*(int(c * den) for c in coeffs)))
-
-
 def _z_rows(p: Poly) -> list[list[int]]:
-    """An integer P(z, y) as its y-coefficients, dense `_intpoly` lists in z."""
+    """P(z, y) as its y-coefficients, dense `_intpoly` lists in z."""
     rows = [[0] * (p.degree_in(0) + 1) for _ in range(p.degree_in(1) + 1)]
     for (i, j), c in p.terms.items():
-        rows[j][i] = c.numerator
+        rows[j][i] = c
     return [ip.trim(row) for row in rows]
 
 
@@ -275,9 +274,8 @@ def branch_recurrence(ann: Annihilator) -> PRecurrence:
     zeros of the leading coefficient.  The first n0 + r terms come from
     Newton iteration over Q.
     """
-    kp = _primitive(ann.poly)
-    pc = _z_rows(kp)
-    ode = _linear_ode(kp, pc)
+    pc = _z_rows(ann.poly)
+    ode = _linear_ode(ann.poly, pc)
     terms = [(k - i, k, c) for k, ck in enumerate(ode[1:])
              for i, c in enumerate(ck) if c]
     lo = min(t[0] for t in terms)
@@ -309,10 +307,10 @@ def branch_residue_prefixes(ann: Annihilator, sizes: Iterable[int], p: int,
     """The first n coefficients of the branch mod p^r (p prime) for each n
     in `sizes`, from one resumed Newton iteration; or None.
 
-    P is scaled by the rational k that makes k·P a primitive integer
-    polynomial.  When y0 is p-integral and k·P_y(0, y0) is a p-unit, every
-    quantity in the Newton iteration is p-integral, so the iteration runs
-    in (Z/p^r)[[z]] (Hensel lifting) with coefficients of r·log2(p) bits
+    The annihilator holds the primitive integer k·P.  When y0 is
+    p-integral and k·P_y(0, y0) is a p-unit, every quantity in the Newton
+    iteration is p-integral, so the iteration runs in (Z/p^r)[[z]]
+    (Hensel lifting) with coefficients of r·log2(p) bits
     instead of the Θ(n) bits of the exact ones, and each prefix equals
     ``reduce_mod(expand_branch(ann, n), p, r)``.  Otherwise this returns
     None and only the exact expansion can say whether the branch is
@@ -321,7 +319,7 @@ def branch_residue_prefixes(ann: Annihilator, sizes: Iterable[int], p: int,
     a size below 1 raises `SchemaError` when it is drawn.
     """
     check_prime_power(p, r)
-    pc = _z_rows(_primitive(ann.poly))
+    pc = _z_rows(ann.poly)
     pyc, py0 = _dy(pc, ann.y0)
     if ann.y0.denominator % p == 0 or py0.numerator % p == 0:
         return None
@@ -340,6 +338,5 @@ def verify_annihilator(ann: Annihilator, f: TruncSeries) -> bool:
     [z^k] P(z, f) for k < order(f) involves only the known coefficients
     f_0..f_k, so the whole window is checked.
     """
-    res = _eval_poly_at_series(_z_rows(_primitive(ann.poly)), list(f.coeffs),
-                               f.order)
+    res = _eval_poly_at_series(_z_rows(ann.poly), list(f.coeffs), f.order)
     return not any(res)

@@ -411,10 +411,12 @@ def optics_identity_check(
 
 def tangent_series(order: int) -> TruncSeries:
     """Exact Maclaurin coefficients of tan through the given order: the branch
-    through y = 0 of cos(z)·y − sin(z), both cut at z^order."""
+    through y = 0 of cos(z)·y − sin(z), both cut at z^order and scaled by
+    (order − 1)! to integer coefficients."""
     if order < 1:
         raise SchemaError("need at least one coefficient")
-    terms = {(i, 1 - i % 2): Fraction((-1) ** ((i + 1) // 2), math.factorial(i))
+    scale = math.factorial(order - 1)
+    terms = {(i, 1 - i % 2): (-1) ** ((i + 1) // 2) * scale // math.factorial(i)
              for i in range(order)}
     return expand_branch(Annihilator(Poly(2, terms), Fraction(0)), order)
 

@@ -55,7 +55,8 @@ def _coeffs_from_json(payload) -> TruncSeries:
 def annihilator_from_json(payload) -> Annihilator:
     payload = wire_object(payload, ("P", "y0"), "algebraic payload")
     _check_kind_label(payload, "algebraic")
-    return Annihilator(poly_from_rows(payload["P"], 2, '"P"'), payload["y0"])
+    poly, _ = poly_from_rows(payload["P"], 2, '"P"')
+    return Annihilator(poly, payload["y0"])
 
 
 def annihilator_to_json(ann: Annihilator) -> dict:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from operator import le, mul
 from typing import Sequence, Union
 
-from ._intpoly import clear_denominators
 from .algebraic import Annihilator, verify_annihilator
 from .config import DEFAULTS
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     SchemaError,
     VerificationFailed,
 )
-from .polynomials import Poly, RatFun, poly_from_rows, poly_rows
+from .polynomials import Poly, RatFun, poly_rows, ratfun_from_rows
 from .rationals import (
     coerce_rational,
     format_rational,
@@ -77,12 +76,15 @@ def furstenberg_bivariate(ann: Annihilator) -> RatFun:
 
 
 def _translate_branch(p: Poly, c: Fraction) -> Poly:
-    """P(z, y + c): move the branch point c to the origin, term by term
-    from the binomial expansion of (y + c)^b."""
-    out: dict[tuple[int, int], Fraction] = {}
+    """v^D·P(z, y + u/v), c = u/v and D = deg_y P: move the branch point c
+    to the origin, term by term from the binomial expansion of
+    v^b·(y + u/v)^b, so the coefficients stay integers."""
+    u, v = c.numerator, c.denominator
+    top = p.degree_in(1)
+    out: dict[tuple[int, int], int] = {}
     for (a, b), coeff in p.terms.items():
         for k in range(b + 1):
-            term = coeff * math.comb(b, k) * c ** (b - k)
+            term = coeff * math.comb(b, k) * u ** (b - k) * v ** (top - b + k)
             out[a, k] = out.get((a, k), 0) + term
     return Poly(2, out)
 
@@ -94,9 +96,9 @@ def diagonal_extract(rat: RatFun, order: int) -> TruncSeries:
 
     Solves den * S = num for the series S over the box [0, order - 1]^m,
     visiting the exponents in product order, which lists every e - d
-    (d >= 0, d != 0) before e.  num and den are scaled by one common
-    denominator so that every step is integer arithmetic: with d0 = den(0)
-    the solve keeps U_e = d0^(|e|+1) S_e, which satisfies
+    (d >= 0, d != 0) before e.  num and den have integer coefficients, and
+    every step stays integer arithmetic: with d0 = den(0) the solve keeps
+    U_e = d0^(|e|+1) S_e, which satisfies
 
         U_e = d0^|e| num_e - sum_{d != 0} den_d d0^(|d|-1) U_{e-d},
 
@@ -125,14 +127,11 @@ def diagonal_extract(rat: RatFun, order: int) -> TruncSeries:
         raise DenominatorVanishesAtOrigin(
             "denominator has no constant term; the series does not exist"
         )
-    ints, _ = clear_denominators([*rat.num.terms.values(),
-                                  *rat.den.terms.values()])
-    num = dict(zip(rat.num.terms, ints))
-    den = dict(zip(rat.den.terms, ints[len(rat.num.terms):]))
+    den = dict(rat.den.terms)
     d0 = den.pop((0,) * m)
     stride = [order ** (m - 1 - i) for i in range(m)]
     start = {sum(map(mul, e, stride)): c * d0 ** sum(e)
-             for e, c in num.items() if max(e) < order}
+             for e, c in rat.num.terms.items() if max(e) < order}
     steps = [(d, sum(map(mul, d, stride)), c * d0 ** (sum(d) - 1))
              for d, c in den.items() if max(d) < order]
     top = [max((d[i] for d, _, _ in steps), default=0) for i in range(m)]
@@ -216,10 +215,9 @@ class DiagonalWitness:
         rat = obj["R"]
         if not isinstance(rat, dict) or set(rat) != {"num", "den"}:
             raise SchemaError('R must be an object with "num" and "den"')
-        num = poly_from_rows(rat["num"], 2 * d, "num")
-        den = poly_from_rows(rat["den"], 2 * d, "den")
         shift = parse_rational(obj["constant_shift"])
-        return cls(RatFun(num, den), d, obj["verified_order"], shift)
+        return cls(ratfun_from_rows(rat["num"], rat["den"], 2 * d), d,
+                   obj["verified_order"], shift)
 
 
 def diagonal_witness(
@@ -283,7 +281,7 @@ def product_witness(
     with_shift = Fraction(1)
     bare = Fraction(1)
     for f in factors:
-        at0 = f.R.num.constant_term() / f.R.den.constant_term()
+        at0 = Fraction(f.R.num.constant_term(), f.R.den.constant_term())
         with_shift *= at0 + f.constant_shift
         bare *= at0
     witness = DiagonalWitness(rat, d, verified_order, with_shift - bare)

@@ -1,6 +1,9 @@
 """Exact multivariate polynomials and rational functions.
 
-Representation: sparse dict mapping exponent tuples to nonzero Fractions.
+Representation: sparse dict mapping exponent tuples to nonzero Python
+ints.  Rational inputs are cleared once, on the way in: `poly_from_rows`
+returns d·P with d the least common denominator, and `ratfun_from_rows`
+scales a numerator and a denominator by one common factor.
 The monomial order everywhere is graded lexicographic (total degree first,
 then leftmost variable most significant); canonical text rendering and
 leading terms use it.
@@ -37,21 +40,22 @@ def _grlex_key(expo: tuple[int, ...]):
 
 
 class Poly:
-    """Sparse multivariate polynomial over Fraction."""
+    """Sparse multivariate polynomial over Z."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction]):
+    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int]):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int] = {}
         for expo, coeff in terms.items():
             expo = tuple(expo)
             if len(expo) != nvars or any(
                     type(e) is not int or e < 0 for e in expo):
                 raise SchemaError(f"bad exponent tuple {expo} for {nvars} vars")
-            c = coerce_rational(coeff) if not isinstance(coeff, Fraction) else coeff
-            if c:
-                clean[expo] = c
+            if type(coeff) is not int:
+                raise SchemaError(f"coefficient {coeff!r} is not an integer")
+            if coeff:
+                clean[expo] = coeff
         self.terms = clean
 
     # -- constructors --------------------------------------------------
@@ -61,14 +65,13 @@ class Poly:
         return cls(nvars, {})
 
     @classmethod
-    def const(cls, nvars: int, value) -> "Poly":
-        value = coerce_rational(value)
-        return cls(nvars, {(0,) * nvars: value} if value else {})
+    def const(cls, nvars: int, value: int) -> "Poly":
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {expo: Fraction(1)})
+        return cls(nvars, {expo: 1})
 
     # -- structure -----------------------------------------------------
 
@@ -78,13 +81,13 @@ class Poly:
     def degree_in(self, var: int) -> int:
         return max((e[var] for e in self.terms), default=-1)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int]:
         """Graded-lex leading (exponent, coefficient)."""
         expo = max(self.terms, key=_grlex_key)
         return expo, self.terms[expo]
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self) -> int:
+        return self.terms.get((0,) * self.nvars, 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -111,7 +114,7 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -130,17 +133,13 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            k = coerce_rational(other)
-            res = Poly.zero(self.nvars)
-            if k:
-                res.terms = {e: c * k for e, c in self.terms.items()}
-            return res
+            return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -164,30 +163,15 @@ class Poly:
         return out
 
     def derivative(self, var: int) -> "Poly":
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
             if e[var] == 0:
                 continue
             e2 = tuple(x - 1 if i == var else x for i, x in enumerate(e))
-            out[e2] = out.get(e2, Fraction(0)) + c * e[var]
+            out[e2] = out.get(e2, 0) + c * e[var]
         res = Poly.zero(self.nvars)
         res.terms = {e: c for e, c in out.items() if c}
         return res
-
-    def eval(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise VariableMismatch(
-                f"point has {len(point)} coordinates, polynomial {self.nvars}"
-            )
-        pt = [coerce_rational(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(pt, e):
-                if k:
-                    term *= x ** k
-            total += term
-        return total
 
     def embed(self, nvars: int, offset: int) -> "Poly":
         """Move variable i of self to variable offset + i of a larger ring."""
@@ -220,8 +204,10 @@ def poly_rows(p: Poly) -> list[list]:
     ]
 
 
-def poly_from_rows(rows, nvars: int, what: str) -> Poly:
-    """Inverse of `poly_rows`: [*exponents, coeff] rows -> Poly.
+def poly_from_rows(rows, nvars: int, what: str) -> tuple[Poly, int]:
+    """Read [*exponents, coeff] rows, the inverse of `poly_rows`, as
+    (d·P, d): the rational P they spell, cleared by the least common
+    denominator d of its coefficients.
 
     coeff is an integer or a rational string; rows for the same monomial
     add up.  Malformed rows raise SchemaError naming `what`.
@@ -235,8 +221,9 @@ def poly_from_rows(rows, nvars: int, what: str) -> Poly:
                 f"{what} term must be [{nvars} exponents..., coeff]"
             )
         expo = tuple(wire_int(e, f"{what} exponent", 0) for e in row[:-1])
-        terms[expo] = terms.get(expo, Fraction(0)) + coerce_rational(row[-1])
-    return Poly(nvars, terms)
+        terms[expo] = terms.get(expo, 0) + coerce_rational(row[-1])
+    ints, den = ip.clear_denominators(terms.values())
+    return Poly(nvars, dict(zip(terms, ints))), den
 
 
 def rows_text(rows, names: Sequence[str]) -> str:
@@ -290,10 +277,19 @@ class RatFun:
             return hash((self.nvars, None))
         ne, nc = self.num.leading()
         de, dc = self.den.leading()
-        return hash((tuple(map(sub, ne, de)), nc / dc))
+        return hash((tuple(map(sub, ne, de)), Fraction(nc, dc)))
 
     def __repr__(self) -> str:
         return f"({self.num!r}) / ({self.den!r})"
+
+
+def ratfun_from_rows(num_rows, den_rows, nvars: int) -> RatFun:
+    """The rational function num/den spelled by two lists of term rows,
+    num and den both scaled by dn·dd, the product of the denominators
+    that `poly_from_rows` clears from each."""
+    num, dn = poly_from_rows(num_rows, nvars, "num")
+    den, dd = poly_from_rows(den_rows, nvars, "den")
+    return RatFun(num * dd, den * dn)
 
 
 # -- fraction-free left kernel ------------------------------------------------

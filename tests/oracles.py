@@ -132,6 +132,60 @@ def branch_prefix(P: dict, y0, n: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# multivariate polynomials over Q (the Fraction arithmetic `Poly` once had)
+
+
+class FracPoly:
+    """Sparse polynomial {exponent tuple: nonzero Fraction} with schoolbook
+    sum, product, power, derivative, embedding and evaluation."""
+
+    def __init__(self, nvars: int, terms: dict):
+        self.nvars = nvars
+        self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c}
+
+    def _collect(self, pairs) -> "FracPoly":
+        out: dict = {}
+        for e, c in pairs:
+            out[e] = out.get(e, Fraction(0)) + c
+        return FracPoly(self.nvars, out)
+
+    def __add__(self, other: "FracPoly") -> "FracPoly":
+        return self._collect([*self.terms.items(), *other.terms.items()])
+
+    def __mul__(self, other) -> "FracPoly":
+        if not isinstance(other, FracPoly):
+            return FracPoly(self.nvars,
+                            {e: c * other for e, c in self.terms.items()})
+        return self._collect(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
+
+    def __pow__(self, k: int) -> "FracPoly":
+        out = FracPoly(self.nvars, {(0,) * self.nvars: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def derivative(self, var: int) -> "FracPoly":
+        return self._collect(
+            (tuple(x - (i == var) for i, x in enumerate(e)), c * e[var])
+            for e, c in self.terms.items() if e[var])
+
+    def embed(self, nvars: int, offset: int) -> "FracPoly":
+        pad = (0,) * (nvars - offset - self.nvars)
+        return FracPoly(nvars, {(0,) * offset + e + pad: c
+                                for e, c in self.terms.items()})
+
+    def value_at(self, point) -> Fraction:
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            for x, k in zip(point, e):
+                c *= Fraction(x) ** k
+            total += c
+        return total
+
+
+# ---------------------------------------------------------------------------
 # multivariate series (plain dict arithmetic, graded-order linear solve)
 
 

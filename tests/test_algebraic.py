@@ -22,12 +22,17 @@ from gradeforge.errors import (
     SchemaError,
 )
 from gradeforge.holonomic import PRecurrence, unroll
-from gradeforge.polynomials import Poly
+from gradeforge.polynomials import Poly, poly_from_rows
+from gradeforge.rationals import format_rational
 from gradeforge.series import TruncSeries
 
 
 def bivariate(terms, y0=0):
-    poly = Poly(2, {k: Fraction(v) for k, v in terms.items()})
+    """The annihilator of P = Σ terms[(i, j)]·z^i·y^j, whose coefficients
+    may be rational, read as a payload is read: `poly_from_rows` clears
+    the denominators."""
+    rows = [[i, j, format_rational(c)] for (i, j), c in terms.items()]
+    poly, _ = poly_from_rows(rows, 2, "P")
     return Annihilator(poly, Fraction(y0))
 
 
@@ -76,12 +81,12 @@ def test_constructor_checks_a_branch_point_away_from_zero(terms, y0, error):
 
 def test_constructor_rejects_univariate_and_zero():
     with pytest.raises(ValueError):
-        Annihilator(Poly(1, {(1,): Fraction(1)}), Fraction(0))
+        Annihilator(Poly(1, {(1,): 1}), Fraction(0))
     with pytest.raises(ValueError):
         Annihilator(Poly.zero(2), Fraction(0))
     with pytest.raises(ValueError):
         # no y at all: nothing to solve for
-        Annihilator(Poly(2, {(2, 0): Fraction(1)}), Fraction(0))
+        Annihilator(Poly(2, {(2, 0): 1}), Fraction(0))
 
 
 def test_verify_annihilator():
@@ -147,7 +152,7 @@ def test_deep_expansion_matches_integer_recurrences():
 
 def newton_over_q(ann, n):
     """The branch by Newton iteration over Q alone, without a recurrence."""
-    pc = algebraic._z_rows(algebraic._primitive(ann.poly))
+    pc = algebraic._z_rows(ann.poly)
     pyc, py0 = algebraic._dy(pc, ann.y0)
     return next(algebraic._newton_prefixes(
         pc, pyc, ann.y0, 1 / py0, (n,),
@@ -155,7 +160,9 @@ def newton_over_q(ann, n):
 
 
 def tangent_annihilator(order):
-    """cos(z)·y - sin(z), both cut at z^order (as `tangent_series` builds it)."""
+    """cos(z)·y - sin(z), both cut at z^order, with its rational
+    coefficients cleared by the reader (`tangent_series` scales them by
+    (order - 1)! instead; both give the same primitive k·P)."""
     return bivariate({(i, 1 - i % 2): Fraction((-1) ** ((i + 1) // 2),
                                                factorial(i))
                       for i in range(order)})

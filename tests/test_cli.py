@@ -19,7 +19,8 @@ from gradeforge.automata import (
 )
 from gradeforge import algebraic, cli
 from gradeforge.cli import main
-from gradeforge.descriptors import KINDS
+from gradeforge.algebraic import branch_recurrence
+from gradeforge.descriptors import KINDS, annihilator_to_json, read_series
 from gradeforge.errors import VerificationFailed
 from gradeforge.holonomic import PRecurrence, unroll
 from gradeforge.obstruction import MILLER_RABIN_EXACT_BELOW
@@ -476,6 +477,41 @@ def test_diagonal_square_returns_every_requested_term(capsys, name,
                     "--square", "--order", "10")
     assert data["witness"]["verified_order"] == 10
     assert data["diagonal"] == [str(closed_form(n) ** 2) for n in range(10)]
+
+
+#: P = y^2 - y/2 - z/3 + 2zy/5 + z^2y^2/7 through y0 = 1/2, then 6P and P/4
+RATIONAL_MULTIPLES = [
+    [[0, 2, c2], [0, 1, c1], [1, 0, c0], [1, 1, d1], [2, 2, d2]]
+    for c2, c1, c0, d1, d2 in [("1", "-1/2", "-1/3", "2/5", "1/7"),
+                               ("6", "-3", "-2", "12/5", "6/7"),
+                               ("1/4", "-1/8", "-1/12", "1/10", "1/28")]
+]
+
+
+def test_multiples_of_a_rational_payload_are_one_branch(capsys):
+    payloads = [json.dumps({"P": rows, "y0": "1/2"})
+                for rows in RATIONAL_MULTIPLES]
+    anns = [read_series("algebraic", text) for text in payloads]
+    assert anns[0] == anns[1] == anns[2]
+    assert len({hash(a) for a in anns}) == 1
+    recs = [json.dumps(branch_recurrence(a).to_json_dict()) for a in anns]
+    assert recs[0] == recs[1] == recs[2]
+    # the primitive integer 210·P
+    assert annihilator_to_json(anns[2])["P"] == [
+        [2, 2, "30"], [1, 1, "84"], [0, 2, "210"], [1, 0, "-70"],
+        [0, 1, "-105"]]
+    # the terms the Fraction-coefficient Poly gave, pinned
+    want = ["1/2", "4/15", "-269/630", "3406/4725", "-1596067/992250",
+            "30458578/7441875", "-5797379407/520931250",
+            "123671197978/3906984375"]
+    for text in payloads:
+        got = run_json(capsys, "expand", "algebraic", text, "--terms", "8")
+        assert got["coeffs"] == want
+        got = run_json(capsys, "diagonal", "algebraic", text, "--order", "6")
+        assert got["diagonal"] == want[:6]
+        assert got["witness"]["constant_shift"] == "1/2"
+        for row in got["witness"]["R"]["num"] + got["witness"]["R"]["den"]:
+            assert "/" not in row[-1]
 
 
 @pytest.mark.parametrize("order", ["0", "-1"])

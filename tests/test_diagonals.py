@@ -35,11 +35,13 @@ from gradeforge.errors import (
     SchemaError,
     VerificationFailed,
 )
-from gradeforge.polynomials import Poly, RatFun
+from gradeforge.polynomials import Poly, RatFun, ratfun_from_rows
+from gradeforge.rationals import format_rational
 from gradeforge.series import TruncSeries
 
 from conftest import rationals
 from oracles import (
+    FracPoly,
     branch_prefix,
     catalan_witness_diagonal,
     diagonal_from_box,
@@ -59,9 +61,8 @@ ONE = Poly.const(2, 1)
 def test_bivariate_witness_for_shifted_catalans():
     # P = y^2 - y + z gives R = y(2y - 1) / (x + y - 1)
     R = furstenberg_bivariate(CORPUS_ANNIHILATORS["catalan-shifted"])
-    assert R.num == Poly(2, {(0, 2): Fraction(2), (0, 1): Fraction(-1)})
-    assert R.den == Poly(2, {(1, 0): Fraction(1), (0, 1): Fraction(1),
-                             (0, 0): Fraction(-1)})
+    assert R.num == Poly(2, {(0, 2): 2, (0, 1): -1})
+    assert R.den == Poly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
 
 
 def test_bivariate_witness_diagonal_matches_binomial_oracle():
@@ -144,18 +145,22 @@ def test_diagonal_matches_linear_solve_oracle():
     den = {(0, 0): 2, (1, 0): -1, (0, 1): -1, (1, 1): 1}
     box = rational_series_box(num, den, (8, 8))
     want = diagonal_from_box(box, 2, 8)
-    rat = RatFun(
-        Poly(2, {k: Fraction(v) for k, v in num.items()}),
-        Poly(2, {k: Fraction(v) for k, v in den.items()}),
-    )
-    assert list(diagonal_extract(rat, 8).coeffs) == want
+    assert list(diagonal_extract(read_ratfun(num, den, 2), 8).coeffs) == want
+
+
+def read_ratfun(num, den, m):
+    """num/den, given as {exponents: rational}, read as a witness payload
+    is read: `ratfun_from_rows` scales both to integers by one factor."""
+    return ratfun_from_rows(*([[*e, format_rational(c)] for e, c in p.items()]
+                              for p in (num, den)), m)
 
 
 @st.composite
 def small_ratfuns(draw):
     """num/den in 2-4 variables with exponents 0-3, non-integer
     coefficients and a constant term of den outside {0, 1, -1}; orders
-    1-6 fall both below and above the largest step exponent."""
+    1-6 fall both below and above the largest step exponent.  R is built
+    by `read_ratfun`; the oracles take the rational num and den."""
     m = draw(st.integers(2, 4))
     expos = st.tuples(*[st.integers(0, 3)] * m)
     fractional = rationals(max_num=9, max_den=6).filter(
@@ -183,8 +188,7 @@ F = Fraction
           {(0,): F(3), (1,): F(-1, 2), (2,): F(1, 5), (7,): F(2)}, 6))
 def test_diagonal_matches_both_oracles_on_random_ratfuns(case):
     m, num, den, order = case
-    got = list(diagonal_extract(RatFun(Poly(m, num), Poly(m, den)),
-                                order).coeffs)
+    got = list(diagonal_extract(read_ratfun(num, den, m), order).coeffs)
     box = rational_series_box(num, den, (order - 1,) * m)
     assert got == diagonal_from_box(box, m, order)
     assert got == geometric_series_diagonal(num, den, m, order)
@@ -217,13 +221,15 @@ def test_witness_round_trips_other_branches(poly):
 
 
 def _translate_by_poly_arithmetic(p, c):
-    """P(z, y + c) by `Poly` powers and products: the earlier form of
-    `diagonals._translate_branch`, kept as its oracle."""
-    shifted_y = Y + Poly.const(2, c)
-    out = Poly.zero(2)
+    """v^D·P(z, y + c), c = u/v and D = deg_y P, by Fraction-coefficient
+    powers and products: the earlier form of `diagonals._translate_branch`,
+    scaled to integers, kept as its oracle."""
+    x, y = (FracPoly(2, {e: 1}) for e in ((1, 0), (0, 1)))
+    shifted_y = y + FracPoly(2, {(0, 0): c})
+    out = FracPoly(2, {})
     for (a, b), coeff in p.terms.items():
-        out = out + Poly.const(2, coeff) * X**a * shifted_y**b
-    return out
+        out = out + x**a * shifted_y**b * coeff
+    return out * Fraction(c).denominator ** p.degree_in(1)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_ANNIHILATORS))
@@ -232,8 +238,10 @@ def test_translation_matches_poly_arithmetic(name):
     for c in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2),
               Fraction(-3, 7)):
         moved = diagonals._translate_branch(p, c)
-        assert moved == _translate_by_poly_arithmetic(p, c), c
-        assert diagonals._translate_branch(moved, -c) == p, c
+        assert moved.terms == _translate_by_poly_arithmetic(p, c).terms, c
+        assert all(type(k) is int for k in moved.terms.values())
+        scale = c.denominator ** (2 * p.degree_in(1))
+        assert diagonals._translate_branch(moved, -c) == p * scale, c
 
 
 def test_witnesses_need_no_derived_recurrence(monkeypatch):
@@ -280,6 +288,19 @@ def test_product_witness_composes_constant_shifts():
     assert all(c == 1 for c in pw.diagonal(6).coeffs)
 
 
+def test_product_witness_of_constants_past_the_float_range():
+    # R = B / (1 - x - y) has diagonal B·C(2n, n) and R(0) = B = 3^700,
+    # about 2^1109: R(0) as a float quotient of integers raised
+    # OverflowError, and a float shift would not be exact
+    big = 3 ** 700
+    w = DiagonalWitness(RatFun(ONE * big, ONE - X - Y), 1, 6, Fraction(1))
+    pw = product_witness([w, w], 6)
+    assert pw.constant_shift == (big + 1) ** 2 - big ** 2
+    assert pw.diagonal(6).coeffs == (
+        (big + 1) ** 2,
+        *((big * math.comb(2 * n, n)) ** 2 for n in range(1, 6)))
+
+
 def test_product_lift_validates_positions():
     w = diagonal_witness(CORPUS_ANNIHILATORS["geometric"], 4)
     with pytest.raises(ValueError):
@@ -292,14 +313,14 @@ def test_random_disjoint_products_realize_hadamard_products():
         rats = []
         for _ in range(2):
             num = Poly(2, {
-                (i, j): Fraction(rng.randint(-3, 3))
+                (i, j): rng.randint(-3, 3)
                 for i in range(2) for j in range(2)
             })
             den_terms = {
-                (i, j): Fraction(rng.randint(-2, 2))
+                (i, j): rng.randint(-2, 2)
                 for i in range(2) for j in range(2) if (i, j) != (0, 0)
             }
-            den_terms[(0, 0)] = Fraction(rng.choice([1, 2, -1]))
+            den_terms[(0, 0)] = rng.choice([1, 2, -1])
             rats.append(RatFun(num, Poly(2, den_terms)))
         lifted = product_lift(rats)
         assert lifted.nvars == 4
@@ -333,6 +354,16 @@ def test_witness_json_round_trip():
     assert back.constant_shift == w.constant_shift
     assert back.verified_order == w.verified_order
     assert back.diagonal(10).coeffs == w.diagonal(10).coeffs
+    # rows of R/3 over R/5: read back as integers, scaled by one factor
+    blob = w.to_json_dict()
+    for key, k in (("num", 3), ("den", 5)):
+        blob["R"][key] = [[*e, format_rational(Fraction(c) / k)]
+                          for *e, c in blob["R"][key]]
+    back = DiagonalWitness.from_json_dict(blob)
+    assert back.R == RatFun(w.R.num * 5, w.R.den * 3)
+    assert all(type(c) is int
+               for c in [*back.R.num.terms.values(),
+                         *back.R.den.terms.values()])
 
 
 def test_witness_json_shape():

@@ -6,7 +6,6 @@ JSON term rows, so a change to any renderer shows up as a diff here.
 """
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,7 @@ from gradeforge.catalog import get_builtin
 from gradeforge.cli import main
 from gradeforge.descriptors import annihilator_to_json, read_series
 from gradeforge.diagonals import diagonal_witness
-from gradeforge.polynomials import Poly, RatFun
+from gradeforge.polynomials import Poly, RatFun, poly_from_rows, rows_text
 
 SQRT1P = '{"P":[[0,2,"1"],[0,0,"-1"],[1,0,"-1"]],"y0":"1"}'
 
@@ -146,15 +145,23 @@ def test_modp_dot_matches_to_dot(capsys, case):
 
 
 def test_poly_repr_two_variables():
-    p = Poly(2, {(2, 1): Fraction(-3, 4), (0, 2): 1, (1, 0): -1, (0, 0): 5,
-                 (1, 1): 2})
-    assert repr(p) == "-3/4*z^2*y + 2*z*y + y^2 - z + 5"
+    # the rows of -3/4·z^2·y + 2·z·y + y^2 - z + 5, in grlex order
+    rows = [[2, 1, "-3/4"], [1, 1, "2"], [0, 2, "1"], [1, 0, "-1"],
+            [0, 0, "5"]]
+    assert rows_text(rows, ["z", "y"]) == "-3/4*z^2*y + 2*z*y + y^2 - z + 5"
+    p, d = poly_from_rows(rows, 2, "p")
+    assert d == 4
+    assert repr(p) == "-3*z^2*y + 8*z*y + 4*y^2 - 4*z + 20"
 
 
 def test_poly_repr_four_variables():
-    p = Poly(4, {(1, 0, 1, 0): 1, (0, 2, 0, 1): Fraction(1, 2),
-                 (0, 0, 0, 0): -7, (0, 0, 0, 1): -1, (3, 0, 0, 0): 2})
-    assert repr(p) == "2*x0^3 + 1/2*x1^2*x3 + x0*x2 - x3 - 7"
+    rows = [[3, 0, 0, 0, "2"], [0, 2, 0, 1, "1/2"], [1, 0, 1, 0, "1"],
+            [0, 0, 0, 1, "-1"], [0, 0, 0, 0, "-7"]]
+    names = ["x0", "x1", "x2", "x3"]
+    assert rows_text(rows, names) == "2*x0^3 + 1/2*x1^2*x3 + x0*x2 - x3 - 7"
+    p, d = poly_from_rows(rows, 4, "p")
+    assert d == 2
+    assert repr(p) == "4*x0^3 + x1^2*x3 + 2*x0*x2 - 2*x3 - 14"
 
 
 def test_poly_repr_univariate_and_zero():

@@ -18,15 +18,16 @@ from gradeforge.polynomials import (
     poly_from_rows,
     poly_rows,
 )
+from gradeforge.rationals import format_rational
 
 
 def p2(terms):
     """Bivariate polynomial from {(i, j): coeff} with variables (z, y)."""
-    return Poly(2, {k: Fraction(v) for k, v in terms.items()})
+    return Poly(2, terms)
 
 
 def p1(terms):
-    return Poly(1, {(k,): Fraction(v) for k, v in terms.items()})
+    return Poly(1, {(k,): v for k, v in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +36,7 @@ def p1(terms):
 
 def test_zero_coefficients_dropped():
     p = p2({(0, 0): 0, (1, 0): 1})
-    assert p.terms == {(1, 0): Fraction(1)}
+    assert p.terms == {(1, 0): 1}
     assert not Poly(2, {}).terms
     assert Poly(2, {}).is_zero()
 
@@ -75,9 +76,18 @@ def test_derivative():
 def test_embed_keeps_coefficients():
     p = p2({(1, 2): 7, (0, 0): -2})
     q = p.embed(4, 2)
-    assert q.terms == {(0, 0, 1, 2): Fraction(7), (0, 0, 0, 0): Fraction(-2)}
+    assert q.terms == {(0, 0, 1, 2): 7, (0, 0, 0, 0): -2}
     with pytest.raises(VariableMismatch):
         p.embed(3, 2)
+
+
+def test_rational_coefficients_are_refused():
+    # rationals are cleared where they are read (`poly_from_rows`)
+    for coeff in (Fraction(1, 2), Fraction(3), 1.0, True, "1"):
+        with pytest.raises(SchemaError, match="not an integer"):
+            Poly(2, {(0, 1): coeff})
+    with pytest.raises(SchemaError, match="not an integer"):
+        Poly.variable(2, 1) * Fraction(1, 2)
 
 
 @st.composite
@@ -89,8 +99,56 @@ def sparse_polys(draw, max_vars=3, max_degree=6, max_terms=5):
         expo = tuple(
             draw(st.integers(0, max_degree)) for _ in range(nvars)
         )
-        terms[expo] = draw(rationals(max_num=9, max_den=5))
+        terms[expo] = draw(st.integers(-9, 9))
     return Poly(nvars, terms), nvars
+
+
+def all_int(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+@given(sparse_polys(), sparse_polys(), st.integers(0, 3),
+       st.integers(-3, 3))
+def test_integer_poly_matches_the_fraction_oracle(an, bn, k, scalar):
+    (a, na), (b, nb) = an, bn
+    n = max(na, nb)
+    a, b = a.embed(n, 0), b.embed(n, 0)
+    fa, fb = (oracles.FracPoly(n, p.terms) for p in (a, b))
+    results = [
+        (a + b, fa + fb), (a - b, fa + fb * -1), (a * b, fa * fb),
+        (a * scalar, fa * scalar), (a ** k, fa ** k),
+        (a.embed(n + 2, 1), fa.embed(n + 2, 1)),
+        *((a.derivative(v), fa.derivative(v)) for v in range(n)),
+    ]
+    for got, want in results:
+        assert got.terms == want.terms
+        assert all_int(got)
+
+
+@st.composite
+def rational_rows(draw):
+    """Term rows over 1-3 variables with rational coefficients, some
+    monomials repeated so that their coefficients add up (or cancel)."""
+    nvars = draw(st.integers(1, 3))
+    expos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars),
+                          min_size=1, max_size=4))
+    rows = [[*draw(st.sampled_from(expos)),
+             format_rational(draw(rationals(max_num=9, max_den=12)))]
+            for _ in range(draw(st.integers(0, 7)))]
+    return rows, nvars
+
+
+@given(rational_rows())
+def test_poly_from_rows_clears_the_least_denominator(case):
+    rows, nvars = case
+    want = {}
+    for *e, c in rows:
+        want[tuple(e)] = want.get(tuple(e), 0) + Fraction(c)
+    got, d = poly_from_rows(rows, nvars, "p")
+    assert all_int(got)
+    assert got.terms == {e: c * d for e, c in want.items() if c}
+    # d is least: no factor of d divides every coefficient of d·P as well
+    assert math.gcd(d, *got.terms.values()) == 1
 
 
 @given(sparse_polys(), sparse_polys(), sparse_polys())
@@ -107,15 +165,7 @@ def test_mul_commutative_associative(a3, b3, c3):
 @given(sparse_polys())
 def test_poly_rows_round_trip(pn):
     p, nvars = pn
-    assert poly_from_rows(poly_rows(p), nvars, "p") == p
-
-
-@given(sparse_polys())
-def test_eval_is_a_ring_hom(pn):
-    p, nvars = pn
-    point = [Fraction(1, 2)] * nvars
-    assert (p * p).eval(point) == p.eval(point) ** 2
-    assert (p + p).eval(point) == 2 * p.eval(point)
+    assert poly_from_rows(poly_rows(p), nvars, "p") == (p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +309,10 @@ def test_catalan_witness_point_values():
     one = Poly.const(2, 1)
     witness = RatFun(y * (y + y - one), x + y - one)
     point = [Fraction(0), Fraction(1, 2)]
-    assert witness.num.eval(point) == 0 and witness.den.eval(point) != 0
-    p = p2({(0, 2): 1, (0, 1): -1, (1, 0): 1})
-    assert p.eval([Fraction(0), Fraction(0)]) == 0
+    num, den = (oracles.FracPoly(2, q.terms) for q in (witness.num, witness.den))
+    assert num.value_at(point) == 0 and den.value_at(point) != 0
+    p = oracles.FracPoly(2, p2({(0, 2): 1, (0, 1): -1, (1, 0): 1}).terms)
+    assert p.value_at([Fraction(0), Fraction(0)]) == 0
 
 
 def test_equal_polys_hash_equal_and_key_a_dict():
@@ -300,6 +351,18 @@ def test_equal_ratfuns_hash_equal():
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+def test_ratfun_keys_a_dict_past_the_float_range():
+    # lead(N) / lead(D) = 3^700 (about 2^1109): as a float quotient of
+    # integers it raised OverflowError
+    x = Poly.variable(1, 0)
+    one = Poly.const(1, 1)
+    big = 3 ** 700
+    a = RatFun(one * big, one - x)
+    twin = RatFun(one * (2 * big), (one - x) * 2)
+    assert {a: "a"}[twin] == "a"
+    assert hash(RatFun(one * (big + 1), one * big)) != hash(RatFun(one, one))
 
 
 def test_ratfuns_in_different_variable_counts_are_unequal():
