@@ -6,12 +6,16 @@ arithmetic.  `Poly` coefficients are integers already, cleared when they
 were read; callers holding Fractions (series terms, recurrence windows)
 clear them with ``clear_denominators`` and restore them on the way out.
 
-Two pieces deserve a note:
+Three pieces deserve a note:
 
 * ``conv`` switches to Kronecker substitution once the schoolbook loop would
   dominate: CPython's big-int multiplication does the work, and one XOR with
   a half-slot constant makes packing and unpacking carry-free; at slots of 1,
   2, 4 and 8 bytes ``array``/``memoryview`` casts do each in one call.
+* ``ResidueRing`` holds a truncated series over Z/m as one packed integer,
+  a coefficient per slot, for the Newton iteration mod p^r: a truncated
+  product is one big-int product and a mask, and one Barrett step reduces
+  every slot mod m with a few whole-integer operations, exactly.
 * ``int_roots`` isolates real roots with a Sturm chain and bisection down to
   unit intervals, then tests the integer endpoint.  This stays exact and fast
   even when the constant term is hundreds of digits, where the divisors-of-
@@ -24,14 +28,16 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InexactDivision
 
 _SCHOOLBOOK_CUTOFF = 2048  # len(a)*len(b) at or below this: plain double loop
-# Slot bytes -> signed array/memoryview code.  Casts use native byte order and
-# the slots are little-endian, so big-endian machines go slot by slot.
+# Slot bytes -> signed and unsigned array/memoryview codes.  Casts use native
+# byte order and the slots are little-endian, so big-endian machines go slot
+# by slot.
 _CAST = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+_UCAST = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
 def clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -130,6 +136,114 @@ def conv(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
         return memoryview(digits)[:limit * stride].cast(code).tolist()
     return [int.from_bytes(digits[t:t + stride], "little", signed=True)
             for t in range(0, limit * stride, stride)]
+
+
+def _respace(x: int, count: int, src: int, dst: int) -> bytearray:
+    """Slots 0..count-1 of x, `src` bytes each, as `dst`-byte slots.
+
+    Each slot keeps its low min(src, dst) bytes, copied by one strided slice
+    assignment per byte plane however many slots there are.
+    """
+    raw = x.to_bytes(count * src, "little")
+    out = bytearray(count * dst)
+    for i in range(min(src, dst)):
+        out[i::dst] = raw[i::src]
+    return out
+
+
+class ResidueRing:
+    """Power series over Z/m truncated to at most n terms, each packed into
+    one integer: slot t, `nb` bytes wide, holds the coefficient of z^t in
+    [0, m).
+
+    The ring works on whole integers, never one coefficient at a time.  A
+    truncated product is one big-integer product and a mask; negation is
+    m·(1 in every slot) - x.  The slots are sized for the largest size n
+    reached: every value formed before a reduction, a product of two
+    series of at most n terms plus a packed row, or m - x + 2, is at most
+    n·(m-1)^2 + 2m < 2^b, so nothing carries across slots and nb = ⌈b/8⌉.
+
+    ``reduce`` takes every slot mod m at once by a Barrett step (Granlund
+    and Montgomery, PLDI 1994).  With s = b + bitlen(m-1) and
+    k = ⌈2^s/m⌉, ⌊c·k/2^s⌋ = ⌊c/m⌋ for every c < 2^b: write k·m = 2^s + e
+    with 0 <= e < m and c = q·m + ρ with 0 <= ρ < m; then
+    c·k/2^s = q + (ρ + c·e/2^s)/m, and c·e < 2^b·2^bitlen(m-1) = 2^s makes
+    ρ + c·e/2^s < m.  The slots are copied to `wb` = ⌈(b+s)/8⌉ bytes, where
+    c·k < 2^(b+s) fits; X·k shifted down s bits and masked to its low
+    8·wb - s bits per slot is the packed quotient Q, and X - m·Q the packed
+    remainder, each slot exact and nonnegative.  No residue is approximated.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.b = 0
+        self.nb = 1
+        # unpacking narrows to the least cast width holding m - 1
+        ub = ((m - 1).bit_length() + 7) // 8
+        self.ub = next((w for w in _UCAST if w >= ub), ub)
+        self.reach(1)
+
+    def reach(self, n: int, *xs: int) -> list[int]:
+        """Size the slots for products of up to n terms, never narrowing;
+        returns xs, packed at the previous width, at the new one."""
+        m = self.m
+        b = (n * (m - 1) ** 2 + 2 * m).bit_length()
+        if b <= self.b:
+            return list(xs)
+        old, self.b = self.nb, b
+        self.nb = nb = (b + 7) // 8
+        self.s = s = b + (m - 1).bit_length()
+        self.k = -(-(1 << s) // m)
+        self.wb = wb = (b + s + 7) // 8
+        self.qslot = ((1 << (8 * wb - s)) - 1).to_bytes(wb, "little")
+        self.mslot = m.to_bytes(nb, "little")
+        return [int.from_bytes(_respace(
+            x, -(-x.bit_length() // (8 * old)), old, nb), "little")
+            for x in xs]
+
+    def row(self, values: Sequence[int], limit: int) -> int:
+        """The first `limit` integers of `values`, each reduced mod m."""
+        return int.from_bytes(b"".join(
+            [(v % self.m).to_bytes(self.nb, "little")
+             for v in values[:limit]]), "little")
+
+    def prefix(self, x: int, count: int) -> list[int]:
+        """The residues in slots 0..count-1."""
+        ub = self.ub
+        data = _respace(x & ((1 << (8 * self.nb * count)) - 1), count,
+                        self.nb, ub)
+        code = _UCAST.get(ub)
+        if code:
+            return memoryview(data).cast(code).tolist()
+        return [int.from_bytes(data[t:t + ub], "little")
+                for t in range(0, count * ub, ub)]
+
+    def reduce(self, x: int, count: int) -> int:
+        """Every slot of x, each below 2^b, taken mod m."""
+        nb, wb = self.nb, self.wb
+        wide = int.from_bytes(_respace(x, count, nb, wb), "little")
+        q = ((wide * self.k) >> self.s) & int.from_bytes(
+            self.qslot * count, "little")
+        return int.from_bytes(
+            _respace(wide - self.m * q, count, wb, nb), "little")
+
+    def mul(self, a: int, b: int, count: int, plus: int = 0) -> int:
+        """a·b + plus mod z^count; plus holds residues in count slots."""
+        mask = (1 << (8 * self.nb * count)) - 1
+        return self.reduce(((a & mask) * (b & mask) & mask) + plus, count)
+
+    def neg(self, x: int, count: int, c: int = 0) -> int:
+        """c - x mod z^count, for x reduced and 0 <= c <= m."""
+        return self.reduce(int.from_bytes(self.mslot * count, "little")
+                           - x + c, count)
+
+    def shift(self, x: int, k: int) -> int:
+        """x divided by z^k, dropping the low k slots."""
+        return x >> (8 * self.nb * k)
+
+    def append(self, f: int, k: int, tail: int) -> int:
+        """f + z^k·tail, for f with k slots."""
+        return f | (tail << (8 * self.nb * k))
 
 
 def mul(a: list[int], b: list[int]) -> list[int]:

@@ -36,7 +36,12 @@ the prefix at each of a series of ascending sizes, refusing a size below
 one, and resumes from the f and 1/P_y it holds; its step targets halve
 down from each size, so a fresh run ends exactly at n and an extension
 takes balanced steps.  The Q prefix of the recurrence is its one-size
-use.  Its truncated products run in the integer kernel `_intpoly`.
+use.  The iteration runs over a small ring interface.  Over Q
+(`_Rationals`) a series is a Fraction list whose products run in the
+integer kernel's `_intpoly.conv`.  Mod p^r it is one packed integer, a
+coefficient per slot (`_intpoly.ResidueRing`): a truncated product is one
+big-integer product, and one Barrett step reduces every slot mod p^r at
+once, so no Python loop runs over the coefficients.
 """
 
 from __future__ import annotations
@@ -107,31 +112,46 @@ def _conv_frac(xs: Sequence[Fraction], ys: Sequence[Fraction],
     return out
 
 
-def _conv_mod(xs: Sequence[int], ys: Sequence[int], limit: int,
-              modulus: int) -> list[int]:
-    """Truncated convolution mod `modulus`, zero-padded to `limit` entries."""
-    out = [c % modulus for c in ip.conv(xs, ys, limit)]
-    out.extend([0] * (limit - len(out)))
-    return out
+class _Rationals:
+    """Q[[z]] truncated, as Fraction lists: the ring of the recurrence's
+    Newton prefix and of `verify_annihilator`; `_intpoly.ResidueRing` is
+    the same interface over Z/p^r."""
+
+    def reach(self, n, *xs):
+        return xs
+
+    def row(self, values, limit):
+        return list(values[:limit])
+
+    def prefix(self, f, n):
+        return f[:n]
+
+    def mul(self, a, b, limit, plus=()):
+        out = _conv_frac(a[:limit], b[:limit], limit)
+        for i, c in enumerate(plus):
+            if c:
+                out[i] += c
+        return out
+
+    def neg(self, x, limit, c=0):
+        return [c - x[0]] + [-v for v in x[1:limit]]
+
+    def shift(self, x, k):
+        return x[k:]
+
+    def append(self, f, k, tail):
+        return f + tail
 
 
-def _identity(x):
-    return x
+_RATIONALS = _Rationals()
 
 
-def _eval_poly_at_series(coeff_lists, f, limit, mul=_conv_frac,
-                         norm=_identity):
+def _eval_poly_at_series(coeff_lists, f, limit, ring=_RATIONALS):
     """P(z, f(z)) mod z^limit by Horner in y, for P given by integer
-    y-rows; the ring is given by `mul` (product truncated and zero-padded
-    to `limit`) and `norm`, which also maps an integer into it."""
-    res = [norm(c) for c in coeff_lists[-1][:limit]]
-    res += [0] * (limit - len(res))
-    for j in range(len(coeff_lists) - 2, -1, -1):
-        res = mul(res, f, limit)
-        cj = coeff_lists[j]
-        for i in range(min(len(cj), limit)):
-            if cj[i]:
-                res[i] = norm(res[i] + cj[i])
+    y-rows, in `ring` (see `_newton_prefixes`)."""
+    res = ring.row(coeff_lists[-1], limit)
+    for row in coeff_lists[-2::-1]:
+        res = ring.mul(res, f, limit, ring.row(row, limit))
     return res
 
 
@@ -149,40 +169,45 @@ def _precision_steps(held: int, target: int) -> list[int]:
     return steps[::-1]
 
 
-def _newton_prefixes(pc, pyc, y0, g0, sizes, mul, norm):
+def _newton_prefixes(pc, pyc, y0, g0, sizes, ring):
     """Yield the first n coefficients of the branch through y0 for each n
     in `sizes`, by one Newton iteration that resumes from the precision it
     already holds, so a run through ascending sizes costs about what the
     last size alone costs.
 
     pc and pyc are the integer y-rows of P and P_y, y0 the branch point
-    and g0 = 1/P_y(0, y0) in the ring.  `mul(a, b, k)` is the
-    product truncated and zero-padded to k entries; `norm` brings a sum or
-    a negation back to a canonical ring element.
+    and g0 = 1/P_y(0, y0) in the ring.  The ring holds truncated series:
+    `reach(n, *xs)` readies it for series of n terms (re-encoding xs),
+    `row(values, k)` reads k coefficients in, `prefix(x, k)` writes them
+    out, `mul(a, b, k, plus)` is a·b + plus mod z^k, `neg(x, k, c)` is
+    c - x mod z^k, `shift(x, k)` divides by z^k and `append(f, k, tail)`
+    is f + z^k·tail.
     """
-    # f: branch prefix, correct mod z^len(f).
-    # g: inverse of P_y(z, f), correct mod z^len(g) and lifted lazily.  A
+    # f: branch prefix, correct mod z^held.
+    # g: inverse of P_y(z, f), correct mod z^held_g and lifted lazily.  A
     # step from m to m2 needs g only mod z^h, h = m2 - m <= m, and the
     # expensive correction P/P_y reduces to a half-size "middle product":
-    # P(z, f) vanishes mod z^m, so only its top h coefficients times g[:h]
+    # P(z, f) vanishes mod z^m, so only its top h coefficients times g
     # contribute.  P_y(z, f) mod z^h is final once f is, so g is lifted in
     # place by its own Newton steps, each at most doubling its precision.
-    f = [y0]
-    g = [g0]
+    f = ring.row([y0], 1)
+    g = ring.row([g0], 1)
+    held = held_g = 1
     for n in sizes:
         if n < 1:
             raise SchemaError(f"need at least one coefficient, got {n}")
-        for m2 in _precision_steps(len(f), n):
-            m = len(f)
-            h = m2 - m
-            for gm in _precision_steps(len(g), h):
-                dval = _eval_poly_at_series(pyc, f[:gm], gm, mul, norm)
-                ar = mul(dval, g, gm)
-                two_minus = [norm(2 - ar[0])] + [norm(-x) for x in ar[1:]]
-                g = mul(g, two_minus, gm)
-            val = _eval_poly_at_series(pc, f + [0] * h, m2, mul, norm)
-            f += [norm(-c) for c in mul(val[m:], g[:h], h)]
-        yield f[:n]
+        f, g = ring.reach(n, f, g)
+        for m2 in _precision_steps(held, n):
+            h = m2 - held
+            for gm in _precision_steps(held_g, h):
+                dval = _eval_poly_at_series(pyc, f, gm, ring)
+                g = ring.mul(g, ring.neg(ring.mul(dval, g, gm), gm, 2), gm)
+                held_g = gm
+            val = _eval_poly_at_series(pc, f, m2, ring)
+            f = ring.append(f, held, ring.neg(
+                ring.mul(ring.shift(val, held), g, h), h))
+            held = m2
+        yield ring.prefix(f, n)
 
 
 def _z_rows(p: Poly) -> list[list[int]]:
@@ -289,7 +314,7 @@ def branch_recurrence(ann: Annihilator) -> PRecurrence:
     def terms_of(count: int) -> list[Fraction]:
         pyc, py0 = _dy(pc, ann.y0)
         return next(_newton_prefixes(pc, pyc, ann.y0, 1 / py0, (count,),
-                                     _conv_frac, _identity))
+                                     _RATIONALS))
 
     return _finish(q_dense, n0_base, terms_of, empirical=False)
 
@@ -327,9 +352,7 @@ def branch_residue_prefixes(ann: Annihilator, sizes: Iterable[int], p: int,
     return _newton_prefixes(
         pc, pyc, residue(ann.y0, modulus),
         pow(residue(py0, modulus), -1, modulus), sizes,
-        lambda a, b, limit: _conv_mod(a, b, limit, modulus),
-        lambda x: x % modulus,
-    )
+        ip.ResidueRing(modulus))
 
 
 def verify_annihilator(ann: Annihilator, f: TruncSeries) -> bool:

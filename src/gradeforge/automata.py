@@ -35,7 +35,8 @@ class ResidueSequence:
     def __post_init__(self):
         if self.modulus < 2:
             raise SchemaError("modulus must be at least 2")
-        if any(not (0 <= t < self.modulus) for t in self.terms):
+        if self.terms and not (0 <= min(self.terms)
+                               and max(self.terms) < self.modulus):
             raise SchemaError("every term must lie in [0, modulus)")
 
 
@@ -158,8 +159,7 @@ def kernel_closure(s: ResidueSequence, q: int,
 
     def fingerprint(k: int, j: int) -> tuple[int, ...]:
         step = q ** k
-        return tuple(terms[j + step * n]
-                     for n in range(L) if j + step * n < T)
+        return terms[j:j + step * L:step]  # shorter where it passes T
 
     reps: list[tuple[int, int]] = [(0, 0)]
     fps: list[tuple[int, ...]] = [fingerprint(0, 0)]

@@ -98,6 +98,11 @@ def test_residue_sequence_validates_terms():
         ResidueSequence(2, (0, 1, 2))
     with pytest.raises(ValueError):
         ResidueSequence(3, (-1,))
+    for terms in [(0, 1, 2), (-1, 0), (2, 0, 1, 0)]:
+        with pytest.raises(SchemaError, match=r"^every term must lie in "
+                           r"\[0, modulus\)$"):
+            ResidueSequence(2, terms)
+    assert ResidueSequence(2, ()).terms == ()
     with pytest.raises(ValueError):
         ResidueSequence(1, (0,))
 

@@ -1,8 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import rationals
@@ -257,6 +258,83 @@ def test_conv_matches_schoolbook_slot_by_slot(operands):
 def test_conv_nonpositive_limit_is_empty(size, limit):
     a = list(range(-size, size, 2))
     assert ip.conv(a, a, limit) == []
+
+
+# ---------------------------------------------------------------------------
+# series over Z/m packed one coefficient per slot
+
+RING_MODULI = [2, 3, 4, 9, 25, 27, 49, 125, 2**31 - 1]
+
+
+def widening_sizes(m, cap=8000):
+    """The sizes n <= cap at which `ResidueRing(m).reach(n)` widens its
+    slots by a byte: the least n with n·(m-1)^2 + 2m >= 2^(8j), j >= 1."""
+    sizes = (-(-(2**(8 * j) - 2 * m) // (m - 1)**2) for j in range(1, 12))
+    return [n for n in sizes if 1 < n <= cap]
+
+
+@st.composite
+def ring_operands(draw):
+    """(m, n, a, b, plus, count): residue lists of at most n terms, n on
+    either side of a widening size, every residue m - 1 in some draws."""
+    m = draw(st.sampled_from(RING_MODULI))
+    n = draw(st.sampled_from(widening_sizes(m))) - draw(
+        st.integers(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = draw(st.booleans())
+
+    def residues(length):
+        return [m - 1 if top else rng.randrange(m) for _ in range(length)]
+
+    count = draw(st.integers(1, n))
+    a = residues(draw(st.sampled_from([n, rng.randint(1, n)])))
+    b = residues(draw(st.sampled_from([n, rng.randint(1, n)])))
+    return m, n, a, b, residues(count), count
+
+
+def check_ring(m, n, a, b, plus, count):
+    ring = ip.ResidueRing(m)
+    ring.reach(n)
+    x, y, c = (ring.row(v, count) for v in (a, b, plus))
+    want = [v % m for v in ip.conv(a, b, count)]
+    want += [0] * (count - len(want))
+    assert ring.prefix(ring.mul(x, y, count), count) == want
+    assert ring.prefix(ring.mul(x, y, count, c), count) == [
+        (u + v) % m for u, v in zip(want, plus)]
+    assert ring.prefix(ring.neg(c, count, 2), count) == (
+        [(2 - plus[0]) % m] + [-v % m for v in plus[1:]])
+    assert ring.prefix(x, count) == a[:count] + [0] * (count - len(a))
+
+
+@given(ring_operands())
+@settings(max_examples=150)
+def test_packed_product_matches_conv_mod_m(operands):
+    check_ring(*operands)
+
+
+@given(ring_operands())
+@settings(max_examples=40)
+def test_packed_product_matches_conv_mod_m_slot_by_slot(operands):
+    # as on a big-endian machine: residues are unpacked one slot at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ip, "_UCAST", {})
+        check_ring(*operands)
+
+
+@pytest.mark.parametrize("m", RING_MODULI)
+def test_barrett_step_is_exact_at_the_edges(m):
+    # c = 2^b - 1 and c = j·m - 1, j·m, j·m + 1 for the least and greatest
+    # j with j·m < 2^b, at every slot width up to 8000 terms
+    ring = ip.ResidueRing(m)
+    for n in [1, 2, 3] + [w + d for w in widening_sizes(m) for d in (-1, 0)]:
+        ring.reach(n)
+        top = 2**ring.b - 1
+        values = [top] + [c for j in (1, top // m) for c in
+                          (j * m - 1, j * m, j * m + 1) if c <= top]
+        x = int.from_bytes(b"".join(c.to_bytes(ring.nb, "little")
+                                    for c in values), "little")
+        assert ring.prefix(ring.reduce(x, len(values)), len(values)) == [
+            c % m for c in values], n
 
 
 # ---------------------------------------------------------------------------
