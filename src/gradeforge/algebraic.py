@@ -15,9 +15,11 @@ y^(k) = A_k(z, y)/D^(2k-1), where A_1 = -P_z and
 
     A_(k+1) = D^2 ∂_z A_k - D P_z ∂_y A_k - (2k-1) A_k (D_z D - D_y P_z).
 
-Over the common denominator D^(2K-1), the rows 1, y, y', ..., y^(K) are
+All of it is integer arithmetic on y-rows (`_z_rows`): ∂_z is
+`_intpoly.deriv` on each row and ∂_y scales and shifts the rows.  Over the
+common denominator D^(2K-1), the numerators of 1, y, y', ..., y^(K) are
 pseudo-reduced mod P in y, scaled to one power of lc_y(P), and the first K
-whose rows have a left kernel over Z[z] gives a linear ODE.  A combination
+whose numerators have a left kernel over Z[z] give a linear ODE.  A combination
 that vanishes mod P vanishes on the branch, because D(0, y0) != 0.  The ODE
 becomes a recurrence through [z^n] z^i y^(k) = (n-i+1)_k a_(n-i+k), valid
 past the degree of its inhomogeneous part.  `expand_branch` takes the
@@ -88,10 +90,10 @@ class Annihilator:
         object.__setattr__(self, "poly", Poly(2, {
             e: c // content for e, c in self.poly.terms.items()}))
         pc = _z_rows(self.poly)
-        p0 = sum(row[0] * y0 ** j for j, row in enumerate(pc) if row)
+        p0 = _at_origin(pc, y0)
         if p0 != 0:
             raise NotARoot(f"P(0, {y0}) = {p0} != 0")
-        if _dy(pc, y0)[1] == 0:
+        if _at_origin(_dy(pc), y0) == 0:
             raise RamifiedBranch(
                 "P_y(0, y0) = 0: multiple root at the branch point"
             )
@@ -218,10 +220,30 @@ def _z_rows(p: Poly) -> list[list[int]]:
     return [ip.trim(row) for row in rows]
 
 
-def _dy(pc: list[list[int]], y0: Fraction) -> tuple[list[list[int]], Fraction]:
-    """The y-rows of P_y from those of P, and P_y(0, y0)."""
-    pyc = [[j * c for c in row] for j, row in enumerate(pc)][1:]
-    return pyc, sum(row[0] * y0 ** j for j, row in enumerate(pyc) if row)
+# Bivariate forms as y-rows (see `_z_rows`); a form may end in zero rows.
+
+def _at_origin(rows: list[list[int]], y0: Fraction) -> Fraction:
+    """P(0, y0)."""
+    return sum(row[0] * y0 ** j for j, row in enumerate(rows) if row)
+
+
+def _dy(rows: list[list[int]]) -> list[list[int]]:
+    """∂P/∂y: row j times j, one power of y down."""
+    return [[j * c for c in row] for j, row in enumerate(rows)][1:]
+
+
+def _rsum(*terms) -> list[list[int]]:
+    """Σ c·a·b over the (c, a, b) in terms: c an int, a and b forms."""
+    out: list[list[int]] = []
+    for c, a, b in terms:
+        out += [[]] * (len(a) + len(b) - 1 - len(out))
+        for i, x in enumerate(a):
+            if x:
+                x = [c * v for v in x]
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = ip.add(out[i + j], ip.mul(x, y))
+    return out
 
 
 def _prem_y(row: list[list[int]], pc: list[list[int]]
@@ -243,31 +265,32 @@ def _prem_y(row: list[list[int]], pc: list[list[int]]
     return row + [[] for _ in range(d - len(row))], e
 
 
-def _linear_ode(p: Poly, pc: list[list[int]]) -> list[list[int]]:
+def _linear_ode(pc: list[list[int]]) -> list[list[int]]:
     """Integer polynomials c_(-1), c_0, ..., c_K in z, not all of
     c_0..c_K zero, with c_(-1) + Σ c_k·y^(k) = 0 on every simple branch of
-    the integer P, whose y-rows are pc; K is the least order for which the
+    the integer P whose y-rows are pc; K is the least order for which the
     derivation finds one."""
-    pz = p.derivative(0)
-    dp = p.derivative(1)
-    twist = dp.derivative(0) * dp - dp.derivative(1) * pz
-    dd, dpz = dp * dp, dp * pz
-    lc = pc[-1]
-    a = [None, -pz]  # a[k] = A_k, unreduced: y^(k) = A_k / D^(2k-1)
+    pz, dp = list(map(ip.deriv, pc)), _dy(pc)
+    twist = _rsum((1, list(map(ip.deriv, dp)), dp), (-1, _dy(dp), pz))
+    dpz = _rsum((1, dp, pz))
+    dpow = [[[1]]]  # dpow[i] = D^i
+    a = [None, [ip.neg(row) for row in pz]]  # y^(k) = A_k / D^(2k-1)
     for order in range(len(pc) - 1):
+        while len(dpow) < 2 * order:
+            dpow.append(_rsum((1, dpow[-1], dp)))
         if order > 1:
             ak, k = a[-1], order - 1
-            a.append(dd * ak.derivative(0) - dpz * ak.derivative(1)
-                     - twist * ak * (2 * k - 1))
-        one = dp ** max(2 * order - 1, 0)
-        rows = [one, one * Poly.variable(2, 1)]
-        rows += [a[k] * dp ** (2 * order - 2 * k)
+            a.append(_rsum((1, dpow[2], list(map(ip.deriv, ak))),
+                           (-1, dpz, _dy(ak)), (1 - 2 * k, twist, ak)))
+        one = dpow[max(2 * order - 1, 0)]
+        rows = [one, [[]] + one]
+        rows += [_rsum((1, a[k], dpow[2 * order - 2 * k]))
                  for k in range(1, order + 1)]
-        reduced = [_prem_y(_z_rows(row), pc) for row in rows]
+        reduced = [_prem_y(row, pc) for row in rows]
         top = max(e for _, e in reduced)
         scale = [[1]]
         for _ in range(top):
-            scale.append(ip.mul(scale[-1], lc))
+            scale.append(ip.mul(scale[-1], pc[-1]))
         matrix = [[ip.mul(c, scale[top - e]) for c in row]
                   for row, e in reduced]
         try:
@@ -300,7 +323,7 @@ def branch_recurrence(ann: Annihilator) -> PRecurrence:
     Newton iteration over Q.
     """
     pc = _z_rows(ann.poly)
-    ode = _linear_ode(ann.poly, pc)
+    ode = _linear_ode(pc)
     terms = [(k - i, k, c) for k, ck in enumerate(ode[1:])
              for i, c in enumerate(ck) if c]
     lo = min(t[0] for t in terms)
@@ -312,8 +335,9 @@ def branch_recurrence(ann: Annihilator) -> PRecurrence:
     n0_base = max(0, lo + len(ode[0]))
 
     def terms_of(count: int) -> list[Fraction]:
-        pyc, py0 = _dy(pc, ann.y0)
-        return next(_newton_prefixes(pc, pyc, ann.y0, 1 / py0, (count,),
+        pyc = _dy(pc)
+        return next(_newton_prefixes(pc, pyc, ann.y0,
+                                     1 / _at_origin(pyc, ann.y0), (count,),
                                      _RATIONALS))
 
     return _finish(q_dense, n0_base, terms_of, empirical=False)
@@ -345,7 +369,8 @@ def branch_residue_prefixes(ann: Annihilator, sizes: Iterable[int], p: int,
     """
     check_prime_power(p, r)
     pc = _z_rows(ann.poly)
-    pyc, py0 = _dy(pc, ann.y0)
+    pyc = _dy(pc)
+    py0 = _at_origin(pyc, ann.y0)
     if ann.y0.denominator % p == 0 or py0.numerator % p == 0:
         return None
     modulus = p ** r

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import le, mul
 from typing import Sequence, Union
 
-from .algebraic import Annihilator, verify_annihilator
+from .algebraic import Annihilator, _dy, _z_rows, verify_annihilator
 from .config import DEFAULTS
 from .errors import (
     BranchNotAtZero,
@@ -43,17 +43,6 @@ DESK_MAX_WORK = 10 ** 6
 
 # -- bivariate construction ---------------------------------------------------
 
-def _substitute_first(p: Poly) -> Poly:
-    """Apply z -> x*y to a bivariate polynomial: z^a y^b becomes x^a y^(a+b)."""
-    out = {(a, a + b): c for (a, b), c in p.terms.items()}
-    return Poly(2, out)
-
-
-def _shift_down_y(p: Poly) -> Poly:
-    """Exact division by y (every term must already carry a y factor)."""
-    return Poly(2, {(a, b - 1): c for (a, b), c in p.terms.items()})
-
-
 def furstenberg_bivariate(ann: Annihilator) -> RatFun:
     """Rational R(x, y) whose diagonal is the branch of ``ann`` at the origin.
 
@@ -65,27 +54,34 @@ def furstenberg_bivariate(ann: Annihilator) -> RatFun:
             f"branch point y0 = {format_rational(ann.y0)}; "
             "shift the branch to the origin first"
         )
-    num = _substitute_first(ann.poly.derivative(1))  # P_y(xy, y), unit term
-    den = _substitute_first(ann.poly)                # P(xy, y)
+    pc = _z_rows(ann.poly)
+
+    def substituted(rows, s):
+        """y^s·Q(xy, y) from the y-rows of Q: z^a y^b -> x^a y^(a+b+s)."""
+        return Poly(2, {(a, a + b + s): c for b, row in enumerate(rows)
+                        for a, c in enumerate(row) if c})
+
     # The branch is simple (the constructor checked): P(0,0) = 0 kills the
-    # constant term of den, while P_y(0,0) != 0 means P has a linear y term,
-    # which survives the substitution with y-exponent 1.  So den is
-    # divisible by y exactly once and y^2 * num exactly twice.
-    y = Poly.variable(2, 1)
-    return RatFun(y * num, _shift_down_y(den))
+    # constant term of P(xy, y), while P_y(0,0) != 0 means P has a linear y
+    # term, which survives the substitution with y-exponent 1.  So P(xy, y)
+    # is divisible by y exactly once and y^2 P_y(xy, y) exactly twice.
+    return RatFun(substituted(_dy(pc), 1), substituted(pc, -1))
 
 
-def _translate_branch(p: Poly, c: Fraction) -> Poly:
-    """v^D·P(z, y + u/v), c = u/v and D = deg_y P: move the branch point c
-    to the origin, term by term from the binomial expansion of
-    v^b·(y + u/v)^b, so the coefficients stay integers."""
+def _translate_branch(pc: list[list[int]], c: Fraction) -> Poly:
+    """v^D·P(z, y + u/v) for P given by its y-rows, c = u/v and
+    D = deg_y P: move the branch point c to the origin, term by term from
+    the binomial expansion of v^b·(y + u/v)^b, so the coefficients stay
+    integers."""
     u, v = c.numerator, c.denominator
-    top = p.degree_in(1)
+    top = len(pc) - 1
     out: dict[tuple[int, int], int] = {}
-    for (a, b), coeff in p.terms.items():
-        for k in range(b + 1):
-            term = coeff * math.comb(b, k) * u ** (b - k) * v ** (top - b + k)
-            out[a, k] = out.get((a, k), 0) + term
+    for b, row in enumerate(pc):
+        for a, coeff in enumerate(row):
+            for k in range(b + 1):
+                term = (coeff * math.comb(b, k) * u ** (b - k)
+                        * v ** (top - b + k))
+                out[a, k] = out.get((a, k), 0) + term
     return Poly(2, out)
 
 
@@ -235,7 +231,7 @@ def diagonal_witness(
     at_zero = ann
     if shift != 0:
         at_zero = Annihilator(
-            _translate_branch(ann.poly, shift), Fraction(0)
+            _translate_branch(_z_rows(ann.poly), shift), Fraction(0)
         )
     rat = furstenberg_bivariate(at_zero)
     witness = DiagonalWitness(rat, 1, verified_order, shift)

@@ -1,12 +1,13 @@
 """Exact multivariate polynomials and rational functions.
 
 Representation: sparse dict mapping exponent tuples to nonzero Python
-ints.  Rational inputs are cleared once, on the way in: `poly_from_rows`
-returns d·P with d the least common denominator, and `ratfun_from_rows`
-scales a numerator and a denominator by one common factor.
-The monomial order everywhere is graded lexicographic (total degree first,
-then leftmost variable most significant); canonical text rendering and
-leading terms use it.
+ints, with ring arithmetic, embedding and rendering; `Poly` has no calculus
+(branch work runs on integer y-rows in `algebraic`).  Rational inputs are
+cleared once, on the way in: `poly_from_rows` returns d·P with d the least
+common denominator, and `ratfun_from_rows` scales a numerator and a
+denominator by one common factor.  The monomial order everywhere is
+graded lexicographic (total degree first, then leftmost variable most
+significant); canonical text rendering and leading terms use it.
 
 `fraction_free_left_kernel` works over univariate integer polynomials, given
 as dense `_intpoly` coefficient lists, which is what the recurrence closure
@@ -149,29 +150,6 @@ class Poly:
         return res
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise SchemaError("negative polynomial power")
-        out = Poly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    def derivative(self, var: int) -> "Poly":
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            if e[var] == 0:
-                continue
-            e2 = tuple(x - 1 if i == var else x for i, x in enumerate(e))
-            out[e2] = out.get(e2, 0) + c * e[var]
-        res = Poly.zero(self.nvars)
-        res.terms = {e: c for e, c in out.items() if c}
-        return res
 
     def embed(self, nvars: int, offset: int) -> "Poly":
         """Move variable i of self to variable offset + i of a larger ring."""

@@ -10,6 +10,7 @@ implementations in the same way to slip through.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 # ---------------------------------------------------------------------------
 # integer sequences
@@ -111,23 +112,27 @@ def branch_prefix(P: dict, y0, n: int) -> list[Fraction]:
 
     P maps (i, j) to the coefficient of z^i y^j, and y0 must be a simple
     root of P(0, y).  Only the linear term in f_k of P(z, f) reaches z^k,
-    with factor P_y(0, y0), so f_k = -[z^k] P(z, f_<k) / P_y(0, y0); the
-    powers of f_<k are schoolbook Cauchy products.
+    with factor P_y(0, y0), so f_k = -[z^k] P(z, f_<k) / P_y(0, y0).  The
+    coefficients of each power f^j are kept from step to step: column k
+    is one Cauchy sum with f_k = 0, and once f_k is known it gains
+    j·y0^(j-1)·f_k, so the whole prefix costs O(n^2·deg_y) operations.
     """
     y0 = Fraction(y0)
     slope = sum(Fraction(c) * j * y0 ** (j - 1)
                 for (i, j), c in P.items() if i == 0 and j > 0)
+    top = max(j for _, j in P)
     f = [y0]
+    powers = [[y0 ** j] for j in range(top + 1)]  # powers[j][t] = [z^t] f^j
     for k in range(1, n):
-        prefix = f + [Fraction(0)]
-        powers = [[Fraction(1)] + [Fraction(0)] * k]
-        for _ in range(max(j for _, j in P)):
-            last = powers[-1]
-            powers.append([sum(last[a] * prefix[t - a] for a in range(t + 1))
-                           for t in range(k + 1)])
+        f.append(Fraction(0))
+        powers[0].append(Fraction(0))
+        for j in range(1, top + 1):
+            powers[j].append(sum(map(mul, powers[j - 1], reversed(f))))
         at_k = sum(Fraction(c) * powers[j][k - i]
                    for (i, j), c in P.items() if i <= k)
-        f.append(-at_k / slope)
+        f[k] = -at_k / slope
+        for j in range(1, top + 1):
+            powers[j][k] += j * y0 ** (j - 1) * f[k]
     return f[:n]
 
 
@@ -137,7 +142,7 @@ def branch_prefix(P: dict, y0, n: int) -> list[Fraction]:
 
 class FracPoly:
     """Sparse polynomial {exponent tuple: nonzero Fraction} with schoolbook
-    sum, product, power, derivative, embedding and evaluation."""
+    sum, product, power, embedding and evaluation."""
 
     def __init__(self, nvars: int, terms: dict):
         self.nvars = nvars
@@ -165,11 +170,6 @@ class FracPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def derivative(self, var: int) -> "FracPoly":
-        return self._collect(
-            (tuple(x - (i == var) for i, x in enumerate(e)), c * e[var])
-            for e, c in self.terms.items() if e[var])
 
     def embed(self, nvars: int, offset: int) -> "FracPoly":
         pad = (0,) * (nvars - offset - self.nvars)

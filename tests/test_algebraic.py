@@ -150,12 +150,13 @@ def test_deep_expansion_matches_integer_recurrences():
 # the P-recurrence derived from P
 
 
-def newton_over_q(ann, n):
-    """The branch by Newton iteration over Q alone, without a recurrence."""
-    pc = algebraic._z_rows(ann.poly)
-    pyc, py0 = algebraic._dy(pc, ann.y0)
-    return next(algebraic._newton_prefixes(
-        pc, pyc, ann.y0, 1 / py0, (n,), algebraic._RATIONALS))
+#: Terms compared with `oracles.branch_prefix`, far past every n0 + r
+#: below (at most 16, for the tangent).
+ORACLE_TERMS = 150
+
+
+def branch_oracle(ann):
+    return oracles.branch_prefix(ann.poly.terms, ann.y0, ORACLE_TERMS)
 
 
 def tangent_annihilator(order):
@@ -172,8 +173,9 @@ def test_branch_recurrence_matches_newton(name):
     ann = CORPUS_ANNIHILATORS[name]
     rec = branch_recurrence(ann)
     assert not rec.empirical
-    assert list(unroll(rec, 300).coeffs) == newton_over_q(ann, 300)
-    assert list(expand_branch(ann, 300).coeffs) == newton_over_q(ann, 300)
+    want = branch_oracle(ann)
+    assert list(unroll(rec, ORACLE_TERMS).coeffs) == want
+    assert list(expand_branch(ann, ORACLE_TERMS).coeffs) == want
 
 
 #: Hand-typed recurrences of three corpus branches: the reference for the
@@ -215,8 +217,8 @@ EDGE_BRANCHES = {
 @pytest.mark.parametrize("name", sorted(EDGE_BRANCHES))
 def test_branch_recurrence_edge_cases(name):
     ann = EDGE_BRANCHES[name]
-    assert list(unroll(branch_recurrence(ann), 300).coeffs) == (
-        newton_over_q(ann, 300))
+    assert list(unroll(branch_recurrence(ann), ORACLE_TERMS).coeffs) == (
+        branch_oracle(ann))
 
 
 def test_expand_branch_takes_only_the_recurrence_prefix_from_newton(

@@ -2,17 +2,25 @@
 
 The other suites check shapes and substrings; these fix the exact text of
 the diagonal and recurrence tables, the DOT view, polynomial reprs and the
-JSON term rows, so a change to any renderer shows up as a diff here.
+JSON term rows, so a change to any renderer shows up as a diff here.  One
+derived branch recurrence is pinned whole, by the digest of its JSON, so a
+change to the derivation shows up too.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from gradeforge.algebraic import branch_recurrence
 from gradeforge.automata import KernelBudgets, automaton_dot, christol_report
 from gradeforge.catalog import get_builtin
 from gradeforge.cli import main
-from gradeforge.descriptors import annihilator_to_json, read_series
+from gradeforge.descriptors import (
+    annihilator_from_json,
+    annihilator_to_json,
+    read_series,
+)
 from gradeforge.diagonals import diagonal_witness
 from gradeforge.polynomials import Poly, RatFun, poly_from_rows, rows_text
 
@@ -189,3 +197,23 @@ def test_annihilator_json_rows():
         '{"kind": "algebraic", "P": [[1, 2, "-4"], [0, 2, "1"], [0, 0, "-1"]],'
         ' "y0": "1"}',
     ]
+
+
+# ---------------------------------------------------------------------------
+# a derived branch recurrence
+
+#: A branch through the origin with (deg_y, deg_z) = (4, 3)
+P43 = ('{"P":[[0,1,"-1"],[0,2,"3"],[0,3,"3"],[0,4,"3"],[1,0,"-3"],'
+       '[1,1,"-1"],[1,2,"-3"],[1,4,"3"],[2,2,"2"],[2,4,"3"],[3,0,"-2"],'
+       '[3,1,"-3"],[3,3,"-3"],[3,4,"3"]],"y0":"0"}')
+
+
+def test_branch_recurrence_of_a_degree_four_branch():
+    # the whole 6,880-byte JSON, pinned by its digest: order 51, degree 3
+    rec = branch_recurrence(annihilator_from_json(json.loads(P43)))
+    assert (rec.order, len(rec.coeffs[-1]) - 1, rec.n0) == (51, 3, 0)
+    text = json.dumps(rec.to_json_dict(), sort_keys=True,
+                      separators=(",", ":"))
+    assert len(text) == 6880
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ebd0d7d65348037907e9b35262a89f086a46b919a5d4a8696371cf0a3176ae3")

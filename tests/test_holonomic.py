@@ -9,7 +9,12 @@ import oracles
 from gradeforge import _intpoly as ip
 from gradeforge.algebraic import expand_branch
 from gradeforge.catalog import CORPUS_ANNIHILATORS
-from gradeforge.errors import DegenerateInput, NoFit, UnderdeterminedRecurrence
+from gradeforge.errors import (
+    DegenerateInput,
+    NoFit,
+    SchemaError,
+    UnderdeterminedRecurrence,
+)
 from gradeforge.holonomic import (
     PRecurrence,
     guess_recurrence,
@@ -137,6 +142,15 @@ def test_from_dense_stores_primitive_integer_tuples():
 def test_non_integer_coefficient_rejected(bad):
     with pytest.raises(ValueError):
         PRecurrence(((1, bad), (1,)), 0, (1,))
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    (((1,),), "order must be at least 1"),
+    (((1,), (0, 0)), "p_r must be nonzero"),
+], ids=["order 0", "p_r = 0"])
+def test_degenerate_recurrence_rejected(coeffs, message):
+    with pytest.raises(SchemaError, match=message):
+        PRecurrence(coeffs, 0, (1,))
 
 
 def test_json_round_trip():
