@@ -202,10 +202,9 @@ class ResidueRing:
             for x in xs]
 
     def row(self, values: Sequence[int], limit: int) -> int:
-        """The first `limit` integers of `values`, each reduced mod m."""
-        return int.from_bytes(b"".join(
-            [(v % self.m).to_bytes(self.nb, "little")
-             for v in values[:limit]]), "little")
+        """The first `limit` integers of `values` reduced mod m, each below
+        m < 2^(b-1) and so its own signed slot (a zero half-slot)."""
+        return _pack([v % self.m for v in values[:limit]], self.nb, 0)
 
     def prefix(self, x: int, count: int) -> list[int]:
         """The residues in slots 0..count-1."""

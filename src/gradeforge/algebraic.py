@@ -55,6 +55,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _intpoly as ip
 from .errors import (
+    BudgetExceeded,
     NoKernel,
     NotARoot,
     RamifiedBranch,
@@ -66,6 +67,12 @@ from .obstruction import check_prime_power
 from .polynomials import Poly, fraction_free_left_kernel
 from .rationals import coerce_rational, residue
 from .series import TruncSeries
+
+#: Cap on the dense size (deg_z P + 1)·(deg_y P + 1) of an annihilator.
+#: The y-rows of P are dense in z, so a short sparse payload such as
+#: z^(10^9)·y^2 - y + 1 would otherwise allocate gigabytes; 10^6 entries
+#: is the desk scale of `diagonals.DESK_MAX_WORK`.
+MAX_DENSE_SIZE = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,10 @@ class Annihilator:
             raise SchemaError("annihilator polynomial must be nonzero")
         if self.poly.degree_in(1) < 1:
             raise SchemaError("annihilator must involve y")
+        dense = (self.poly.degree_in(0) + 1) * (self.poly.degree_in(1) + 1)
+        if dense > MAX_DENSE_SIZE:
+            raise BudgetExceeded(
+                f"P has dense size {dense} > {MAX_DENSE_SIZE} coefficients")
         y0 = coerce_rational(self.y0)
         object.__setattr__(self, "y0", y0)
         content = math.gcd(*self.poly.terms.values())

@@ -92,7 +92,6 @@ class ExpPolyRational:
 
     def __post_init__(self):
         merged: dict = {}
-        order: list = []
         for item in self.terms:
             if len(item) != 3:
                 raise SchemaError("term must be (pole, multiplicity, poly)")
@@ -108,12 +107,10 @@ class ExpPolyRational:
             if not poly:
                 continue
             if pole in merged:
-                merged[pole] = _poly_add(merged[pole], poly)
-            else:
-                merged[pole] = poly
-                order.append(pole)
+                poly = _poly_add(merged[pole], poly)
+            merged[pole] = poly
         clean = []
-        for pole in sorted(order, key=_pole_sort_key):
+        for pole in sorted(merged, key=_pole_sort_key):
             poly = _poly_trim(merged[pole])
             if poly:
                 clean.append((pole, len(poly), poly))
@@ -140,10 +137,8 @@ class ExpPolyRational:
             raise SchemaError("coefficient index must be nonnegative")
         total = Fraction(0)
         for pole, _, poly in self.terms:
-            if _exactly_rational(pole):
-                power = Fraction(pole) ** (-n - 1)
-            else:
-                power = pole ** (-n - 1)
+            # exact for int and Fraction poles, float or complex otherwise
+            power = (Fraction(1) * pole) ** (-n - 1)
             total = total + _poly_eval(poly, n) * power
         return total
 

@@ -10,12 +10,12 @@ in twice as many variables.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import le, mul
 from typing import Sequence, Union
 
+from . import _intpoly as ip
 from .algebraic import Annihilator, _dy, _z_rows, verify_annihilator
 from .config import DEFAULTS
 from .errors import (
@@ -70,18 +70,17 @@ def furstenberg_bivariate(ann: Annihilator) -> RatFun:
 
 def _translate_branch(pc: list[list[int]], c: Fraction) -> Poly:
     """v^D·P(z, y + u/v) for P given by its y-rows, c = u/v and
-    D = deg_y P: move the branch point c to the origin, term by term from
-    the binomial expansion of v^b·(y + u/v)^b, so the coefficients stay
-    integers."""
+    D = deg_y P: move the branch point c to the origin with integer
+    coefficients.  At each z-power a, q(w) = Σ_b P_(b,a)·v^(D-b)·w^b
+    shifts to q(w + u), and w^k becomes v^k·y^k."""
     u, v = c.numerator, c.denominator
     top = len(pc) - 1
     out: dict[tuple[int, int], int] = {}
-    for b, row in enumerate(pc):
-        for a, coeff in enumerate(row):
-            for k in range(b + 1):
-                term = (coeff * math.comb(b, k) * u ** (b - k)
-                        * v ** (top - b + k))
-                out[a, k] = out.get((a, k), 0) + term
+    for a in range(max(map(len, pc))):
+        q = [row[a] * v ** (top - b) if a < len(row) else 0
+             for b, row in enumerate(pc)]
+        for k, x in enumerate(ip.shift_arg(q, u)):
+            out[a, k] = x * v ** k
     return Poly(2, out)
 
 

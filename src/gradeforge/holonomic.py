@@ -139,7 +139,7 @@ class PRecurrence:
         return {
             "kind": "holonomic",
             "order": self.order,
-            "coeffs": [[str(c) for c in p] for p in self.coeffs],
+            "coeffs": [[format_rational(c) for c in p] for p in self.coeffs],
             "n0": self.n0,
             "initial": [format_rational(x) for x in self.initial],
         }

@@ -11,7 +11,7 @@ truncation order it was computed from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .config import DEFAULTS
@@ -57,15 +57,9 @@ class Periodicity:
     bound: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        if self.kind == "eventually-periodic":
-            return {
-                "kind": self.kind,
-                "preperiod": self.preperiod,
-                "period": self.period,
-            }
-        if self.kind == "aperiodic-up-to":
-            return {"kind": self.kind, "bound": self.bound}
-        return {"kind": self.kind}
+        """The fields the outcome sets: `eventual_period` sets the
+        preperiod and period, or the bound, and leaves the rest None."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def is_prime(n: int) -> bool:

@@ -98,7 +98,7 @@ def read_json_arg(arg: str, what: str):
             raise SchemaError(f"cannot read {what} file {arg[1:]}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or past the digit cap
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 

@@ -16,6 +16,7 @@ from gradeforge.algebraic import (
 from gradeforge.automata import reduce_mod
 from gradeforge.catalog import CORPUS_ANNIHILATORS
 from gradeforge.errors import (
+    BudgetExceeded,
     NotARoot,
     PrimeDividesDenominator,
     RamifiedBranch,
@@ -66,6 +67,19 @@ def test_ramified_branch_rejected():
     # y^2 - z: double root at (0, 0)
     with pytest.raises(RamifiedBranch):
         bivariate({(0, 2): 1, (1, 0): -1})
+
+
+def test_constructor_refuses_a_dense_size_past_the_cap():
+    # z^e·y^2 - y + 1 is a short payload whose y-rows, dense in z, would
+    # hold 3·(e + 1) integers; a cap-sized P is still accepted
+    e = 2 * 10 ** 6
+    with pytest.raises(BudgetExceeded) as info:
+        bivariate({(e, 2): 1, (0, 1): -1, (0, 0): 1}, y0=1)
+    assert info.value.exit_code == 4
+    edge = algebraic.MAX_DENSE_SIZE // 2 - 1
+    bivariate({(edge, 1): 1, (0, 1): -1, (0, 0): 1}, y0=1)
+    with pytest.raises(BudgetExceeded):
+        bivariate({(edge + 1, 1): 1, (0, 1): -1, (0, 0): 1}, y0=1)
 
 
 @pytest.mark.parametrize("terms, y0, error", [

@@ -19,6 +19,7 @@ from gradeforge import (
     rational_hadamard,
     zeta_odd_denominator_check,
 )
+from gradeforge import analytic
 from gradeforge.analytic import (
     _laguerre_rule,
     branch_offset,
@@ -357,3 +358,25 @@ def test_zeta_check_validates_arguments():
 def test_zeta_tail_bound_shrinks_with_cutoff_and_weight():
     assert zeta_tail_bound(0, 10**6) < zeta_tail_bound(0, 10**5)
     assert zeta_tail_bound(2, 1000) < zeta_tail_bound(1, 1000)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExpPolyRational(((2, 1),)), "term must be"),
+    (lambda: ExpPolyRational.simple_pole(2).coefficient(-1),
+     "index must be nonnegative"),
+    (lambda: euler_branch_formula(1.0, terms=0), "at least one series term"),
+    (lambda: plate_rational_sum([(1, 2)], 0), "at least one coefficient"),
+    (lambda: tangent_series(0), "at least one coefficient"),
+], ids=["term not a triple", "coefficient(-1)", "branch terms 0",
+        "plate order 0", "tangent order 0"])
+def test_entries_refuse_arguments_below_their_range(call, message):
+    with pytest.raises(SchemaError, match=message):
+        call()
+
+
+def test_optics_check_refuses_order_zero_before_the_plate_sum(monkeypatch):
+    # plate_rational_sum refuses order 0 too, so fail if it is reached
+    monkeypatch.setattr(analytic, "plate_rational_sum",
+                        lambda *args: pytest.fail("plate sum formed"))
+    with pytest.raises(SchemaError, match="at least one coefficient"):
+        optics_identity_check([(1, 2)], TruncSeries((1,)), 0)

@@ -526,3 +526,15 @@ def test_pipeline_rejects_a_composite_modulus():
     with pytest.raises(ValueError):
         christol_report(CORPUS_ANNIHILATORS["catalan"], 4, 1,
                         budgets=KernelBudgets(4096, 3, 64))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: KernelBudgets(0, 3, 64), "budgets must be positive"),
+    (lambda: KernelBudgets(4096, -1, 64), "budgets must be positive"),
+    (lambda: KernelBudgets(4096, 3, 0), "fingerprint length must be positive"),
+    (lambda: kernel_closure(ResidueSequence(2, (1, 0) * 32), 1,
+                            KernelBudgets(4096, 3, 4)), "base q"),
+], ids=["states 0", "depth -1", "fingerprint 0", "q = 1"])
+def test_kernel_entries_refuse_arguments_below_their_range(call, message):
+    with pytest.raises(SchemaError, match=message):
+        call()

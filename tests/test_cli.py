@@ -542,6 +542,14 @@ def test_diagonal_order_over_desk_cap_exhausts_budget(capsys):
     assert rc == 4
 
 
+def test_expand_refuses_an_annihilator_past_the_dense_size_cap(capsys):
+    # P = z^(2·10^6)·y^2 - y + 1: 52 bytes of payload, 6·10^6 dense entries
+    payload = '{"P":[[2000000,2,"1"],[0,1,"-1"],[0,0,"1"]],"y0":"1"}'
+    rc, out, err = run(capsys, "expand", "algebraic", payload, "--terms", "4")
+    assert rc == 4
+    assert "dense size" in err
+
+
 def test_diagonal_order_13_is_under_the_work_cap(capsys):
     data = run_json(capsys, "diagonal", "builtin", "catalan", "--order", "13")
     assert data["diagonal"] == [str(math.comb(2 * n, n) // (n + 1))

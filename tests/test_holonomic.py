@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from gradeforge.holonomic import (
     hadamard_recurrence,
     unroll,
 )
+from gradeforge.rationals import integers_of_any_size
 from gradeforge.series import TruncSeries, hadamard_mul
 
 CENTRAL_BINOMIAL = PRecurrence.from_dense([[-2, -4], [1, 1]], 0, [1])
@@ -156,6 +158,18 @@ def test_degenerate_recurrence_rejected(coeffs, message):
 def test_json_round_trip():
     rec = hadamard_recurrence(CENTRAL_BINOMIAL, CATALAN)
     assert PRecurrence.from_json_dict(rec.to_json_dict()) == rec
+
+
+def test_json_renders_coefficients_past_the_digit_cap():
+    # a_(n+1) = (10^5000 + 1)·a_n: a 5,001-digit coefficient
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big = 10 ** 5000 + 1
+    rec = PRecurrence(((-big,), (1,)), 0, (1,))
+    data = rec.to_json_dict()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    with integers_of_any_size():
+        assert data["coeffs"] == [[str(-big)], ["1"]]
+        assert PRecurrence.from_json_dict(data) == rec
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +327,32 @@ def test_algebraic_factors_to_product_recurrence():
     for f in expansions[1:]:
         product = hadamard_mul(product, f)
     assert unroll(combined, 120) == product
+
+
+# ---------------------------------------------------------------------------
+# input guards
+
+
+def _payload(**changes):
+    d = {"order": 1, "coeffs": [[-1], [1]], "n0": 0, "initial": ["1"]}
+    d.update(changes)
+    return d
+
+
+@pytest.mark.parametrize("call, message", [
+    # each payload would read as a recurrence without its guard
+    (lambda: PRecurrence.from_json_dict(_payload(coeffs="12")), "'coeffs'"),
+    (lambda: PRecurrence.from_json_dict(
+        _payload(coeffs=[[1], [1], [1]], initial=["1", "1"])), "'coeffs'"),
+    (lambda: PRecurrence.from_json_dict(_payload(coeffs=[[], [1]])),
+     "'coeffs'"),
+    (lambda: PRecurrence.from_json_dict(_payload(initial="1")), "'initial'"),
+    (lambda: unroll(EXP, 0), "at least one term"),
+    (lambda: guess_recurrence(unroll(EXP, 20), 0, 1), "max_order >= 1"),
+    (lambda: guess_recurrence(unroll(EXP, 20), 1, -1), "max_degree >= 0"),
+], ids=["coeffs not a list", "coeffs too long", "empty coefficient list",
+        "initial not a list", "unroll 0 terms", "guess order 0",
+        "guess degree -1"])
+def test_entries_refuse_malformed_arguments(call, message):
+    with pytest.raises(SchemaError, match=message):
+        call()

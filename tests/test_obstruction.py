@@ -284,6 +284,11 @@ def test_period_length_precondition():
         eventual_period([1] * 50, 20)
 
 
+def test_eventual_period_refuses_a_max_period_below_one():
+    with pytest.raises(SchemaError, match="max_period must be positive"):
+        eventual_period([1, -1, 1], 0)
+
+
 @given(st.lists(st.sampled_from([1, -1]), min_size=45, max_size=45))
 def test_reported_period_reverifies(signs):
     out = eventual_period(signs, 15)

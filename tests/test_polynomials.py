@@ -149,6 +149,11 @@ def test_poly_from_rows_clears_the_least_denominator(case):
     assert math.gcd(d, *got.terms.values()) == 1
 
 
+def test_rows_must_be_a_list():
+    with pytest.raises(SchemaError, match="must be a list of term rows"):
+        poly_from_rows("[[1, 0, 1]]", 2, "P")
+
+
 @given(sparse_polys(), sparse_polys(), sparse_polys())
 def test_mul_commutative_associative(a3, b3, c3):
     (a, na), (b, nb), (c, nc) = a3, b3, c3
@@ -467,6 +472,17 @@ def test_ratfuns_in_different_variable_counts_are_unequal():
 def test_ratfun_rejects_zero_denominator():
     with pytest.raises(SchemaError):
         RatFun(Poly.const(2, 1), Poly.const(2, 0))
+
+
+def test_ratfun_operands_need_equal_variable_counts():
+    with pytest.raises(VariableMismatch):
+        RatFun(Poly.const(1, 1), Poly.const(2, 1))
+
+
+def test_ratfun_is_not_equal_to_an_integer():
+    r = RatFun(Poly.const(1, 3), Poly.const(1, 1))
+    assert (r == 3) is False
+    assert r != 3
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,18 @@ def test_parse_rejects_literals_past_the_digit_cap():
         parse_rational("1" * (cap + 1))
 
 
+def test_json_reader_refuses_integers_past_the_digit_cap():
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not cap:
+        pytest.skip("this interpreter has no int<->str digit cap")
+    text = "[1" + "0" * cap + "]"
+    with pytest.raises(SchemaError):
+        read_json_arg(text, "payload")
+    with pytest.raises(SchemaError):
+        read_series("coeffs", text)
+    assert sys.get_int_max_str_digits() == cap
+
+
 def test_library_renders_integers_past_the_digit_cap(capsys):
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     # 1699! has 4,700 digits, past the default cap of 4,300
