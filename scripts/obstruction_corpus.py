@@ -44,8 +44,9 @@ def main(argv=None) -> int:
     for name, series in rows:
         report = obstruction_report(series, window=args.window)
         print(f"{name:<{width}}  {report.verdict:<24}  "
-              f"{report.radius_class:<18}  {len(report.prime_support):>6}  "
-              f"{'yes' if report.prime_still_growing else 'no'}")
+              f"{report.radius.classification:<18}  "
+              f"{len(report.support.primes):>6}  "
+              f"{'yes' if report.support.still_growing else 'no'}")
     return 0
 
 

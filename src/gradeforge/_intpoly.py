@@ -98,6 +98,15 @@ def _pack(c, stride, half):
     return (int.from_bytes(raw, "little") ^ half) - half
 
 
+def _unpack(raw, count, stride, signed):
+    """Slots 0..count-1 of little-endian `raw`, `stride` bytes each."""
+    code = (_CAST if signed else _UCAST).get(stride)
+    if code:
+        return memoryview(raw)[:count * stride].cast(code).tolist()
+    return [int.from_bytes(raw[t:t + stride], "little", signed=signed)
+            for t in range(0, count * stride, stride)]
+
+
 def conv(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
     """Convolution of coefficient lists, truncated to `limit` entries.
 
@@ -131,11 +140,7 @@ def conv(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
     half = int.from_bytes((bytes(stride - 1) + b"\x80") * n, "little")
     digits = ((_pack(a, stride, half) * _pack(b, stride, half) + half)
               ^ half).to_bytes(n * stride, "little")
-    code = _CAST.get(stride)
-    if code:
-        return memoryview(digits)[:limit * stride].cast(code).tolist()
-    return [int.from_bytes(digits[t:t + stride], "little", signed=True)
-            for t in range(0, limit * stride, stride)]
+    return _unpack(digits, limit, stride, True)
 
 
 def _respace(x: int, count: int, src: int, dst: int) -> bytearray:
@@ -208,14 +213,9 @@ class ResidueRing:
 
     def prefix(self, x: int, count: int) -> list[int]:
         """The residues in slots 0..count-1."""
-        ub = self.ub
         data = _respace(x & ((1 << (8 * self.nb * count)) - 1), count,
-                        self.nb, ub)
-        code = _UCAST.get(ub)
-        if code:
-            return memoryview(data).cast(code).tolist()
-        return [int.from_bytes(data[t:t + ub], "little")
-                for t in range(0, count * ub, ub)]
+                        self.nb, self.ub)
+        return _unpack(data, count, self.ub, False)
 
     def reduce(self, x: int, count: int) -> int:
         """Every slot of x, each below 2^b, taken mod m."""
@@ -401,6 +401,16 @@ def gcd(a: list[int], b: list[int]) -> list[int]:
         r = _prem_positive(a, b)
         a, b = b, primitive(r)
     return primitive(a)
+
+
+def gcd_all(polys: Iterable[list[int]]) -> list[int]:
+    """Primitive gcd of the nonzero polys ([] if none), short ones first."""
+    g: list[int] = []
+    for c in sorted((c for c in polys if c), key=len):
+        g = gcd(g, c)
+        if g == [1]:
+            break
+    return g
 
 
 def eval_at(a: list[int], n: int) -> int:

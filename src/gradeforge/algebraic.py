@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import _intpoly as ip
 from .errors import (
@@ -110,21 +110,6 @@ class Annihilator:
             )
 
 
-def _conv_frac(xs: Sequence[Fraction], ys: Sequence[Fraction],
-               limit: int) -> list[Fraction]:
-    """Truncated convolution over Fraction, zero-padded to `limit` entries.
-
-    Denominators are cleared once per operand so the product runs in the
-    integer kernel.
-    """
-    ia, da = ip.clear_denominators(xs)
-    ib, db = ip.clear_denominators(ys)
-    scale = da * db
-    out = [Fraction(c, scale) for c in ip.conv(ia, ib, limit)]
-    out.extend([Fraction(0)] * (limit - len(out)))
-    return out
-
-
 class _Rationals:
     """Q[[z]] truncated, as Fraction lists: the ring of the recurrence's
     Newton prefix and of `verify_annihilator`; `_intpoly.ResidueRing` is
@@ -140,7 +125,11 @@ class _Rationals:
         return f[:n]
 
     def mul(self, a, b, limit, plus=()):
-        out = _conv_frac(a[:limit], b[:limit], limit)
+        """a·b + plus mod z^limit, each operand cleared once for `conv`."""
+        ia, da = ip.clear_denominators(a[:limit])
+        ib, db = ip.clear_denominators(b[:limit])
+        out = [Fraction(c, da * db) for c in ip.conv(ia, ib, limit)]
+        out.extend([Fraction(0)] * (limit - len(out)))
         for i, c in enumerate(plus):
             if c:
                 out[i] += c

@@ -69,11 +69,6 @@ def _poly_eval(p: Sequence, n: int):
     return acc
 
 
-def _pole_sort_key(pole):
-    c = complex(pole)
-    return (c.real, c.imag, str(pole))
-
-
 def _exactly_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
 
@@ -110,7 +105,8 @@ class ExpPolyRational:
                 poly = _poly_add(merged[pole], poly)
             merged[pole] = poly
         clean = []
-        for pole in sorted(merged, key=_pole_sort_key):
+        # exact for int and Fraction poles, so distinct poles never tie
+        for pole in sorted(merged, key=lambda p: (p.real, p.imag)):
             poly = _poly_trim(merged[pole])
             if poly:
                 clean.append((pole, len(poly), poly))

@@ -178,6 +178,8 @@ def _table_obstruct(data: dict) -> str:
              f"truncation   {data['truncation']}"]
     support = " ".join(f"{p}@{idx}" for p, idx in data["prime_support"])
     lines.append(f"prime support  {support or '(none)'}")
+    if "prime_incomplete" in data:
+        lines.append(f"incomplete   {' '.join(map(str, data['prime_incomplete']))}")
     radius = data["radius"]
     beta = "n/a" if radius["beta"] is None else f"{radius['beta']:.4f}"
     lines.append(f"radius fit   beta={beta}  class={radius['class']}")

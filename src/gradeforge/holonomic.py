@@ -254,13 +254,10 @@ def _finish(q_dense: list[list[int]], n0_base: int,
         terms = terms_of(n0 + 1)
         return PRecurrence(((), tuple(p1)), n0, tuple(terms), empirical)
     shifted = [ip.shift_arg(q_dense[k], -low) for k in range(low, top + 1)]
-    g = shifted[0]
-    for c in shifted[1:]:
-        g = ip.gcd(g, c)
-    if len(g) > 1:
-        shifted = [ip.exact_div(c, g) for c in shifted]
+    g = ip.gcd_all(shifted)
     n0 = n0_base + low
     if len(g) > 1:
+        shifted = [ip.exact_div(c, g) for c in shifted]
         n0 = _raise_base(g, n0)
     n0 = _raise_base(shifted[-1], n0)
     r = len(shifted) - 1

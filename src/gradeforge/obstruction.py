@@ -43,7 +43,7 @@ class PrimeSupportScan(NamedTuple):
 
 
 class RadiusEstimate(NamedTuple):
-    beta: float
+    beta: Optional[float]
     classification: str
 
 
@@ -295,22 +295,24 @@ def eventual_period(signs: Sequence[int], max_period: int) -> Periodicity:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    prime_support: tuple[tuple[int, int], ...]
-    prime_still_growing: bool
-    radius_beta: Optional[float]
-    radius_class: str
+    support: PrimeSupportScan
+    radius: RadiusEstimate
     periodicity: Periodicity
     verdict: str
     truncation: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "prime_support": [list(pair) for pair in self.prime_support],
-            "radius": {"beta": self.radius_beta, "class": self.radius_class},
+        out = {
+            "prime_support": [list(pair) for pair in self.support.primes],
+            "radius": {"beta": self.radius.beta,
+                       "class": self.radius.classification},
             "periodicity": self.periodicity.to_json_dict(),
             "verdict": self.verdict,
             "truncation": self.truncation,
         }
+        if self.support.incomplete:
+            out["prime_incomplete"] = list(self.support.incomplete)
+        return out
 
 
 def obstruction_report(f: TruncSeries, *,
@@ -332,14 +334,10 @@ def obstruction_report(f: TruncSeries, *,
     support = prime_support_scan(f, window)
 
     try:
-        beta, radius_class = radius_estimate(
-            f,
-            zero_threshold=zero_threshold,
-            positive_threshold=positive_threshold,
-        )
-        radius_beta: Optional[float] = beta
+        radius = radius_estimate(f, zero_threshold=zero_threshold,
+                                 positive_threshold=positive_threshold)
     except TooSparse:
-        radius_beta, radius_class = None, "inconclusive"
+        radius = RadiusEstimate(None, "inconclusive")
 
     try:
         periodicity = eventual_period(
@@ -351,14 +349,12 @@ def obstruction_report(f: TruncSeries, *,
 
     fired = (
         support.still_growing
-        or radius_class == "zero-evidence"
+        or radius.classification == "zero-evidence"
         or periodicity.kind == "aperiodic-up-to"
     )
     return ObstructionReport(
-        prime_support=support.primes,
-        prime_still_growing=support.still_growing,
-        radius_beta=radius_beta,
-        radius_class=radius_class,
+        support=support,
+        radius=radius,
         periodicity=periodicity,
         verdict="infinite-grade-evidence" if fired else "no-obstruction-found",
         truncation=f.order,

@@ -403,13 +403,8 @@ def _bareiss_kernel(E: list[list[list[int]]], nvars: int) -> list[list[int]]:
                 acc = ip.add(acc, ip.mul(E[k][j], vec[j]))
         vec[k] = ip.neg(ip.exact_div(acc, E[k][k]))
 
-    # Content-free normalisation.  Short entries first: their gcd is the
-    # cheapest to take and the likeliest to reach 1 early.
-    g: list[int] = []
-    for c in sorted((c for c in vec if c), key=len):
-        g = ip.gcd(g, c)
-        if g == [1]:
-            break
+    # Content-free normalisation.
+    g = ip.gcd_all(vec)
     if g != [1]:
         vec = [ip.exact_div(c, g) for c in vec]
     gint = math.gcd(*(ip.content(c) for c in vec))

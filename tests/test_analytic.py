@@ -128,6 +128,16 @@ def test_form_validation():
     assert ExpPolyRational(((Fraction(2), 1, (Fraction(0),)),)).terms == ()
 
 
+def test_poles_past_the_float_range_sort_exactly():
+    # 10^5000 also renders past CPython's int<->str digit cap
+    big = 10**5000
+    f = ExpPolyRational(((big + 1, 1, (1,)), (Fraction(2), 1, (1,)),
+                         (Fraction(big), 1, (1,))))
+    assert f.poles == (2, big, big + 1)
+    assert f.coefficient(0) == Fraction(1, 2) + Fraction(1, big) + Fraction(
+        1, big + 1)
+
+
 def test_float_poles_do_not_expand():
     f = ExpPolyRational(((2.0, 1, (1.0,)),))
     assert not f.is_exact

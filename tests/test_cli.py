@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,24 @@ def test_obstruct_clamps_out_of_range_windows(capsys):
                               "40", "--window", w) for w in ("1000", "20"))
     assert wide == clamped
     assert wide["verdict"] == "infinite-grade-evidence"
+
+
+def test_obstruct_lists_the_denominators_it_could_not_split(capsys):
+    # (2^127 - 1)(2^89 - 1) is past the certified range, and Pollard–Brent
+    # cannot split it within its step budget
+    coeffs = ["1/3"] + ["1"] * 19
+    coeffs[10] = f"1/{(2**127 - 1) * (2**89 - 1)}"
+    argv = ("obstruct", "coeffs", json.dumps(coeffs), "--terms", "20")
+    data = run_json(capsys, *argv)
+    assert data["prime_support"] == [[3, 0]]
+    assert data["prime_incomplete"] == [10]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    assert "incomplete   10" in out.splitlines()
+    # a scan that split every denominator prints no such line
+    rc, out, err = run(capsys, "obstruct", "builtin", "exp", "--terms", "30")
+    assert rc == 0, err
+    assert "incomplete" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +834,15 @@ def test_expand_round_trips_integers_past_the_str_digit_cap(capsys, tmp_path):
     assert again == out
     # the cap is lifted only while a command runs
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+def test_expand_orders_poles_past_the_float_range_exactly(capsys):
+    payload = json.dumps(
+        {"terms": [["1" + "0" * 400, 1, ["1"]], ["2", 1, ["1"]]]})
+    data = run_json(capsys, "expand", "rational-exppoly", payload,
+                    "--terms", "2")
+    assert data["coeffs"] == [str(Fraction(1, 2) + Fraction(1, 10**400)),
+                              str(Fraction(1, 4) + Fraction(1, 10**800))]
 
 
 # ---------------------------------------------------------------------------

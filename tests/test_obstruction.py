@@ -232,7 +232,7 @@ def test_fit_needs_two_points_in_its_half():
     f = TruncSeries.from_list([Fraction(1)] * 7 + [Fraction(0)] * 8 + [3])
     with pytest.raises(TooSparse):
         radius_estimate(f)
-    assert obstruction_report(f).radius_class == "inconclusive"
+    assert obstruction_report(f).radius.classification == "inconclusive"
 
 
 def test_sparse_series_rejected():
@@ -330,11 +330,20 @@ def test_verdict_clean_on_hadamard_square():
 
 def test_which_scan_fired():
     euler = obstruction_report(expand_builtin("euler", 80))
-    assert euler.radius_class == "zero-evidence"
-    assert not euler.prime_still_growing  # integer coefficients
+    assert euler.radius.classification == "zero-evidence"
+    assert not euler.support.still_growing  # integer coefficients
     tm = obstruction_report(expand_builtin("thue-morse-signs", 200))
     assert tm.periodicity.kind == "aperiodic-up-to"
-    assert tm.radius_class == "positive-evidence"
+    assert tm.radius.classification == "positive-evidence"
+
+
+def test_report_keeps_the_denominators_its_scan_could_not_split():
+    coeffs = [Fraction(1, 3)] + [Fraction(1)] * 19
+    coeffs[10] = Fraction(1, (2**127 - 1) * (2**89 - 1))
+    report = obstruction_report(TruncSeries.from_list(coeffs))
+    assert report.support.primes == ((3, 0),)
+    assert report.support.incomplete == (10,)
+    assert report.to_json_dict()["prime_incomplete"] == [10]
 
 
 def test_report_json_shape():

@@ -601,6 +601,22 @@ def test_polynomial_kernel_matches_gauss_jordan_at_points(matrix):
     assert next(c for c in vec if c)[-1] > 0
 
 
+int_polys = st.lists(st.integers(-6, 6), max_size=5).map(ip.trim)
+
+
+@given(st.lists(int_polys, max_size=6), int_polys)
+def test_gcd_all_matches_a_left_fold_of_gcd(polys, factor):
+    # a planted common factor makes nontrivial gcds common; zero and
+    # constant entries come from the short draws
+    if factor:
+        polys = [ip.mul(p, factor) for p in polys]
+    want: list[int] = []
+    for p in polys:
+        if p:
+            want = ip.gcd(want, p)
+    assert ip.gcd_all(polys) == want
+
+
 def test_kernel_deterministic():
     n = [0, 1]
     matrix = [[[1, 1], n], [n, n], [[7], [0, 0, 1]]]
