@@ -16,10 +16,11 @@ Three pieces deserve a note:
   a coefficient per slot, for the Newton iteration mod p^r: a truncated
   product is one big-int product and a mask, and one Barrett step reduces
   every slot mod m with a few whole-integer operations, exactly.
-* ``int_roots`` isolates real roots with a Sturm chain and bisection down to
-  unit intervals, then tests the integer endpoint.  This stays exact and fast
-  even when the constant term is hundreds of digits, where the divisors-of-
-  the-constant-term approach would need an integer factorization.
+* ``int_roots`` bisects down to unit intervals, counting real roots with the
+  remainder sequence of c and c' divided by its last element (the Sturm
+  chain of c's squarefree part), and tests the integer endpoint.  This stays
+  exact and fast even when the constant term is hundreds of digits, where
+  the divisors-of-the-constant-term approach would need a factorization.
 """
 
 from __future__ import annotations
@@ -325,16 +326,18 @@ def deriv(a: list[int]) -> list[int]:
     return trim([i * c for i, c in enumerate(a)][1:])
 
 
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    chain = [list(p), deriv(p)]
-    while chain[-1]:
-        r = [-x for x in _prem_positive(chain[-2], chain[-1])]
-        if r:
-            g = content(r)
-            r = [x // g for x in r]
-        chain.append(r)
-    chain.pop()  # the zero remainder that ended the loop
-    return chain
+def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b (if nonzero), then -prem of the last two divided by its content,
+    down to the last nonzero element or a constant.  That element is a
+    multiple of gcd(a, b); for b = a' the list is the Sturm chain of a."""
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        r = _prem_positive(chain[-2], chain[-1])
+        if not r:
+            break
+        g = -content(r)
+        chain.append([x // g for x in r])
+    return chain if b else [a]
 
 
 def _sign_changes(chain: list[list[int]], x: int) -> int:
@@ -350,57 +353,47 @@ def int_roots(a: list[int]) -> list[int]:
     """All integer roots of a nonzero polynomial, ascending, exact."""
     if not a:
         raise ZeroDivisionError("zero polynomial has every root")
-    roots: set[int] = set()
-    c = list(a)
-    while c and c[0] == 0:
-        roots.add(0)
-        c.pop(0)
-    if len(c) > 1:
-        c = primitive(c)
-        g = gcd(c, deriv(c))
-        sq = exact_div(c, g) if len(g) > 1 else c
-        chain = _sturm_chain(sq)
-        # Cauchy bound: every real root has |x| < 1 + max|c_i|/|lead|
-        lead = abs(sq[-1])
-        top = max(abs(x) for x in sq[:-1]) if len(sq) > 1 else 0
-        bound = 1 + (top + lead - 1) // lead
-        counts = {-bound - 1: _sign_changes(chain, -bound - 1)}
-        stack = [(-bound - 1, bound + 1)]
-        while stack:
-            lo, hi = stack.pop()
-            if hi not in counts:
-                counts[hi] = _sign_changes(chain, hi)
-            n_roots = counts[lo] - counts[hi]
-            if n_roots <= 0:
-                continue
-            if hi - lo == 1:
-                if eval_at(sq, hi) == 0:
-                    roots.add(hi)
-                continue
-            mid = (lo + hi) // 2
-            if mid not in counts:
-                counts[mid] = _sign_changes(chain, mid)
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+    c = primitive(a)
+    if len(c) == 1:
+        return []
+    # divided by g = gcd(c, c'): the Sturm chain of the squarefree part c/g
+    chain = _remainders(c, deriv(c))
+    g = primitive(chain[-1])
+    if len(g) > 1:
+        chain = [exact_div(p, g) for p in chain]
+    sq = chain[0]
+    # Cauchy bound: every real root has |x| < 1 + max|c_i|/|lead|
+    lead = abs(sq[-1])
+    bound = 1 + (max(abs(x) for x in sq[:-1]) + lead - 1) // lead
+    roots = []
+    counts = {-bound - 1: _sign_changes(chain, -bound - 1)}
+    stack = [(-bound - 1, bound + 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi not in counts:
+            counts[hi] = _sign_changes(chain, hi)
+        n_roots = counts[lo] - counts[hi]
+        if n_roots <= 0:
+            continue
+        if hi - lo == 1:
+            if eval_at(sq, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        if mid not in counts:
+            counts[mid] = _sign_changes(chain, mid)
+        stack.append((lo, mid))
+        stack.append((mid, hi))
     return sorted(roots)
 
 
 def gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive polynomial gcd (primitive pseudo-remainder sequence)."""
-    if not a:
-        return primitive(list(b))
-    if not b:
-        return primitive(list(a))
-    a = primitive(list(a))
-    b = primitive(list(b))
+    """Primitive polynomial gcd: the last element of the primitive
+    remainder sequence, longer operand first."""
+    a, b = primitive(a), primitive(b)
     if len(a) < len(b):
         a, b = b, a
-    while b:
-        if len(b) == 1:
-            return [1]
-        r = _prem_positive(a, b)
-        a, b = b, primitive(r)
-    return primitive(a)
+    return primitive(_remainders(a, b)[-1])
 
 
 def gcd_all(polys: Iterable[list[int]]) -> list[int]:

@@ -236,10 +236,10 @@ def _finish(q_dense: list[list[int]], n0_base: int,
 
     Takes the raw dependence coefficients q_0..q_m (integer dense lists,
     relation Σ q_k(n)·c_{n+k} = 0 valid for n >= n0_base), strips zero
-    polynomials at both ends, divides out the polynomial content, raises the
-    base past every integer zero of the content and of the new leading
-    coefficient, and assembles the PRecurrence with initial terms drawn from
-    `terms_of`.
+    polynomials at both ends, raises the base past every integer zero of the
+    leading coefficient (the polynomial content's and the new leading
+    coefficient's alike), divides out the content, and assembles the
+    PRecurrence with initial terms drawn from `terms_of`.
     """
     top = max(k for k, c in enumerate(q_dense) if c)
     low = min(k for k, c in enumerate(q_dense) if c)
@@ -254,12 +254,10 @@ def _finish(q_dense: list[list[int]], n0_base: int,
         terms = terms_of(n0 + 1)
         return PRecurrence(((), tuple(p1)), n0, tuple(terms), empirical)
     shifted = [ip.shift_arg(q_dense[k], -low) for k in range(low, top + 1)]
+    n0 = _raise_base(shifted[-1], n0_base + low)
     g = ip.gcd_all(shifted)
-    n0 = n0_base + low
     if len(g) > 1:
         shifted = [ip.exact_div(c, g) for c in shifted]
-        n0 = _raise_base(g, n0)
-    n0 = _raise_base(shifted[-1], n0)
     r = len(shifted) - 1
     terms = terms_of(n0 + r)
     return PRecurrence(tuple(shifted), n0, tuple(terms), empirical)

@@ -371,6 +371,35 @@ def canonical_left_kernel(matrix: list[list[int]]) -> list[int]:
     return ints
 
 
+def rational_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two integer polynomials (ascending coefficient lists) by
+    Euclid's algorithm over Q on Fractions, then scaled to integers with
+    unit content and a positive lead; [] when both are zero."""
+    from math import gcd, lcm
+
+    def trimmed(c):
+        c = [Fraction(x) for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    u, v = trimmed(a), trimmed(b)
+    while v:
+        while len(u) >= len(v):  # u <- u mod v, one leading term at a time
+            q, shift = u[-1] / v[-1], len(u) - len(v)
+            u = trimmed([x - q * v[i - shift] if i >= shift else x
+                         for i, x in enumerate(u)])
+        u, v = v, u
+    if not u:
+        return []
+    den = lcm(*(x.denominator for x in u))
+    ints = [int(x * den) for x in u]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return [x // g if ints[-1] > 0 else -x // g for x in ints]
+
+
 def trial_division_support(coeffs, window: int):
     """(primes with first index, still_growing, incomplete) of a prime
     support scan that trial-divides every denominator from scratch up to

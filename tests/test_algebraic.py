@@ -253,6 +253,18 @@ def test_expand_branch_takes_only_the_recurrence_prefix_from_newton(
     assert lengths == [rec.n0 + rec.order] == [2]
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_expand_branch_refuses_fewer_than_one_term(n, monkeypatch):
+    # refused before a recurrence is derived, which can take seconds
+    def derive(ann):
+        raise AssertionError("derived a recurrence for no terms")
+
+    monkeypatch.setattr(algebraic, "branch_recurrence", derive)
+    with pytest.raises(SchemaError) as info:
+        expand_branch(CORPUS_ANNIHILATORS["catalan"], n)
+    assert info.value.exit_code == 2
+
+
 # ---------------------------------------------------------------------------
 # residues mod p^r by the Newton iteration in (Z/p^r)[[z]]
 

@@ -362,21 +362,26 @@ def test_sturm_chain_flips_the_sign_after_a_degree_drop_of_two(monkeypatch):
         return prem(a, b)
 
     monkeypatch.setattr(ip, "_prem_positive", spy)
-    assert ip._sturm_chain(p) == [p, [1, 0, 0, 4], [8, -3], [-1]]
+    assert ip._remainders(p, ip.deriv(p)) == [p, [1, 0, 0, 4], [8, -3], [-1]]
     assert flipped == [([1, 0, 0, 4], [8, -3])]
     assert ip.int_roots(p) == brute_roots(p, 3) == [1]
 
 
 @given(st.lists(st.integers(-30, 30), max_size=4),
        st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(
-           lambda q: q[-1] != 0))
-def test_int_roots_of_a_product_with_known_integer_roots(rs, q):
-    a = list(q)
+           lambda q: q[-1] != 0),
+       st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(
+           lambda f: f[-1] != 0))
+@example(rs=[2, -1], q=[3], f=[1, 0, 1])
+def test_int_roots_of_a_product_with_known_integer_roots(rs, q, f):
+    # f enters squared: (x^2 + 1)^2 is a repeated factor without real roots
+    a = ip.mul(q, ip.mul(f, f))
     for r in rs:
         a = ip.mul(a, [-r, 1])
-    # every integer root of q has |x| <= max|q_i| because |lead| >= 1
-    bound = max(abs(c) for c in q)
-    assert ip.int_roots(a) == sorted(set(rs) | set(brute_roots(q, bound)))
+    # every integer root of q or f has |x| <= max|coefficient| as |lead| >= 1
+    bound = max(abs(c) for c in q + f)
+    want = set(rs) | set(brute_roots(q, bound)) | set(brute_roots(f, bound))
+    assert ip.int_roots(a) == sorted(want)
 
 
 def test_int_roots_refuses_the_zero_polynomial():
@@ -615,6 +620,26 @@ def test_gcd_all_matches_a_left_fold_of_gcd(polys, factor):
         if p:
             want = ip.gcd(want, p)
     assert ip.gcd_all(polys) == want
+
+
+nonconstant_polys = st.lists(st.integers(-4, 4), min_size=2,
+                             max_size=3).filter(lambda f: f[-1] != 0)
+
+
+@given(int_polys, int_polys,
+       st.lists(st.tuples(nonconstant_polys, st.integers(1, 3)), max_size=2))
+@example(a=[1, 2], b=[], planted=[([1, 1], 2)])
+@example(a=[], b=[3, 0, -3], planted=[])
+@example(a=[], b=[], planted=[])
+def test_gcd_matches_euclid_over_the_rationals(a, b, planted):
+    # planted common factors, repeated ones included; an empty operand on
+    # either side is the other operand made primitive
+    for f, k in planted:
+        for _ in range(k):
+            a, b = ip.mul(a, f), ip.mul(b, f)
+    want = oracles.rational_poly_gcd(a, b)
+    assert ip.gcd(a, b) == want
+    assert ip.gcd(b, a) == want
 
 
 def test_kernel_deterministic():
