@@ -198,6 +198,18 @@ def test_bivariate_witness_roundtrip_and_product():
     _within(30.0, t0)
 
 
+def test_square_runs_to_its_factors_extraction_cap(capsys):
+    # the square is the Hadamard product of its checked factor, so it runs
+    # as far as the 2-variable extraction does: order 500 for catalan
+    t0 = time.perf_counter()
+    rc = cli.main(["diagonal", "builtin", "catalan", "--square",
+                   "--order", "500", "--json"])
+    diagonal = json.loads(capsys.readouterr().out)["diagonal"]
+    _within(2.0, t0)
+    assert rc == 0
+    assert diagonal == [str(c * c) for c in catalan_numbers_fast(500)]
+
+
 # A branch with deg_y P = 5 and deg_z P = 2.  Its witness is checked against
 # P itself; deriving the branch's recurrence for the check took 3.6 s
 # (Python 3.11, 2 vCPUs of a shared VM).

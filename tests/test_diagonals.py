@@ -431,25 +431,91 @@ def test_diagonal_witness_check_rejects_another_branch(monkeypatch):
         diagonal_witness(ann, 6)
 
 
-def test_product_witness_check_rejects_a_wrong_product(monkeypatch):
-    w = diagonal_witness(CORPUS_ANNIHILATORS["catalan"], 3)
-    real = diagonals.hadamard_mul
-    monkeypatch.setattr(diagonals, "hadamard_mul",
-                        lambda a, b: _off_by_one(real(a, b)))
-    with pytest.raises(VerificationFailed):
-        product_witness([w, w], 3)
+# Every pinned square or product at order <= 15, the 4-variable
+# extraction cap: the factors' names (or "3^700" for a constant witness
+# past the float range) and the order.
+_PINNED_PRODUCTS = [
+    (("catalan", "catalan"), 15),
+    (("central-binomial", "central-binomial"), 12),
+    (("geometric", "geometric"), 6),
+    (("catalan", "central-binomial"), 8),
+    (("3^700", "3^700"), 6),
+]
+
+
+def _factor(name, order):
+    if name == "3^700":
+        return DiagonalWitness(RatFun(ONE * 3 ** 700, ONE - X - Y), 1,
+                               order, Fraction(1))
+    return diagonal_witness(CORPUS_ANNIHILATORS[name], order)
+
+
+def _lift_diagonal(factors, order):
+    """Oracle: extract the lift's whole box, and re-add at n = 0 the
+    shifts composed from each factor's R(0) and constant."""
+    at0 = [Fraction(f.R.num.constant_term(), f.R.den.constant_term())
+           for f in factors]
+    shift = (math.prod(a + f.constant_shift for a, f in zip(at0, factors))
+             - math.prod(at0))
+    got = diagonal_extract(product_lift(factors), order).coeffs
+    return (got[0] + shift, *got[1:])
+
+
+@pytest.mark.parametrize("names, order", _PINNED_PRODUCTS,
+                         ids=lambda v: "x".join(v) if isinstance(v, tuple)
+                         else str(v))
+def test_product_diagonal_matches_extracting_the_lift(names, order):
+    factors = [_factor(name, order) for name in names]
+    pw = product_witness(factors, order)
+    assert pw.diagonal(order).coeffs == _lift_diagonal(factors, order)
+
+
+def test_lift_oracle_sees_a_block_one_variable_off(monkeypatch):
+    # the oracle must catch a lift whose second block overlaps the first
+    real = Poly.embed
+    monkeypatch.setattr(Poly, "embed", lambda p, nvars, offset: real(
+        p, nvars, offset - 1 if offset else 0))
+    for names, order in _PINNED_PRODUCTS:
+        factors = [_factor(name, order) for name in names]
+        pw = product_witness(factors, order)
+        assert pw.diagonal(order).coeffs != _lift_diagonal(factors, order), (
+            names)
+
+
+def test_product_claims_no_more_than_its_factors_checked():
+    w3 = diagonal_witness(CORPUS_ANNIHILATORS["catalan"], 3)
+    w5 = diagonal_witness(CORPUS_ANNIHILATORS["central-binomial"], 5)
+    with pytest.raises(SchemaError) as err:
+        product_witness([w5, w3], 4)
+    assert err.value.exit_code == 2
+    for bad in (0, 2.5, "3", True):
+        with pytest.raises(SchemaError):
+            product_witness([w5, w3], bad)
+    assert product_witness([w5, w3], 3).diagonal(3).coeffs == (1, 2, 12)
+
+
+def test_read_back_square_extracts_like_before():
+    w = diagonal_witness(CORPUS_ANNIHILATORS["catalan"], 16)
+    square = product_witness([w, w], 16)
+    back = DiagonalWitness.from_json_dict(
+        json.loads(json.dumps(square.to_json_dict())))
+    assert back == square and back._checked == ()
+    for order in (1, 7, 15):
+        assert back.diagonal(order) == square.diagonal(order)
+    with pytest.raises(BudgetExceeded):
+        back.diagonal(16)
 
 
 _OPTIMIZED_CHECK = """
 import gradeforge.diagonals as diagonals
 from gradeforge.catalog import CORPUS_ANNIHILATORS
-from gradeforge.errors import VerificationFailed
+from gradeforge.errors import SchemaError, VerificationFailed
 from gradeforge.series import TruncSeries
 
 def off_by_one(s):
     return TruncSeries(s.coeffs[:-1] + (s.coeffs[-1] + 1,))
 
-extract, mul = diagonals.diagonal_extract, diagonals.hadamard_mul
+extract = diagonals.diagonal_extract
 ann = CORPUS_ANNIHILATORS["catalan"]
 fired = []
 diagonals.diagonal_extract = lambda r, n: off_by_one(extract(r, n))
@@ -459,10 +525,9 @@ except VerificationFailed:
     fired.append("diagonal")
 diagonals.diagonal_extract = extract
 w = diagonals.diagonal_witness(ann, 3)
-diagonals.hadamard_mul = lambda a, b: off_by_one(mul(a, b))
 try:
-    diagonals.product_witness([w, w], 3)
-except VerificationFailed:
+    diagonals.product_witness([w, w], 4)
+except SchemaError:
     fired.append("product")
 print(",".join(fired))
 """

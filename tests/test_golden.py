@@ -72,6 +72,19 @@ def test_diagonal_table_central_binomial_square(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("catalan", "--square", "--order", "7"),
+     "15d2067f11751710c7b0b1e4528c50a80e10c484c0de761ff4de4c926892b74f"),
+    (("central-binomial", "--square", "--order", "6"),
+     "75093efdcce4aa2a5d05a6fb19458dbe22d3aa94f3960097d71e05e1395ccf2c"),
+])
+def test_diagonal_square_json_digest(capsys, argv, digest):
+    # the benchmark's two square jobs, byte for byte as the extraction
+    # check of the 4-variable lift printed them
+    out = run(capsys, "diagonal", "builtin", *argv, "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # recurrence table
 
