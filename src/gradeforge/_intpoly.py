@@ -298,14 +298,13 @@ def primitive(a: list[int]) -> list[int]:
 def _prem_positive(a: list[int], b: list[int]) -> list[int]:
     """A positive scalar multiple of (a mod b), as integer coefficients.
 
-    Computes the pseudo-remainder lead(b)^(da-db+1) * a mod b, then fixes the
-    sign so the result is a positive multiple of the true remainder (what a
-    Sturm chain needs).
+    Each step of the loop scales the remainder by lead(b), so it ends at
+    lead(b)^steps * (a mod b); negated when that power is negative, it is a
+    positive multiple of the true remainder (what a Sturm chain needs).
     """
-    da, db = len(a) - 1, len(b) - 1
+    db = len(b) - 1
     lead = b[-1]
-    total = da - db + 1
-    applied = 0
+    steps = 0
     r = list(a)
     while r and len(r) - 1 >= db:
         s = len(r) - 1 - db
@@ -314,10 +313,8 @@ def _prem_positive(a: list[int], b: list[int]) -> list[int]:
         for j, y in enumerate(b):
             r[s + j] -= top * y
         trim(r)
-        applied += 1
-    if r and applied < total:
-        r = [x * lead ** (total - applied) for x in r]
-    if lead < 0 and total % 2 == 1:
+        steps += 1
+    if lead < 0 and steps % 2 == 1:
         r = [-x for x in r]
     return trim(r)
 

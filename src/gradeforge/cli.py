@@ -255,15 +255,13 @@ _DESCRIPTOR_HELP = (
 )
 
 
-def _add_output_flags(sp, extra: tuple[str, ...] = ()):
+def _add_output_flags(sp):
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true",
                        help="machine-readable output")
     group.add_argument("--table", action="store_true",
                        help="human-readable output (default)")
-    for flag in extra:
-        group.add_argument(flag, action="store_true",
-                           help="graphviz DOT output of the automaton")
+    return group
 
 
 class _AtLeast(argparse.Action):
@@ -325,7 +323,9 @@ def _modp_arguments(sp, cfg: Defaults):
                     help="kernel depth budget (default: scaled to the base)")
     sp.add_argument("--fingerprint-length", action=_AtLeast,
                     default=cfg.fingerprint_length)
-    _add_output_flags(sp, extra=("--dot",))
+    _add_output_flags(sp).add_argument(
+        "--dot", action="store_true",
+        help="graphviz DOT output of the automaton")
 
 
 def _diagonal_arguments(sp, cfg: Defaults):

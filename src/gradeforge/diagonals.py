@@ -224,14 +224,10 @@ def diagonal_witness(
     P(z, D) = 0 mod z^N.  As P_y(0, y0) != 0, each D_k is fixed by
     D_0..D_(k-1) (Hensel), so D is the branch mod z^N.
     """
-    shift = ann.y0
-    at_zero = ann
-    if shift != 0:
-        at_zero = Annihilator(
-            _translate_branch(_z_rows(ann.poly), shift), Fraction(0)
-        )
+    at_zero = Annihilator(
+        _translate_branch(_z_rows(ann.poly), ann.y0), Fraction(0))
     rat = furstenberg_bivariate(at_zero)
-    witness = DiagonalWitness(rat, 1, verified_order, shift)
+    witness = DiagonalWitness(rat, 1, verified_order, ann.y0)
     got = witness.diagonal(verified_order).coeffs
     if got[0] != ann.y0 or not verify_annihilator(ann, TruncSeries(got)):
         raise VerificationFailed(

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .polynomials import fraction_free_left_kernel
 from .rationals import coerce_rational, format_rational, wire_int, wire_object
-from .series import TruncSeries
+from .series import TruncSeries, hadamard_mul
 
 
 def _raise_base(lead: list[int], n0: int) -> int:
@@ -302,10 +302,8 @@ def hadamard_recurrence(ra: PRecurrence, rb: PRecurrence) -> PRecurrence:
 
     n0_base = max(ra.n0, rb.n0)
 
-    def terms_of(count: int) -> list[Fraction]:
-        ua = unroll(ra, count)
-        ub = unroll(rb, count)
-        return [x * y for x, y in zip(ua.coeffs, ub.coeffs)]
+    def terms_of(count: int) -> Sequence[Fraction]:
+        return hadamard_mul(unroll(ra, count), unroll(rb, count)).coeffs
 
     return _finish(q_dense, n0_base, terms_of, empirical=False)
 

@@ -11,7 +11,7 @@ truncation order it was computed from.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .config import DEFAULTS
@@ -47,19 +47,14 @@ class RadiusEstimate(NamedTuple):
     classification: str
 
 
-@dataclass(frozen=True)
-class Periodicity:
-    """Outcome of the ±1 periodicity scan (report form)."""
+class Periodicity(NamedTuple):
+    """Outcome of the ±1 periodicity scan: `eventual_period` sets the
+    preperiod and period, or the bound, and leaves the rest None."""
 
     kind: str  # eventually-periodic | aperiodic-up-to | not-a-sign-sequence
     preperiod: Optional[int] = None
     period: Optional[int] = None
     bound: Optional[int] = None
-
-    def to_json_dict(self) -> dict:
-        """The fields the outcome sets: `eventual_period` sets the
-        preperiod and period, or the bound, and leaves the rest None."""
-        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def is_prime(n: int) -> bool:
@@ -306,7 +301,8 @@ class ObstructionReport:
             "prime_support": [list(pair) for pair in self.support.primes],
             "radius": {"beta": self.radius.beta,
                        "class": self.radius.classification},
-            "periodicity": self.periodicity.to_json_dict(),
+            "periodicity": {k: v for k, v in self.periodicity._asdict().items()
+                            if v is not None},
             "verdict": self.verdict,
             "truncation": self.truncation,
         }

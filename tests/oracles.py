@@ -371,25 +371,34 @@ def canonical_left_kernel(matrix: list[list[int]]) -> list[int]:
     return ints
 
 
+def _trimmed(c) -> list[Fraction]:
+    c = [Fraction(x) for x in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def rational_poly_rem(a, b) -> list[Fraction]:
+    """a mod b over Q (ascending coefficient lists, b nonzero): Euclid's
+    remainder on Fractions, one leading term at a time; [] when b divides
+    a."""
+    u, v = _trimmed(a), _trimmed(b)
+    while len(u) >= len(v):
+        q, shift = u[-1] / v[-1], len(u) - len(v)
+        u = _trimmed([x - q * v[i - shift] if i >= shift else x
+                      for i, x in enumerate(u)])
+    return u
+
+
 def rational_poly_gcd(a: list[int], b: list[int]) -> list[int]:
     """gcd of two integer polynomials (ascending coefficient lists) by
     Euclid's algorithm over Q on Fractions, then scaled to integers with
     unit content and a positive lead; [] when both are zero."""
     from math import gcd, lcm
 
-    def trimmed(c):
-        c = [Fraction(x) for x in c]
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    u, v = trimmed(a), trimmed(b)
+    u, v = _trimmed(a), _trimmed(b)
     while v:
-        while len(u) >= len(v):  # u <- u mod v, one leading term at a time
-            q, shift = u[-1] / v[-1], len(u) - len(v)
-            u = trimmed([x - q * v[i - shift] if i >= shift else x
-                         for i, x in enumerate(u)])
-        u, v = v, u
+        u, v = v, rational_poly_rem(u, v)
     if not u:
         return []
     den = lcm(*(x.denominator for x in u))

@@ -407,6 +407,25 @@ def test_modp_dot_rendering(capsys):
     assert 'label="base 2, mod 2, closed"' in out
 
 
+def test_modp_dot_excludes_the_other_output_flags(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["modp", "builtin", "catalan", "--p", "2", "--dot", "--json"])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_modp_help_lists_the_output_flags_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["modp", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "[--json | --table | --dot]" in out
+    flags = [line.split()[0] for line in out.splitlines()
+             if line.startswith(("  --json", "  --table", "  --dot"))]
+    assert flags == ["--json", "--table", "--dot"]
+
+
 def test_modp_explicit_base(capsys):
     data = run_json(capsys, "modp", "builtin", "geometric", "--p", "3",
                     "--base", "2", "--depth", "4")

@@ -86,6 +86,35 @@ def test_diagonal_square_json_digest(capsys, argv, digest):
 
 
 # ---------------------------------------------------------------------------
+# obstruct JSON
+
+APERY_B = ('{"order":2,"coeffs":[[1,3,3,1],[-117,-231,-153,-34],[8,12,6,1]],'
+           '"n0":0,"initial":["0","6"]}')
+INV_PROD = '{"order":1,"coeffs":[["-1"],["1","0","1"]],"n0":0,"initial":["1"]}'
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # the benchmark's two obstruct jobs
+    (("holonomic", APERY_B, "--terms", "800"),
+     "4c2c7ca0287525ec4f5cb7758b3fd7cd3ac20dc27b55b5d5af17bf4e40c4b895"),
+    (("holonomic", INV_PROD, "--terms", "250"),
+     "cccdca11341eef6f1f3ce62214160bd3fbd541ac1ecdaeaada5e7172d3c155a9"),
+    # periodicity "aperiodic-up-to" with its bound
+    (("builtin", "thue-morse-signs", "--terms", "64"),
+     "7e346c97b8752ad9d5e41e0d244694e8c4e5bc714c7d6833220a40b7a5dcf184"),
+    # "eventually-periodic" keeps its zero preperiod
+    (("coeffs", json.dumps([(-1) ** n for n in range(60)])),
+     "c9ba666f4d07292cea3715d129a78eeb6188416df4bc5cc407c20b682692e781"),
+    # "not-a-sign-sequence" alone
+    (("builtin", "catalan"),
+     "2d885a1aaf9e22a264b6af28142dc899456d220553c507bd9244a108f04f234a"),
+])
+def test_obstruct_json_digest(capsys, argv, digest):
+    out = run(capsys, "obstruct", *argv, "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
 # recurrence table
 
 

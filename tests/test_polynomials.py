@@ -642,6 +642,25 @@ def test_gcd_matches_euclid_over_the_rationals(a, b, planted):
     assert ip.gcd(b, a) == want
 
 
+@given(st.lists(st.integers(-6, 6), max_size=9).map(ip.trim),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=6).filter(
+           lambda b: b[-1] != 0),
+       st.booleans())
+@example(a=[4, -4], b=[8, -8, -4, 16, -12, 12, -8, -4], times_b=False)
+def test_prem_is_a_positive_multiple_of_the_remainder(a, b, times_b):
+    # deg a < deg b included, where the remainder is a itself: the example
+    # has lead(b) < 0 and deg a - deg b + 1 odd, and must not come back as -a
+    if times_b:
+        a = ip.mul(a, b)
+    got = ip._prem_positive(a, b)
+    want = oracles.rational_poly_rem(a, b)
+    assert (got == []) == (want == [])
+    if want:
+        scale = Fraction(got[-1]) / want[-1]
+        assert scale > 0
+        assert [scale * x for x in want] == got
+
+
 def test_kernel_deterministic():
     n = [0, 1]
     matrix = [[[1, 1], n], [n, n], [[7], [0, 0, 1]]]

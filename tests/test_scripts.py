@@ -1,18 +1,23 @@
 """The scripts under scripts/, each run in process through its main(argv)
 with tiny arguments."""
 
+import ast
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from gradeforge import builtin_names
+import gradeforge.cli  # noqa: F401  (loads every package module)
+from gradeforge import _intpoly, builtin_names
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -101,3 +106,24 @@ def test_bench_pairs_counts_source_lines_as_wc_does(tmp_path):
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     # wc -l counts newlines, so b.py's unterminated last line is not one
     assert load("bench_pairs").src_lines(tmp_path) == 4
+
+
+def test_benchmark_hooks_resolve_in_the_package(monkeypatch):
+    # The traced benchmark pass rebinds these functions and reads the
+    # schoolbook cutoff; a rename would otherwise fail only there.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ as is
+    targets = load("tracing", PERFBENCH).Tracer().targets()
+    for module, func, _, _ in targets:
+        owner = importlib.import_module(f"gradeforge.{module}")
+        assert callable(getattr(owner, func, None)), (module, func)
+    assert isinstance(_intpoly._SCHOOLBOOK_CUTOFF, int)
+    for name in ("passrun", "jobs", "reference"):
+        tree = ast.parse((PERFBENCH / f"{name}.py").read_text())
+        imports = [(node.module, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "gradeforge"
+                   for alias in node.names]
+        assert imports, name
+        for module, attr in imports:
+            assert hasattr(importlib.import_module(module), attr), (
+                name, module, attr)
