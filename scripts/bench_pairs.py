@@ -16,12 +16,19 @@ pair to the next.  Each run's last stdout line is its JSON
 result.  FILE receives every run's metrics, its attempted and failed job
 counts and its pass count (attempted over the side's jobs per pass); per
 workload, end-to-end metric and side, the median, the quartiles and the
-number of pairs that side won (ties count for neither); per workload and
-side, the median pass count; and the tree id and the line count of
-``src/gradeforge/*.py`` (as ``wc -l`` counts it) of each side.  The median
-pass counts and the line counts are printed too: ``run.py`` keeps every
-pass's outputs, so ``peak_rss_mb`` rises with the number of passes a run
-fits.  The exports are removed at the end, also when a run fails.
+number of pairs that side won (ties count for neither), and the verdict;
+per workload and side, the median pass count; and the tree id and the
+line count of ``src/gradeforge/*.py`` (as ``wc -l`` counts it) of each
+side.  The median pass counts and the line counts are printed too:
+``run.py`` keeps every pass's outputs, so ``peak_rss_mb`` rises with the
+number of passes a run fits.  The exports are removed at the end, also
+when a run fails.
+
+The verdict reads the metric's ``bound`` in BENCHMARK.json as a fraction
+of the parent's median: ``worse`` when the change's median is worse than
+the parent's by more than that; ``unresolved`` when the parent's quartile
+spread exceeds it and not every change run beats every parent run; ``ok``
+otherwise.
 
 Standard library only; run from anywhere inside the checkout.
 """
@@ -73,11 +80,13 @@ def run_once(root: Path, command: list[str], workload: str, seed: int,
             "passes": attempted / jobs}
 
 
-def summary(runs: list[dict], better: dict[str, str]) -> dict:
+def summary(runs: list[dict], metrics: list[dict]) -> dict:
+    """Medians, quartiles, wins and verdict per BENCHMARK.json metric."""
     out = {}
-    for name, direction in better.items():
-        sign = -1 if direction == "lower" else 1
-        entry = {"better": direction}
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        sign = -1 if metric["better"] == "lower" else 1
+        entry = {"better": metric["better"]}
         for side, other in (("parent", "change"), ("change", "parent")):
             q1, median, q3 = statistics.quantiles(
                 [r[side][name] for r in runs], n=4)
@@ -85,6 +94,16 @@ def summary(runs: list[dict], better: dict[str, str]) -> dict:
                        for r in runs)
             entry[side] = {"median": median, "q1": q1, "q3": q3,
                            "wins": wins}
+        parent, change = entry["parent"], entry["change"]
+        slack = bound * abs(parent["median"])
+        beats_all = (min(sign * r["change"][name] for r in runs)
+                     > max(sign * r["parent"][name] for r in runs))
+        if sign * (change["median"] - parent["median"]) < -slack:
+            entry["verdict"] = "worse"
+        elif parent["q3"] - parent["q1"] > slack and not beats_all:
+            entry["verdict"] = "unresolved"
+        else:
+            entry["verdict"] = "ok"
         out[name] = entry
     return out
 
@@ -105,7 +124,6 @@ def main() -> int:
     checkout = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     spec = json.loads((checkout / "BENCHMARK.json").read_text("utf-8"))
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     revs = {"parent": git("rev-parse", args.parent, cwd=checkout),
             "change": git("describe", "--always", "--dirty", "--abbrev=40",
                           cwd=checkout)}
@@ -145,7 +163,7 @@ def main() -> int:
     report = {"run_seconds": seconds, "pairs": args.pairs,
               "revisions": revs, "trees": trees, "src_lines": lines,
               "workloads": {
-                  w: {"metrics": summary(r, better),
+                  w: {"metrics": summary(r, spec["end_to_end"]),
                       "median_passes": {
                           side: statistics.median(p[side]["passes"] for p in r)
                           for side in exported},
@@ -163,7 +181,7 @@ def main() -> int:
             print(f"{workload} {name}: parent {p['median']:.4g} "
                   f"[{p['q1']:.4g}, {p['q3']:.4g}] change {c['median']:.4g} "
                   f"[{c['q1']:.4g}, {c['q3']:.4g}]; change won "
-                  f"{c['wins']}/{args.pairs}")
+                  f"{c['wins']}/{args.pairs}; {m['verdict']}")
     return 0
 
 

@@ -119,7 +119,7 @@ def _cmd_diagonal(args, cfg: Defaults) -> dict:
     ann = _annihilator_of(read_series(args.kind, args.payload))
     witness = diagonal_witness(ann, verified_order=args.order)
     if args.square:
-        witness = product_witness([witness, witness], args.order)
+        witness = product_witness([witness, witness])
     diag = witness.diagonal(witness.verified_order)
     return {
         "witness": witness.to_json_dict(),

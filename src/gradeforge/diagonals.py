@@ -10,6 +10,7 @@ in twice as many variables.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -20,7 +21,6 @@ from . import _intpoly as ip
 from .algebraic import Annihilator, _dy, _z_rows, verify_annihilator
 from .config import DEFAULTS
 from .errors import (
-    BranchNotAtZero,
     BudgetExceeded,
     DenominatorVanishesAtOrigin,
     SchemaError,
@@ -45,27 +45,27 @@ DESK_MAX_WORK = 10 ** 6
 # -- bivariate construction ---------------------------------------------------
 
 def furstenberg_bivariate(ann: Annihilator) -> RatFun:
-    """Rational R(x, y) whose diagonal is the branch of ``ann`` at the origin.
+    """Rational R(x, y) whose diagonal is the branch of ``ann`` minus y0.
 
-    R = y^2 P_y(xy, y) / P(xy, y), reduced by the common factor y so the
-    denominator is a unit at (0, 0).  Variable 0 is x, variable 1 is y.
+    R = y^2 Q_y(xy, y) / Q(xy, y) for Q = v^D·P(z, y + y0) (see
+    `_translate_branch`) over its integer content, reduced by the common
+    factor y so the denominator is a unit at (0, 0).  Variable 0 is x,
+    variable 1 is y.
     """
-    if ann.y0 != 0:
-        raise BranchNotAtZero(
-            f"branch point y0 = {format_rational(ann.y0)}; "
-            "shift the branch to the origin first"
-        )
-    pc = _z_rows(ann.poly)
+    moved = _translate_branch(_z_rows(ann.poly), ann.y0)
+    content = math.gcd(*moved.terms.values())
+    pc = [[c // content for c in row] for row in _z_rows(moved)]
 
     def substituted(rows, s):
         """y^s·Q(xy, y) from the y-rows of Q: z^a y^b -> x^a y^(a+b+s)."""
         return Poly(2, {(a, a + b + s): c for b, row in enumerate(rows)
                         for a, c in enumerate(row) if c})
 
-    # The branch is simple (the constructor checked): P(0,0) = 0 kills the
-    # constant term of P(xy, y), while P_y(0,0) != 0 means P has a linear y
-    # term, which survives the substitution with y-exponent 1.  So P(xy, y)
-    # is divisible by y exactly once and y^2 P_y(xy, y) exactly twice.
+    # The moved branch is simple, as P's is (the constructor checked):
+    # Q(0,0) = 0 kills the constant term of Q(xy, y), while Q_y(0,0) =
+    # v^(D-1)·P_y(0,y0) != 0 means Q has a linear y term, which survives
+    # the substitution with y-exponent 1.  So Q(xy, y) is divisible by y
+    # exactly once and y^2 Q_y(xy, y) exactly twice.
     return RatFun(substituted(_dy(pc), 1), substituted(pc, -1))
 
 
@@ -224,10 +224,8 @@ def diagonal_witness(
     P(z, D) = 0 mod z^N.  As P_y(0, y0) != 0, each D_k is fixed by
     D_0..D_(k-1) (Hensel), so D is the branch mod z^N.
     """
-    at_zero = Annihilator(
-        _translate_branch(_z_rows(ann.poly), ann.y0), Fraction(0))
-    rat = furstenberg_bivariate(at_zero)
-    witness = DiagonalWitness(rat, 1, verified_order, ann.y0)
+    witness = DiagonalWitness(furstenberg_bivariate(ann), 1, verified_order,
+                              ann.y0)
     got = witness.diagonal(verified_order).coeffs
     if got[0] != ann.y0 or not verify_annihilator(ann, TruncSeries(got)):
         raise VerificationFailed(
@@ -257,10 +255,7 @@ def product_lift(parts: Sequence[Union[DiagonalWitness, RatFun]]) -> RatFun:
     return RatFun(num, den)
 
 
-def product_witness(
-    factors: Sequence[DiagonalWitness],
-    verified_order: int = DEFAULTS.diagonal_order,
-) -> DiagonalWitness:
+def product_witness(factors: Sequence[DiagonalWitness]) -> DiagonalWitness:
     """Combine witnesses; the result's diagonal is the Hadamard product
     of the factors' diagonals (shifts composed at n = 0).
 
@@ -268,18 +263,15 @@ def product_witness(
     each coefficient of the complete diagonal is, term by term, the
     product of the blocks' own diagonal coefficients (Denef and Lipshitz,
     Algebraic power series and diagonals, J. Number Theory 1987).  So the
-    product claims no more than the least verified order of its factors.
+    product is verified to its factors' least verified order, to which
+    a factor read back from JSON (never checked here) is extracted.
     """
     rat = product_lift(factors)
-    wire_int(verified_order, "verified_order", 1)
-    least = min(f.verified_order for f in factors)
-    if verified_order > least:
-        raise SchemaError(f"product verified to order {verified_order}, "
-                          f"past a factor's verified order {least}")
-    acc = reduce(hadamard_mul, (f.diagonal(verified_order) for f in factors))
+    order = min(f.verified_order for f in factors)
+    acc = reduce(hadamard_mul, (f.diagonal(order) for f in factors))
     # Only n = 0 needs a correction: the shifted factors' product there
     # minus the lift's own term R(0).
     shift = acc.coeffs[0] - Fraction(rat.num.constant_term(),
                                      rat.den.constant_term())
-    return DiagonalWitness(rat, sum(f.d for f in factors), verified_order,
-                           shift, acc.coeffs)
+    return DiagonalWitness(rat, sum(f.d for f in factors), order, shift,
+                           acc.coeffs)

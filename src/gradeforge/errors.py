@@ -115,10 +115,6 @@ class BudgetTooSmall(BudgetError):
 
 # -- diagonal lifts ---------------------------------------------------------
 
-class BranchNotAtZero(MathPreconditionError):
-    """Bivariate lift requires a branch with constant term zero."""
-
-
 class DenominatorVanishesAtOrigin(MathPreconditionError):
     """Diagonal extraction needs den(0, ..., 0) != 0."""
 

@@ -321,13 +321,16 @@ def obstruction_report(f: TruncSeries, *,
 
     The verdict is infinite-grade-evidence iff at least one scan fired:
     growing prime support, zero-radius growth, or an aperiodic ±1 sequence.
-    `window` and `max_period` below 1 are a SchemaError; larger budgets
-    are clamped down to what the truncation supports.
+    `window` and `max_period` below 1 are a SchemaError.  The report needs
+    16 coefficients, the radius fit's minimum, else TruncationExceeded;
+    `window` and `max_period` clamp to half and a third of the truncation.
     """
     if window < 1 or max_period < 1:
         raise SchemaError("window and max_period must be at least 1")
-    window = max(1, min(window, f.order // 2))
-    support = prime_support_scan(f, window)
+    if f.order < 16:
+        raise TruncationExceeded(
+            f"obstruction report needs 16 coefficients, got {f.order}")
+    support = prime_support_scan(f, min(window, f.order // 2))
 
     try:
         radius = radius_estimate(f, zero_threshold=zero_threshold,
@@ -336,10 +339,8 @@ def obstruction_report(f: TruncSeries, *,
         radius = RadiusEstimate(None, "inconclusive")
 
     try:
-        periodicity = eventual_period(
-            list(f.coeffs),
-            max(1, min(max_period, f.order // 3)),
-        )
+        periodicity = eventual_period(list(f.coeffs),
+                                      min(max_period, f.order // 3))
     except NotSignSequence:
         periodicity = Periodicity("not-a-sign-sequence")
 

@@ -182,7 +182,7 @@ def test_bivariate_witness_roundtrip_and_product():
     assert diagonal_extract(rat, 10) == expand_branch(shifted, 10)
 
     witness = diagonal_witness(CORPUS_ANNIHILATORS["central-binomial"], 8)
-    square = product_witness([witness, witness], 8)
+    square = product_witness([witness, witness])
     cb = expand_builtin("central-binomial", 8)
     assert square.diagonal(8) == hadamard_mul(cb, cb)
 
@@ -191,7 +191,7 @@ def test_bivariate_witness_roundtrip_and_product():
     for name, oracle in (("catalan", catalan_numbers),
                          ("central-binomial", central_binomials)):
         witness = diagonal_witness(CORPUS_ANNIHILATORS[name], 12)
-        square = product_witness([witness, witness], 12)
+        square = product_witness([witness, witness])
         assert list(square.diagonal(12).coeffs) == [
             c * c for c in oracle(12)], name
 

@@ -334,6 +334,18 @@ def test_obstruct_clamps_out_of_range_windows(capsys):
     assert wide["verdict"] == "infinite-grade-evidence"
 
 
+def test_obstruct_names_its_minimum_truncation(capsys):
+    # below the radius fit's 16 coefficients the report refuses before any
+    # scan runs, with one message whatever the truncation
+    for terms in ("1", "15"):
+        rc, out, err = run(capsys, "obstruct", "builtin", "exp",
+                           "--terms", terms)
+        assert (rc, out) == (3, "")
+        assert err == ("error: obstruction report needs 16 coefficients, "
+                       f"got {terms}\n")
+    assert run(capsys, "obstruct", "builtin", "exp", "--terms", "16")[0] == 0
+
+
 def test_obstruct_lists_the_denominators_it_could_not_split(capsys):
     # (2^127 - 1)(2^89 - 1) is past the certified range, and Pollard–Brent
     # cannot split it within its step budget

@@ -13,7 +13,7 @@ from gradeforge.analytic import (
     euler_report,
 )
 from gradeforge.catalog import CORPUS_ANNIHILATORS
-from gradeforge.diagonals import diagonal_witness, product_witness
+from gradeforge.diagonals import diagonal_witness
 from gradeforge.errors import SchemaError
 from gradeforge.obstruction import obstruction_report, radius_estimate
 
@@ -117,9 +117,8 @@ def test_library_defaults_are_the_config_fields(monkeypatch):
         assert params["positive_threshold"].default == d.positive_threshold
     assert QuadratureConfig().nodes == d.laguerre_nodes
     assert QuadratureConfig().tolerance == d.quad_tolerance
-    for fn in (diagonal_witness, product_witness):
-        assert (inspect.signature(fn).parameters["verified_order"]
-                .default == d.diagonal_order)
+    assert (inspect.signature(diagonal_witness).parameters["verified_order"]
+            .default == d.diagonal_order)
     for fn in (euler_branch_formula, euler_report):
         assert inspect.signature(fn).parameters["terms"].default == d.branch_terms
 

@@ -27,7 +27,6 @@ from gradeforge import (
 from gradeforge.algebraic import Annihilator
 from gradeforge.catalog import CORPUS_ANNIHILATORS
 from gradeforge.errors import (
-    BranchNotAtZero,
     BudgetExceeded,
     DenominatorVanishesAtOrigin,
     NotARoot,
@@ -71,9 +70,14 @@ def test_bivariate_witness_diagonal_matches_binomial_oracle():
     assert list(got.coeffs) == catalan_witness_diagonal(10)
 
 
-def test_bivariate_witness_requires_branch_at_origin():
-    with pytest.raises(BranchNotAtZero):
-        furstenberg_bivariate(CORPUS_ANNIHILATORS["catalan"])  # y0 = 1
+@pytest.mark.parametrize("ann", [
+    *CORPUS_ANNIHILATORS.values(),
+    Annihilator(Poly.const(2, 2) * Y - ONE - X * Y * Y, Fraction(1, 2)),
+], ids=[*CORPUS_ANNIHILATORS, "half"])
+def test_bivariate_witness_diagonal_is_the_branch_minus_y0(ann):
+    want = expand_branch(ann, 12).coeffs
+    got = diagonal_extract(furstenberg_bivariate(ann), 12).coeffs
+    assert got == (0, *want[1:])
 
 
 def test_bivariate_witness_requires_root_at_origin():
@@ -252,7 +256,7 @@ def test_witnesses_need_no_derived_recurrence(monkeypatch):
     monkeypatch.setattr(algebraic, "branch_recurrence", refuse)
     ws = [diagonal_witness(CORPUS_ANNIHILATORS[name], 10)
           for name in ("catalan", "central-binomial")]
-    assert product_witness(ws, 10).d == 2
+    assert product_witness(ws).d == 2
 
 
 def test_witness_records_branch_constant():
@@ -270,7 +274,7 @@ def test_witness_records_branch_constant():
 def test_product_witness_multiplies_diagonals():
     w1 = diagonal_witness(CORPUS_ANNIHILATORS["catalan"], 8)
     w2 = diagonal_witness(CORPUS_ANNIHILATORS["central-binomial"], 8)
-    pw = product_witness([w1, w2], 8)
+    pw = product_witness([w1, w2])
     assert pw.d == 2
     assert pw.R.nvars == 4
     want = hadamard_mul(w1.diagonal(8), w2.diagonal(8))
@@ -282,7 +286,7 @@ def test_product_witness_multiplies_diagonals():
 
 def test_product_witness_composes_constant_shifts():
     w = diagonal_witness(CORPUS_ANNIHILATORS["geometric"], 6)
-    pw = product_witness([w, w], 6)
+    pw = product_witness([w, w])
     # each factor's bare diagonal starts at 0, so the composed shift is
     # (0 + 1)(0 + 1) - 0*0 = 1
     assert pw.constant_shift == 1
@@ -295,7 +299,7 @@ def test_product_witness_of_constants_past_the_float_range():
     # OverflowError, and a float shift would not be exact
     big = 3 ** 700
     w = DiagonalWitness(RatFun(ONE * big, ONE - X - Y), 1, 6, Fraction(1))
-    pw = product_witness([w, w], 6)
+    pw = product_witness([w, w])
     assert pw.constant_shift == (big + 1) ** 2 - big ** 2
     assert pw.diagonal(6).coeffs == (
         (big + 1) ** 2,
@@ -466,7 +470,7 @@ def _lift_diagonal(factors, order):
                          else str(v))
 def test_product_diagonal_matches_extracting_the_lift(names, order):
     factors = [_factor(name, order) for name in names]
-    pw = product_witness(factors, order)
+    pw = product_witness(factors)
     assert pw.diagonal(order).coeffs == _lift_diagonal(factors, order)
 
 
@@ -477,7 +481,7 @@ def test_lift_oracle_sees_a_block_one_variable_off(monkeypatch):
         p, nvars, offset - 1 if offset else 0))
     for names, order in _PINNED_PRODUCTS:
         factors = [_factor(name, order) for name in names]
-        pw = product_witness(factors, order)
+        pw = product_witness(factors)
         assert pw.diagonal(order).coeffs != _lift_diagonal(factors, order), (
             names)
 
@@ -485,18 +489,14 @@ def test_lift_oracle_sees_a_block_one_variable_off(monkeypatch):
 def test_product_claims_no_more_than_its_factors_checked():
     w3 = diagonal_witness(CORPUS_ANNIHILATORS["catalan"], 3)
     w5 = diagonal_witness(CORPUS_ANNIHILATORS["central-binomial"], 5)
-    with pytest.raises(SchemaError) as err:
-        product_witness([w5, w3], 4)
-    assert err.value.exit_code == 2
-    for bad in (0, 2.5, "3", True):
-        with pytest.raises(SchemaError):
-            product_witness([w5, w3], bad)
-    assert product_witness([w5, w3], 3).diagonal(3).coeffs == (1, 2, 12)
+    pw = product_witness([w5, w3])
+    assert pw.verified_order == 3
+    assert pw.diagonal(3).coeffs == (1, 2, 12)
 
 
 def test_read_back_square_extracts_like_before():
     w = diagonal_witness(CORPUS_ANNIHILATORS["catalan"], 16)
-    square = product_witness([w, w], 16)
+    square = product_witness([w, w])
     back = DiagonalWitness.from_json_dict(
         json.loads(json.dumps(square.to_json_dict())))
     assert back == square and back._checked == ()
@@ -509,7 +509,7 @@ def test_read_back_square_extracts_like_before():
 _OPTIMIZED_CHECK = """
 import gradeforge.diagonals as diagonals
 from gradeforge.catalog import CORPUS_ANNIHILATORS
-from gradeforge.errors import SchemaError, VerificationFailed
+from gradeforge.errors import VerificationFailed
 from gradeforge.series import TruncSeries
 
 def off_by_one(s):
@@ -523,12 +523,6 @@ try:
     diagonals.diagonal_witness(ann, 4)
 except VerificationFailed:
     fired.append("diagonal")
-diagonals.diagonal_extract = extract
-w = diagonals.diagonal_witness(ann, 3)
-try:
-    diagonals.product_witness([w, w], 4)
-except SchemaError:
-    fired.append("product")
 print(",".join(fired))
 """
 
@@ -542,4 +536,4 @@ def test_witness_checks_survive_python_optimize():
         [sys.executable, "-O", "-c", _OPTIMIZED_CHECK],
         capture_output=True, text=True, env=env, check=True,
     ).stdout
-    assert out.split() == ["diagonal,product"]
+    assert out.split() == ["diagonal"]

@@ -85,6 +85,24 @@ def test_diagonal_square_json_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# P = 2y - 1 - z at y0 = 1/2 moves to v·P(z, y + 1/2) = 4y - 2z, whose
+# content 2 the Furstenberg construction divides out: R = 2y / (2 - x),
+# not 4y / (4 - 2x)
+HALF = '{"P": [[0,1,"2"],[0,0,"-1"],[1,0,"-1"]], "y0": "1/2"}'
+
+
+@pytest.mark.parametrize("square, digest", [
+    ((), "3017ade4722fc5fefce4e30734e05e72dcd32cc7d2d16d18df56f5fbe0066bb3"),
+    (("--square",),
+     "bdf7c366aabc23dbdb70e16e3cfd1a13e15d6a8d573a41dee33b52fd2fe94759"),
+], ids=["single", "square"])
+def test_diagonal_json_digest_of_a_moved_branch_with_content(capsys, square,
+                                                             digest):
+    out = run(capsys, "diagonal", "algebraic", HALF, "--order", "6",
+              *square, "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # obstruct JSON
 

@@ -108,6 +108,29 @@ def test_bench_pairs_counts_source_lines_as_wc_does(tmp_path):
     assert load("bench_pairs").src_lines(tmp_path) == 4
 
 
+def test_bench_pairs_verdicts():
+    # four pairs; a metric's bound is a fraction of the parent's median
+    parent = {"a": [1.0] * 4, "b": [1.0] * 4, "c": [1, 1, 2, 2],
+              "d": [1, 1, 2, 2], "e": [1.0] * 4}
+    change = {"a": [1.2] * 4, "b": [1.3] * 4, "c": [1.5] * 4,
+              "d": [0.9] * 4, "e": [0.9] * 4}
+    runs = [{side: {k: v[i] for k, v in values.items()}
+             for side, values in (("parent", parent), ("change", change))}
+            for i in range(4)]
+    metrics = [{"name": k, "better": "lower", "bound": 0.25} for k in "abcd"]
+    metrics.append({"name": "e", "better": "higher", "bound": 0.05})
+    got = load("bench_pairs").summary(runs, metrics)
+    assert {k: m["verdict"] for k, m in got.items()} == {
+        "a": "ok",          # 20% worse, inside the 25% bound
+        "b": "worse",       # 30% worse
+        "c": "unresolved",  # parent spread 1 over median 1.5; no clear win
+        "d": "ok",          # same spread, but every change run is better
+        "e": "worse",       # higher is better: 10% lower
+    }
+    assert got["c"]["parent"] == {"median": 1.5, "q1": 1, "q3": 2,
+                                  "wins": 2}
+
+
 def test_benchmark_hooks_resolve_in_the_package(monkeypatch):
     # The traced benchmark pass rebinds these functions and reads the
     # schoolbook cutoff; a rename would otherwise fail only there.
