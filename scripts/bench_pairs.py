@@ -12,14 +12,17 @@ starts with a bytecode cache the other lacks.  Then, for each workload in
 turn, it runs the benchmark command of BENCHMARK.json (``--trace 0`` with
 its ``run_seconds``) N times on each side, alternating: pair i runs with
 seed S + i on both sides, and the side that goes first swaps from one
-pair to the next.  Each run's last stdout line is its JSON
-result.  FILE receives every run's metrics, its attempted and failed job
-counts and its pass count (attempted over the side's jobs per pass); per
-workload, end-to-end metric and side, the median, the quartiles and the
-number of pairs that side won (ties count for neither), and the verdict;
-per workload and side, the median pass count; and the tree id and the
-line count of ``src/gradeforge/*.py`` (as ``wc -l`` counts it) of each
-side.  The median pass counts and the line counts are printed too:
+pair to the next.  After its pairs, each side runs the workload once
+more with ``--trace 1`` at seed S, for the per-layer counters.  Each run's
+last stdout line is its JSON result.  FILE receives every run's metrics,
+its attempted and failed job counts and its pass count (attempted over the
+side's jobs per pass); per workload, end-to-end metric and side, the
+median, the quartiles and the number of pairs that side won (ties count
+for neither), and the verdict; per workload and side, the median pass
+count and the traced run; and the tree id and the line count of
+``src/gradeforge/*.py`` (as ``wc -l`` counts it) of each side.  The
+per-layer counts (unit ``count``) that differ between the traced runs are
+printed too.  The median pass counts and the line counts are printed too:
 ``run.py`` keeps every pass's outputs, so ``peak_rss_mb`` rises with the
 number of passes a run fits.  The exports are removed at the end, also
 when a run fails.
@@ -65,9 +68,9 @@ def jobs_per_pass(root: Path, workload: str) -> int:
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int,
-             seconds: float, jobs: int) -> dict:
+             seconds: float, jobs: int, trace: int = 0) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -136,6 +139,7 @@ def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     roots = {side: tmp / side for side in exported}
     runs = {w: [] for w in args.workload}
+    traced = {}
     try:
         for side, rev in exported.items():
             archive = subprocess.run(["git", "archive", rev], cwd=checkout,
@@ -157,6 +161,10 @@ def main() -> int:
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"{json.dumps(pair[side])}", flush=True)
                 runs[workload].append(pair)
+            traced[workload] = {
+                side: run_once(root, spec["command"], workload, args.seed,
+                               seconds, jobs[side], trace=1)
+                for side, root in roots.items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -167,7 +175,7 @@ def main() -> int:
                       "median_passes": {
                           side: statistics.median(p[side]["passes"] for p in r)
                           for side in exported},
-                      "runs": r}
+                      "runs": r, "traced": traced[w]}
                   for w, r in runs.items()}}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"src/gradeforge/*.py lines: parent {lines['parent']}, "
@@ -182,6 +190,12 @@ def main() -> int:
                   f"[{p['q1']:.4g}, {p['q3']:.4g}] change {c['median']:.4g} "
                   f"[{c['q1']:.4g}, {c['q3']:.4g}]; change won "
                   f"{c['wins']}/{args.pairs}; {m['verdict']}")
+        for metric in spec["per_layer"]:
+            name = metric["name"]
+            p, c = (entry["traced"][side].get(name, 0) for side in exported)
+            if metric["unit"] == "count" and p != c:
+                print(f"{workload} traced {name}: parent {p:.6g}, "
+                      f"change {c:.6g}")
     return 0
 
 

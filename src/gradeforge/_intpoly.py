@@ -15,7 +15,8 @@ Three pieces deserve a note:
 * ``ResidueRing`` holds a truncated series over Z/m as one packed integer,
   a coefficient per slot, for the Newton iteration mod p^r: a truncated
   product is one big-int product and a mask, and one Barrett step reduces
-  every slot mod m with a few whole-integer operations, exactly.
+  every slot mod m exactly with a few whole-integer operations on each of
+  at most three interleaved classes of slots, at the slot width itself.
 * ``int_roots`` bisects down to unit intervals, counting real roots with the
   remainder sequence of c and c' divided by its last element (the Sturm
   chain of c's squarefree part), and tests the integer endpoint.  This stays
@@ -174,10 +175,18 @@ class ResidueRing:
     k = ⌈2^s/m⌉, ⌊c·k/2^s⌋ = ⌊c/m⌋ for every c < 2^b: write k·m = 2^s + e
     with 0 <= e < m and c = q·m + ρ with 0 <= ρ < m; then
     c·k/2^s = q + (ρ + c·e/2^s)/m, and c·e < 2^b·2^bitlen(m-1) = 2^s makes
-    ρ + c·e/2^s < m.  The slots are copied to `wb` = ⌈(b+s)/8⌉ bytes, where
-    c·k < 2^(b+s) fits; X·k shifted down s bits and masked to its low
-    8·wb - s bits per slot is the packed quotient Q, and X - m·Q the packed
-    remainder, each slot exact and nonnegative.  No residue is approximated.
+    ρ + c·e/2^s < m.  The step runs at the slot width itself, on
+    t = 1 + ⌈s/(8·nb)⌉ interleaved classes: slot i is in class i mod t, and
+    C_j is all ones in the slots of class j.  In X & C_j every product
+    c·k < 2^(b+s) <= 2^(8·nb·t) has its own slot and the t - 1 above it to
+    itself, and shifting it down s <= 8·nb·(t-1) bits drops the s fraction
+    bits into the t - 1 slots below, none of them in class j.  So
+    Q = Σ_j ((X & C_j)·k >> s) & C_j is the packed quotient and X - m·Q the
+    packed remainder, each slot exact and nonnegative.  As
+    bitlen(m-1) <= b <= 8·nb, s <= 16·nb and t <= 3.  No residue is
+    approximated.  The class masks, and m in every slot for ``neg``, cover
+    the largest count reduced since the slots last widened, and grow when a
+    call passes it.
     """
 
     def __init__(self, m: int):
@@ -200,12 +209,22 @@ class ResidueRing:
         self.nb = nb = (b + 7) // 8
         self.s = s = b + (m - 1).bit_length()
         self.k = -(-(1 << s) // m)
-        self.wb = wb = (b + s + 7) // 8
-        self.qslot = ((1 << (8 * wb - s)) - 1).to_bytes(wb, "little")
-        self.mslot = m.to_bytes(nb, "little")
+        self.t = 1 + -(-s // (8 * nb))
+        self.cap = 0  # slots the class masks and `ms` cover
         return [int.from_bytes(_respace(
             x, -(-x.bit_length() // (8 * old)), old, nb), "little")
             for x in xs]
+
+    def _cover(self, count: int) -> None:
+        """Widen the class masks and `ms` to at least count slots."""
+        nb, t = self.nb, self.t
+        reps = -(-count // t)
+        self.cap = reps * t
+        first = int.from_bytes(
+            (b"\xff" * nb + bytes(nb * (t - 1))) * reps, "little")
+        self.classes = [first << (8 * nb * j) for j in range(t)]
+        self.ms = int.from_bytes(self.m.to_bytes(nb, "little") * self.cap,
+                                 "little")
 
     def row(self, values: Sequence[int], limit: int) -> int:
         """The first `limit` integers of `values` reduced mod m, each below
@@ -219,13 +238,14 @@ class ResidueRing:
         return _unpack(data, count, self.ub, False)
 
     def reduce(self, x: int, count: int) -> int:
-        """Every slot of x, each below 2^b, taken mod m."""
-        nb, wb = self.nb, self.wb
-        wide = int.from_bytes(_respace(x, count, nb, wb), "little")
-        q = ((wide * self.k) >> self.s) & int.from_bytes(
-            self.qslot * count, "little")
-        return int.from_bytes(
-            _respace(wide - self.m * q, count, wb, nb), "little")
+        """Every slot of x, count slots each below 2^b, taken mod m."""
+        if count > self.cap:
+            self._cover(count)
+        k, s = self.k, self.s
+        q = 0
+        for c in self.classes:
+            q += (((x & c) * k) >> s) & c
+        return x - self.m * q
 
     def mul(self, a: int, b: int, count: int, plus: int = 0) -> int:
         """a·b + plus mod z^count; plus holds residues in count slots."""
@@ -234,8 +254,10 @@ class ResidueRing:
 
     def neg(self, x: int, count: int, c: int = 0) -> int:
         """c - x mod z^count, for x reduced and 0 <= c <= m."""
-        return self.reduce(int.from_bytes(self.mslot * count, "little")
-                           - x + c, count)
+        if count > self.cap:
+            self._cover(count)
+        ms = self.ms >> (8 * self.nb * (self.cap - count))
+        return self.reduce(ms - x + c, count)
 
     def shift(self, x: int, k: int) -> int:
         """x divided by z^k, dropping the low k slots."""

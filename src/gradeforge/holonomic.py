@@ -22,10 +22,11 @@ clearing the accumulated denominators turns it into a recurrence for c.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import _intpoly as ip
 from .errors import (
@@ -163,23 +164,33 @@ class PRecurrence:
 
 
 def unroll(rec: PRecurrence, n: int) -> TruncSeries:
-    """First n terms of the sequence, in exact rational arithmetic.
+    """First n terms of the sequence, in exact rational arithmetic: the
+    initial terms, then `unroll_stream`'s, each reduced to a Fraction once,
+    at output."""
+    if n < 1:
+        raise SchemaError("need at least one term")
+    out = list(rec.initial[:n])
+    steps = itertools.islice(unroll_stream(rec), max(0, n - len(out)))
+    out.extend(Fraction(a) if b == 1 else Fraction(a, b) for a, b in steps)
+    return TruncSeries(tuple(out))
+
+
+def unroll_stream(rec: PRecurrence) -> Iterator[tuple[int, int]]:
+    """The terms after `rec.initial`, without end, each as integers (N, d)
+    with value N/d, d > 0 but not necessarily in lowest terms.
 
     The last r terms are integer numerators over one running denominator
     `den`, so a step is acc = −Σ p_i(m)·N_{m+i} and one divmod by p_r(m).
     Where that division is inexact, `den` and the window are scaled by
     s = |p_r(m)| / gcd(acc, p_r(m)), the sign of p_r(m) going into the new
     numerator, and then divided by their gcd, so `den` stays the least
-    common denominator of the window.  Each term is reduced to a Fraction
-    once, at output; integer sequences keep den = 1 and never pay a gcd.
+    common denominator of the window: every prime of d divides the
+    lowest-terms denominator of this term or an earlier one.  Integer
+    sequences keep den = 1 and never pay a gcd.
     """
-    if n < 1:
-        raise SchemaError("need at least one term")
     r, coeffs = rec.order, rec.coeffs
-    out = list(rec.initial[:n])
-    window, den = ip.clear_denominators(out[-r:])
-    pending = []
-    for m in range(len(out) - r, n - r):
+    window, den = ip.clear_denominators(rec.initial[-r:])
+    for m in itertools.count(len(rec.initial) - r):
         acc = 0
         for i in range(r):
             acc -= ip.eval_at(coeffs[i], m) * window[i]
@@ -200,9 +211,7 @@ def unroll(rec: PRecurrence, n: int) -> TruncSeries:
         else:
             del window[0]
             window.append(q)
-        pending.append((q, den))
-    out.extend(Fraction(a) if b == 1 else Fraction(a, b) for a, b in pending)
-    return TruncSeries(tuple(out))
+        yield q, den
 
 
 def _companion(rec: PRecurrence

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,14 +16,17 @@ from gradeforge import (
     kernel_closure,
     reduce_mod,
 )
+from gradeforge.algebraic import Annihilator, branch_recurrence
 from gradeforge.automata import ResidueSequence, automaton_dot
 from gradeforge.catalog import CORPUS_ANNIHILATORS
 from gradeforge.errors import (
+    BudgetExceeded,
     BudgetTooSmall,
     PrimeDividesDenominator,
     SchemaError,
 )
-from gradeforge.holonomic import unroll
+from gradeforge.holonomic import unroll, unroll_stream
+from gradeforge.polynomials import Poly
 
 from oracles import corpus_residues, thue_morse_signs
 
@@ -331,7 +335,8 @@ def test_pipeline_report_refuses_a_base_below_two_before_any_residue(
         drawn.append(args)
         raise AssertionError("residues drawn before the base was checked")
 
-    for path in ("branch_residue_prefixes", "branch_recurrence", "unroll"):
+    for path in ("branch_residue_prefixes", "branch_recurrence",
+                 "unroll_stream"):
         monkeypatch.setattr(automata, path, spy)
     with pytest.raises(SchemaError, match=f"base q must be at least 2, got {q}"):
         christol_report(CORPUS_ANNIHILATORS[name], 2, q=q,
@@ -436,7 +441,7 @@ def test_pipeline_takes_the_residue_path_at_unit_primes(monkeypatch, name,
                                                         p, r):
     # the exact path derives the branch's recurrence and unrolls it
     monkeypatch.setattr(automata, "branch_recurrence", _no_exact_expansion)
-    monkeypatch.setattr(automata, "unroll", _no_exact_expansion)
+    monkeypatch.setattr(automata, "unroll_stream", _no_exact_expansion)
     aut = christol_report(CORPUS_ANNIHILATORS[name], p, r)
     assert aut.status == "closed"
     assert len(aut.states) == EXPECTED_STATES[(name, p, r)]
@@ -452,13 +457,14 @@ def test_pipeline_falls_back_to_the_exact_path_when_p_divides_p_y(
     # central-binomial has P_y(0, 1) = 2
     calls = []
 
-    def counted(rec, n):
-        calls.append(n)
-        return unroll(rec, n)
+    def counted(rec):
+        calls.append(rec)
+        return unroll_stream(rec)
 
-    monkeypatch.setattr(automata, "unroll", counted)
+    monkeypatch.setattr(automata, "unroll_stream", counted)
     aut = christol_report(CORPUS_ANNIHILATORS["central-binomial"], 2)
     assert calls
+    assert len(calls) == 1  # one unrolling extended across the attempts
     assert aut.status == "closed"
     assert len(aut.states) == EXPECTED_STATES[("central-binomial", 2, 1)]
 
@@ -512,6 +518,88 @@ def test_pipeline_reaches_no_newton_target_twice(monkeypatch, name, p, r,
     else:
         assert not derivations
         assert targets[ann.poly.degree_in(1) + 1][-1] == attempts[-1]
+
+
+#: 2y + 2z + 2zy + 2zy^2 + 5z^2 at y0 = 0: P_y(0, 0) = 2, and 2 first
+#: divides a coefficient's denominator at index 3
+LATE_BAD_PRIME = Annihilator(
+    Poly(2, {(0, 1): 2, (1, 0): 2, (1, 1): 2, (1, 2): 2, (2, 0): 5}),
+    Fraction(0))
+
+
+@pytest.mark.parametrize("name, p, r", [
+    ("central-binomial", 2, 1),    # integer terms
+    ("central-binomial", 2, 2),
+    ("sqrt1p", 3, 2),              # running denominators 2^k
+    ("cbrt1m", 5, 1),              # running denominators 3^k
+])
+def test_exact_fallback_reduces_as_reduce_mod(name, p, r):
+    rec = branch_recurrence(CORPUS_ANNIHILATORS[name])
+    sizes = [1, 7, 7, 64, 300]
+    assert list(automata._exact_prefixes(rec, sizes, p, r)) == [
+        list(reduce_mod(unroll(rec, n), p, r).terms) for n in sizes]
+
+
+@pytest.mark.parametrize("ann, p", [
+    (CORPUS_ANNIHILATORS["sqrt1p"], 2),
+    (CORPUS_ANNIHILATORS["cbrt1m"], 3),
+    (LATE_BAD_PRIME, 2),
+], ids=["sqrt1p", "cbrt1m", "late"])
+def test_exact_fallback_names_the_index_reduce_mod_names(ann, p):
+    rec = branch_recurrence(ann)
+    with pytest.raises(PrimeDividesDenominator) as want:
+        reduce_mod(unroll(rec, 64), p)
+    index = want.value.index
+    prefixes = automata._exact_prefixes(rec, [index, 64], p, 1)
+    assert len(next(prefixes)) == index  # the terms before it reduce
+    with pytest.raises(PrimeDividesDenominator) as got:
+        next(prefixes)
+    assert got.value.index == index
+    assert (index > 1) == (ann is LATE_BAD_PRIME)
+
+
+@pytest.mark.parametrize("name, p, r, cap, depths", [
+    ("central-binomial", 3, 2, 600, 2),   # residue path, 192 and 576 terms
+    ("central-binomial", 2, 1, 200, 1),   # exact fallback, 128 terms
+])
+def test_pipeline_report_caps_the_depth_at_the_term_cap(monkeypatch, name, p,
+                                                        r, cap, depths):
+    assert automata.CHRISTOL_MAX_TERMS >= 16 * 7**5  # the deepest documented
+    ann = CORPUS_ANNIHILATORS[name]
+    want = christol_report(ann, p, r, budgets=KernelBudgets(4096, depths, 64))
+    attempts = []
+    closure = automata.kernel_closure
+
+    def spy_closure(seq, q, attempt):
+        attempts.append(len(seq.terms))
+        return closure(seq, q, attempt)
+
+    monkeypatch.setattr(automata, "CHRISTOL_MAX_TERMS", cap)
+    monkeypatch.setattr(automata, "kernel_closure", spy_closure)
+    aut = christol_report(ann, p, r, budgets=KernelBudgets(4096, 8, 64))
+    assert attempts == [64 * p**k for k in range(1, depths + 1)]
+    assert aut.to_json_dict() == want.to_json_dict()
+    assert aut.status != "closed"
+
+
+def test_pipeline_report_past_the_term_cap_raises_before_any_residue(
+        monkeypatch):
+    drawn = []
+
+    def spy(*args):
+        drawn.append(args)
+        raise AssertionError("residues drawn past the term cap")
+
+    for path in ("branch_residue_prefixes", "branch_recurrence"):
+        monkeypatch.setattr(automata, path, spy)
+    length = automata.CHRISTOL_MAX_TERMS // 2 + 1
+    with pytest.raises(BudgetExceeded) as info:
+        christol_report(CORPUS_ANNIHILATORS["catalan"], 2,
+                        budgets=KernelBudgets(4096, 3, length))
+    assert info.value.exit_code == 4
+    assert str(automata.CHRISTOL_MAX_TERMS) in str(info.value)
+    assert str(2 * length) in str(info.value)
+    assert drawn == []
 
 
 def test_pipeline_bad_prime_raises_on_the_exact_path():

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import scipy.special
 
 from gradeforge.analytic import MAX_LAGUERRE_NODES
 from gradeforge.automata import (
+    CHRISTOL_MAX_TERMS,
     KernelBudgets,
     ResidueSequence,
     kernel_closure,
@@ -768,14 +770,15 @@ sys.exit(cli.main(["expand", "builtin", "exp"]))
 """
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, timeout: float | None = None
+               ) -> subprocess.CompletedProcess:
     """``python *args`` with this checkout's package first on the path."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 def test_defects_exit_1_never_3(capsys, monkeypatch):
@@ -893,6 +896,27 @@ def test_modp_malformed_arguments_are_schema_errors(capsys, flag, value):
     rc, out, err = run(capsys, "modp", "builtin", "catalan", *argv)
     assert rc == 2
     assert err.startswith(f"error: {flag} must be")
+
+
+def test_modp_past_the_term_cap_exits_4_at_once():
+    # depth 1 at the default base q = p needs 64·(10^9 + 7) terms
+    start = time.perf_counter()
+    proc = run_python("-m", "gradeforge.cli", "modp", "builtin", "catalan",
+                      "--p", "1000000007", "--r", "3", "--depth", "1",
+                      "--json", timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert str(CHRISTOL_MAX_TERMS) in proc.stderr
+    assert elapsed < 2
+
+
+def test_modp_fingerprint_length_past_the_term_cap_exits_4(capsys):
+    rc, out, err = run(capsys, "modp", "builtin", "catalan", "--p", "2",
+                       "--fingerprint-length", "100000000")
+    assert rc == 4
+    assert str(CHRISTOL_MAX_TERMS) in err
+    assert "200000000" in err
 
 
 # ---------------------------------------------------------------------------

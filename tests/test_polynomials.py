@@ -339,6 +339,63 @@ def test_barrett_step_is_exact_at_the_edges(m):
             c % m for c in values], n
 
 
+def packed(ring, values):
+    """values, each below 2^b, one per `ring.nb`-byte slot."""
+    return int.from_bytes(b"".join(c.to_bytes(ring.nb, "little")
+                                   for c in values), "little")
+
+
+def slot_values(ring, count, rng):
+    """count slot values below 2^b: all-maximum runs around random ones."""
+    top = 2**ring.b - 1
+    edge = min(count // 3, 8)
+    return ([top] * edge + [rng.randrange(top + 1)
+                            for _ in range(count - 2 * edge)] + [top] * edge)
+
+
+@pytest.mark.parametrize("m, n, classes", [
+    (3, 1728, 2),          # s = 15 bits over 2-byte slots
+    (49, 268_912, 3),      # s = 36 bits over 4-byte slots
+    (2**31 - 1, 1, 3),     # s = 93 bits over 8-byte slots
+])
+def test_barrett_step_on_each_class_count(m, n, classes):
+    ring = ip.ResidueRing(m)
+    ring.reach(n)
+    rng = random.Random(m)
+    for count in (1, 2, 5, 3000):
+        values = slot_values(ring, count, rng)
+        assert ring.prefix(ring.reduce(packed(ring, values), count),
+                           count) == [c % m for c in values], count
+    assert ring.t == classes
+
+
+@pytest.mark.parametrize("m", [3, 49, 2**31 - 1])
+def test_reduce_and_neg_past_the_largest_count_reduced(m):
+    # reduce and neg take turns, each call passing the largest count so
+    # far: the class masks and m's slots grow with the count, and start
+    # over when the slots widen, even for a count below the old largest
+    ring = ip.ResidueRing(m)
+    rng = random.Random(m)
+    widenings = widening_sizes(m, cap=10**6)
+    calls = 0
+    for n, counts in [(2, (3, 40, 41, 400)),
+                      (widenings[0], (30, 700)),
+                      (widenings[-1], (5, 900))]:
+        ring.reach(n)
+        for count in counts:
+            if calls % 2 == 0:
+                values = slot_values(ring, count, rng)
+                got = ring.reduce(packed(ring, values), count)
+                want = [c % m for c in values]
+            else:
+                residues = [rng.randrange(m) for _ in range(count)]
+                c = rng.choice([0, 2, m])
+                got = ring.neg(packed(ring, residues), count, c)
+                want = [(c - residues[0]) % m] + [-v % m for v in residues[1:]]
+            assert ring.prefix(got, count) == want, (n, count)
+            calls += 1
+
+
 # ---------------------------------------------------------------------------
 # integer roots
 
