@@ -14,6 +14,7 @@ any budget a desk can afford.
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -25,16 +26,17 @@ from gradeforge.errors import PrimeDividesDenominator, SchemaError
 
 
 def factor_prime_power(m: int) -> tuple[int, int]:
-    for p in range(2, m + 1):
-        if m % p == 0:
-            r, rest = 0, m
-            while rest % p == 0:
-                rest //= p
-                r += 1
-            if rest != 1:
-                raise SchemaError(f"modulus {m} is not a prime power")
-            return p, r
-    raise SchemaError(f"modulus {m} is below 2")
+    if m < 2:
+        raise SchemaError(f"modulus {m} is below 2")
+    # the least divisor above 1 is prime; with none up to √m, m is prime
+    p = next((d for d in range(2, math.isqrt(m) + 1) if m % d == 0), m)
+    r, rest = 0, m
+    while rest % p == 0:
+        rest //= p
+        r += 1
+    if rest != 1:
+        raise SchemaError(f"modulus {m} is not a prime power")
+    return p, r
 
 
 def at_least_one(text: str) -> int:

@@ -165,10 +165,11 @@ class ResidueRing:
 
     The ring works on whole integers, never one coefficient at a time.  A
     truncated product is one big-integer product and a mask; negation is
-    m·(1 in every slot) - x.  The slots are sized for the largest size n
-    reached: every value formed before a reduction, a product of two
-    series of at most n terms plus a packed row, or m - x + 2, is at most
-    n·(m-1)^2 + 2m < 2^b, so nothing carries across slots and nb = ⌈b/8⌉.
+    one small product, c - x ≡ (m-1)·x + c (mod m).  The slots are sized
+    for the largest size n reached: every value formed before a reduction,
+    a product of two series of at most n terms plus a packed row, or
+    (m-1)·x + c for c <= m, is at most n·(m-1)^2 + 2m < 2^b, so nothing
+    carries across slots and nb = ⌈b/8⌉.
 
     ``reduce`` takes every slot mod m at once by a Barrett step (Granlund
     and Montgomery, PLDI 1994).  With s = b + bitlen(m-1) and
@@ -184,9 +185,8 @@ class ResidueRing:
     Q = Σ_j ((X & C_j)·k >> s) & C_j is the packed quotient and X - m·Q the
     packed remainder, each slot exact and nonnegative.  As
     bitlen(m-1) <= b <= 8·nb, s <= 16·nb and t <= 3.  No residue is
-    approximated.  The class masks, and m in every slot for ``neg``, cover
-    the largest count reduced since the slots last widened, and grow when a
-    call passes it.
+    approximated.  The class masks cover the largest count reduced since
+    the slots last widened, and grow when a call passes it.
     """
 
     def __init__(self, m: int):
@@ -210,21 +210,19 @@ class ResidueRing:
         self.s = s = b + (m - 1).bit_length()
         self.k = -(-(1 << s) // m)
         self.t = 1 + -(-s // (8 * nb))
-        self.cap = 0  # slots the class masks and `ms` cover
+        self.cap = 0  # slots the class masks cover
         return [int.from_bytes(_respace(
             x, -(-x.bit_length() // (8 * old)), old, nb), "little")
             for x in xs]
 
     def _cover(self, count: int) -> None:
-        """Widen the class masks and `ms` to at least count slots."""
+        """Widen the class masks to at least count slots."""
         nb, t = self.nb, self.t
         reps = -(-count // t)
         self.cap = reps * t
         first = int.from_bytes(
             (b"\xff" * nb + bytes(nb * (t - 1))) * reps, "little")
         self.classes = [first << (8 * nb * j) for j in range(t)]
-        self.ms = int.from_bytes(self.m.to_bytes(nb, "little") * self.cap,
-                                 "little")
 
     def row(self, values: Sequence[int], limit: int) -> int:
         """The first `limit` integers of `values` reduced mod m, each below
@@ -254,10 +252,7 @@ class ResidueRing:
 
     def neg(self, x: int, count: int, c: int = 0) -> int:
         """c - x mod z^count, for x reduced and 0 <= c <= m."""
-        if count > self.cap:
-            self._cover(count)
-        ms = self.ms >> (8 * self.nb * (self.cap - count))
-        return self.reduce(ms - x + c, count)
+        return self.reduce(x * (self.m - 1) + c, count)
 
     def shift(self, x: int, k: int) -> int:
         """x divided by z^k, dropping the low k slots."""
@@ -299,22 +294,21 @@ def exact_div(a: list[int], b: list[int]) -> list[int]:
 
 
 def content(a: list[int]) -> int:
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-        if g == 1:
-            return 1
-    return g
+    return math.gcd(*a)
+
+
+def primitive_rows(rows: list[list[int]], lead: list[int]) -> list[list[int]]:
+    """Fresh copies of `rows` over their common integer content, negated
+    when `lead` (one of the rows) ends in a negative coefficient."""
+    g = math.gcd(*map(content, rows))
+    if lead[-1] < 0:
+        g = -g
+    return [[x // g for x in row] for row in rows]
 
 
 def primitive(a: list[int]) -> list[int]:
     """Divide out the content; normalize the leading coefficient positive."""
-    if not a:
-        return []
-    g = content(a)
-    if a[-1] < 0:
-        g = -g
-    return [x // g for x in a]
+    return primitive_rows([a], a)[0] if a else []
 
 
 def _prem_positive(a: list[int], b: list[int]) -> list[int]:

@@ -1,10 +1,13 @@
 """Residue sequences mod p^r and the q-kernel automaton.
 
-`reduce_mod` maps an exact rational series onto Z/p^r (refusing primes that
-divide any coefficient denominator — those are the finitely many bad primes
-a rational-coefficient series excludes).  `kernel_closure` then explores the
-set of arithmetic-progression subsequences n -> a_{q^k n + j}, merging two
-of them whenever their first-L-term fingerprints agree.  A finite closure is
+`christol_report` takes a branch's residues mod p^r from the Newton
+iteration in the residue ring or from `_exact_prefixes`, its recurrence
+unrolled once and reduced term by term.  `reduce_mod` maps an exact
+rational series onto Z/p^r, refusing the finitely many bad primes that
+divide a coefficient denominator; it is the public reference reducer the
+tests compare both paths against.  `kernel_closure` explores the set of
+arithmetic-progression subsequences n -> a_{q^k n + j}, merging two of
+them whenever their first-L-term fingerprints agree.  A finite closure is
 the desk-scale face of automaticity; since truncation makes true subsequence
 equality undecidable, "closed" always means *closed at fingerprint length L*
 and callers are expected to re-run with a larger L to probe stability.
@@ -262,6 +265,7 @@ def christol_report(ann: Annihilator, p: int, r: int = 1,
     terms fit `CHRISTOL_MAX_TERMS`; when even depth 1 does not,
     `BudgetExceeded` is raised before any residue is drawn.
     """
+    check_prime_power(p, r)
     if q is None:
         q = p
     if q < 2:

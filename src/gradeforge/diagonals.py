@@ -10,7 +10,6 @@ in twice as many variables.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -48,13 +47,12 @@ def furstenberg_bivariate(ann: Annihilator) -> RatFun:
     """Rational R(x, y) whose diagonal is the branch of ``ann`` minus y0.
 
     R = y^2 Q_y(xy, y) / Q(xy, y) for Q = v^D·P(z, y + y0) (see
-    `_translate_branch`) over its integer content, reduced by the common
-    factor y so the denominator is a unit at (0, 0).  Variable 0 is x,
-    variable 1 is y.
+    `_translate_branch`) over its signed integer content, reduced by the
+    common factor y so the denominator is a unit at (0, 0).  Variable 0 is
+    x, variable 1 is y.
     """
-    moved = _translate_branch(_z_rows(ann.poly), ann.y0)
-    content = math.gcd(*moved.terms.values())
-    pc = [[c // content for c in row] for row in _z_rows(moved)]
+    rows = _z_rows(_translate_branch(_z_rows(ann.poly), ann.y0))
+    pc = ip.primitive_rows(rows, rows[-1])
 
     def substituted(rows, s):
         """y^s·Q(xy, y) from the y-rows of Q: z^a y^b -> x^a y^(a+b+s)."""

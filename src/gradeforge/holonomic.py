@@ -86,14 +86,7 @@ class PRecurrence:
             raise SchemaError("leading coefficient p_r must be nonzero")
         wire_int(self.n0, "n0", 0)
         r = len(dense) - 1
-
-        g = 0
-        for c in dense:
-            g = math.gcd(g, ip.content(c) if c else 0)
-        if g > 1:
-            dense = [[x // g for x in c] for c in dense]
-        if dense[-1][-1] < 0:
-            dense = [ip.neg(c) for c in dense]
+        dense = ip.primitive_rows(dense, dense[-1])
 
         n0 = _raise_base(dense[-1], self.n0)
         initial = tuple(coerce_rational(x) for x in self.initial)

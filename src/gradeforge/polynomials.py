@@ -26,7 +26,6 @@ the prime (the argument is in the function's docstring).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import sub
 from typing import Mapping, Sequence
@@ -407,9 +406,4 @@ def _bareiss_kernel(E: list[list[list[int]]], nvars: int) -> list[list[int]]:
     g = ip.gcd_all(vec)
     if g != [1]:
         vec = [ip.exact_div(c, g) for c in vec]
-    gint = math.gcd(*(ip.content(c) for c in vec))
-    if gint > 1:
-        vec = [[x // gint for x in c] for c in vec]
-    if next(c for c in vec if c)[-1] < 0:
-        vec = [ip.neg(c) for c in vec]
-    return vec
+    return ip.primitive_rows(vec, next(c for c in vec if c))

@@ -609,6 +609,15 @@ def test_pipeline_bad_prime_raises_on_the_exact_path():
                         budgets=KernelBudgets(4096, 3, 64))
 
 
+@pytest.mark.parametrize("p, r", [(4, 1), (2, 0)])
+def test_pipeline_checks_p_and_r_before_the_term_cap(p, r):
+    # malformed input is a schema error whatever the budget, not exit 4
+    with pytest.raises(SchemaError) as info:
+        christol_report(CORPUS_ANNIHILATORS["catalan"], p, r,
+                        budgets=KernelBudgets(4096, 1, 10**7))
+    assert info.value.exit_code == 2
+
+
 def test_pipeline_rejects_a_composite_modulus():
     # the residue path alone would run mod 4^r; the pipeline is mod p^r
     with pytest.raises(ValueError):

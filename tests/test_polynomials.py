@@ -372,8 +372,9 @@ def test_barrett_step_on_each_class_count(m, n, classes):
 @pytest.mark.parametrize("m", [3, 49, 2**31 - 1])
 def test_reduce_and_neg_past_the_largest_count_reduced(m):
     # reduce and neg take turns, each call passing the largest count so
-    # far: the class masks and m's slots grow with the count, and start
-    # over when the slots widen, even for a count below the old largest
+    # far: the class masks grow with the count, and start over when the
+    # slots widen, even for a count below the old largest; at the first
+    # count after each reach, neg also takes its largest input
     ring = ip.ResidueRing(m)
     rng = random.Random(m)
     widenings = widening_sizes(m, cap=10**6)
@@ -393,6 +394,10 @@ def test_reduce_and_neg_past_the_largest_count_reduced(m):
                 got = ring.neg(packed(ring, residues), count, c)
                 want = [(c - residues[0]) % m] + [-v % m for v in residues[1:]]
             assert ring.prefix(got, count) == want, (n, count)
+            if count == counts[0]:
+                # the largest value neg forms, (m-1)^2 in every slot plus m
+                top = ring.neg(packed(ring, [m - 1] * count), count, m)
+                assert ring.prefix(top, count) == [1] * count, (n, count)
             calls += 1
 
 

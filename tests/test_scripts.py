@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,17 @@ def test_scripts_exit_like_the_cli_on_package_errors(capsys, script, argv,
     assert load(script).main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_kernel_census_refuses_a_large_prime_modulus_at_once(capsys):
+    # trial division stops at √m, 10^6 steps here rather than 10^12, and
+    # the report's term cap then refuses q = m before any residue is drawn
+    start = time.perf_counter()
+    assert load("kernel_census").main(["--names", "catalan",
+                                        "--moduli", "1000000000039"]) == 4
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: residue reports are capped at ")
 
 
 def test_kernel_census_refuses_an_unknown_name(capsys):
