@@ -48,7 +48,6 @@ once, so no Python loop runs over the coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -97,9 +96,9 @@ class Annihilator:
                 f"P has dense size {dense} > {MAX_DENSE_SIZE} coefficients")
         y0 = coerce_rational(self.y0)
         object.__setattr__(self, "y0", y0)
-        content = math.gcd(*self.poly.terms.values())
+        g = ip.content(list(self.poly.terms.values()))
         object.__setattr__(self, "poly", Poly(2, {
-            e: c // content for e, c in self.poly.terms.items()}))
+            e: c // g for e, c in self.poly.terms.items()}))
         pc = _z_rows(self.poly)
         p0 = _at_origin(pc, y0)
         if p0 != 0:

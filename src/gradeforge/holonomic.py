@@ -12,12 +12,14 @@ constructor shifts n0 past every integer zero of p_r, so unrolling never
 divides by zero and the stored data determines the sequence uniquely.
 
 `hadamard_recurrence` is the closure algorithm: write both inputs as
-companion systems u_{n+1} = A(n) u_n, v_{n+1} = B(n) v_n; the termwise
-product satisfies c_{n+k} = rho_k(n) (u_n (x) v_n) where rho_0 = e_1 (x) e_1
-and rho_{k+1}(n) = rho_k(n+1) (A(n) (x) B(n)).  The rs+1 functionals
-rho_0 .. rho_{rs} over an rs-dimensional space must be linearly dependent
-over Q(n); fraction-free elimination finds the first such dependence, and
-clearing the accumulated denominators turns it into a recurrence for c.
+companion systems u_{n+1} = A(n) u_n (size r), v_{n+1} = B(n) v_n (size s);
+the termwise product satisfies c_{n+k} = u_n^T P_k(n) v_n for r x s matrices
+P_0 = e_1 e_1^T and P_{k+1}(n) = A(n)^T P_k(n+1) B(n).  The rs+1 matrices
+P_0 .. P_{rs} must be linearly dependent over Q(n); fraction-free
+elimination finds the first such dependence, and clearing the accumulated
+denominators turns it into a recurrence for c.  A step needs only the
+recurrences' own coefficients (`_times_companion`): neither A, B nor their
+rs x rs Kronecker product is ever formed.
 """
 
 from __future__ import annotations
@@ -207,20 +209,18 @@ def unroll_stream(rec: PRecurrence) -> Iterator[tuple[int, int]]:
         yield q, den
 
 
-def _companion(rec: PRecurrence
-               ) -> tuple[list[list[Sequence[int]]], Sequence[int]]:
-    """Companion matrix numerators and the cleared leading coefficient.
+def _times_companion(x: Sequence[list[int]],
+                     rec: PRecurrence) -> list[list[int]]:
+    """The row x times M(n), the numerator of the companion matrix of `rec`.
 
-    The true transition matrix is the returned matrix divided by p_r(n).
+    M(n)/p_r(n) maps (a_n .. a_{n+r-1}) to (a_{n+1} .. a_{n+r}), so M(n) has
+    p_r(n) on its superdiagonal, −p_0(n) .. −p_{r−1}(n) in its last row and
+    zeros elsewhere.  Hence (x·M)_i = p_r(n)·x_{i−1} − p_i(n)·x_{r−1}, with
+    x_{−1} = 0, and M itself is never built.
     """
-    r = rec.order
-    lead = rec.coeffs[r]
-    mat: list[list[Sequence[int]]] = [[[] for _ in range(r)] for _ in range(r)]
-    for i in range(r - 1):
-        mat[i][i + 1] = lead
-    for j in range(r):
-        mat[r - 1][j] = ip.neg(rec.coeffs[j])
-    return mat, lead
+    *coeffs, lead = rec.coeffs
+    return [ip.sub(ip.mul(lead, x[i - 1]) if i else [], ip.mul(p, x[-1]))
+            for i, p in enumerate(coeffs)]
 
 
 def _reject_zero(rec: PRecurrence) -> None:
@@ -266,48 +266,33 @@ def _finish(q_dense: list[list[int]], n0_base: int,
 
 
 def hadamard_recurrence(ra: PRecurrence, rb: PRecurrence) -> PRecurrence:
-    """A recurrence for the termwise product c_n = a_n * b_n, order <= r*s."""
+    """A recurrence for the termwise product c_n = a_n * b_n, order <= r*s.
+
+    P_k is held as r rows of s polynomials, its numerator over deltas[k].
+    A step applies `_times_companion` with `rb` to each shifted row, then
+    with `ra` to each column; no transition matrix is formed.
+    """
     _reject_zero(ra)
     _reject_zero(rb)
     r, s = ra.order, rb.order
-    rs = r * s
-    amat, alead = _companion(ra)
-    bmat, blead = _companion(rb)
-    kron = [
-        [ip.mul(amat[i][i2], bmat[j][j2])
-         for i2 in range(r) for j2 in range(s)]
-        for i in range(r) for j in range(s)
-    ]
-    lead = ip.mul(alead, blead)
-
-    pi: list[list[int]] = [[] for _ in range(rs)]
-    pi[0] = [1]
-    rows = [pi]
-    delta = [1]
-    deltas = [delta]
-    for _ in range(rs):
-        up = [ip.shift_arg(p, 1) for p in pi]
-        nxt = []
-        for c2 in range(rs):
-            acc: list[int] = []
-            for c in range(rs):
-                if up[c]:
-                    acc = ip.add(acc, ip.mul(up[c], kron[c][c2]))
-            nxt.append(acc)
-        pi = nxt
-        delta = ip.mul(ip.shift_arg(delta, 1), lead)
-        rows.append(pi)
-        deltas.append(delta)
+    lead = ip.mul(ra.coeffs[r], rb.coeffs[s])
+    pi = [[[1] if i == j == 0 else [] for j in range(s)] for i in range(r)]
+    rows = [list(itertools.chain(*pi))]
+    deltas = [[1]]
+    for _ in range(r * s):
+        up = [_times_companion([ip.shift_arg(p, 1) for p in row], rb)
+              for row in pi]
+        pi = list(zip(*(_times_companion(col, ra) for col in zip(*up))))
+        rows.append(list(itertools.chain(*pi)))
+        deltas.append(ip.mul(ip.shift_arg(deltas[-1], 1), lead))
 
     v = fraction_free_left_kernel(rows)
-    q_dense = [ip.mul(v[k], deltas[k]) for k in range(rs + 1)]
-
-    n0_base = max(ra.n0, rb.n0)
+    q_dense = [ip.mul(x, d) for x, d in zip(v, deltas)]
 
     def terms_of(count: int) -> Sequence[Fraction]:
         return hadamard_mul(unroll(ra, count), unroll(rb, count)).coeffs
 
-    return _finish(q_dense, n0_base, terms_of, empirical=False)
+    return _finish(q_dense, max(ra.n0, rb.n0), terms_of, empirical=False)
 
 
 def guess_recurrence(f: TruncSeries, max_order: int,

@@ -133,6 +133,32 @@ def test_obstruct_json_digest(capsys, argv, digest):
 
 
 # ---------------------------------------------------------------------------
+# hadamard closure JSON
+
+APERY_A = ('{"order":2,"coeffs":[[1,3,3,1],[-117,-231,-153,-34],[8,12,6,1]],'
+           '"n0":0,"initial":["1","5"]}')
+
+
+@pytest.mark.parametrize("a, b, digest", [
+    # the benchmark's five closure jobs
+    (("holonomic", APERY_A), ("holonomic", APERY_A),
+     "8e6cfdc9a0623719f11a4059ff02b1da02e53393980f1a9f59dffee908ee2037"),
+    (("holonomic", APERY_B), ("holonomic", APERY_B),
+     "31660b117b95d528820bf24e8853f7a364e7147101d928e8daa0065f7230dd6b"),
+    (("holonomic", APERY_A), ("builtin", "catalan"),
+     "edcff2c3abdd3007f66f59ed107c09f9093f803680e3ebaa658485c91643498f"),
+    (("holonomic", APERY_B), ("holonomic", INV_PROD),
+     "98d988092bf93b08e1628c4d69cf951375736ff3b2340c13684a6c70400f972b"),
+    (("builtin", "euler"), ("builtin", "exp"),
+     "b868c38451ead1fdb9cc5b7957525e401fca1ac528eb60eee01882bb557763b9"),
+], ids=["AxA", "BxB", "Axcatalan", "BxQ", "eulerxexp"])
+def test_hadamard_recurrence_json_digest(capsys, a, b, digest):
+    out = run(capsys, "hadamard", *a, *b, "--emit-recurrence",
+              "--terms", "300", "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
 # recurrence table
 
 

@@ -242,6 +242,17 @@ def test_closure_soundness_randomized():
         assert lhs == rhs
 
 
+def test_closure_is_symmetric_in_its_factors():
+    """Swapping the factors only permutes the equations of the kernel
+    problem, so both orders give the same coeffs, n0 and initial terms."""
+    rng = random.Random(0x5A4D)
+    for _ in range(20):
+        r, s = rng.sample(range(1, 4), 2)
+        ra, rb = _random_recurrence(rng, r), _random_recurrence(rng, s)
+        ab, ba = hadamard_recurrence(ra, rb), hadamard_recurrence(rb, ra)
+        assert (ab.coeffs, ab.n0, ab.initial) == (ba.coeffs, ba.n0, ba.initial)
+
+
 # ---------------------------------------------------------------------------
 # guessing
 
