@@ -9,18 +9,25 @@ $TMPDIR when set): REV, and the checkout's tracked files as they stand
 (``git stash create``, or HEAD when nothing tracked is modified; untracked
 files are left out).  Both sides thus run from a fresh export and neither
 starts with a bytecode cache the other lacks.  Then, for each workload in
-turn, it runs the benchmark command of BENCHMARK.json (``--trace 0`` with
-its ``run_seconds``) N times on each side, alternating: pair i runs with
-seed S + i on both sides, and the side that goes first swaps from one
-pair to the next.  After its pairs, each side runs the workload once
-more with ``--trace 1`` at seed S, for the per-layer counters.  Each run's
+turn, it first runs one pass of every job in job order on each side
+(``perfbench/passrun.py``, in the environment ``run.py`` gives its passes)
+and compares each job's exit code and the sha256 of its output; a
+difference is reported, not fatal, as a change may alter output on
+purpose.  Then it runs the benchmark command of BENCHMARK.json
+(``--trace 0`` with its ``run_seconds``) N times on each side,
+alternating: pair i runs with seed S + i on both sides, and the side that
+goes first swaps from one pair to the next.  After its pairs, each side
+runs the workload once more with ``--trace 1`` at seed S, for the
+per-layer counters.  Each run's
 last stdout line is its JSON result.  FILE receives every run's metrics,
 its attempted and failed job counts and its pass count (attempted over the
 side's jobs per pass); per workload, end-to-end metric and side, the
 median, the quartiles and the number of pairs that side won (ties count
-for neither), and the verdict; per workload and side, the median pass
-count and the traced run; and the tree id and the line count of
-``src/gradeforge/*.py`` (as ``wc -l`` counts it) of each side.  The
+for neither), and the verdict; per workload, the output comparison
+(``outputs``: ``identical`` and the ``differing`` job names); per workload
+and side, the median pass count and the traced run; and the tree id and the
+line count of ``src/gradeforge/*.py`` (as ``wc -l`` counts it) of each
+side.  The output comparison is printed, one line per workload.  The
 per-layer counts (unit ``count``) that differ between the traced runs are
 printed too.  The median pass counts and the line counts are printed too:
 ``run.py`` keeps every pass's outputs, so ``peak_rss_mb`` rises with the
@@ -39,8 +46,10 @@ Standard library only; run from anywhere inside the checkout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import os
 import runpy
 import shutil
 import statistics
@@ -65,6 +74,37 @@ def src_lines(root: Path) -> int:
 def jobs_per_pass(root: Path, workload: str) -> int:
     jobs = runpy.run_path(str(root / "perfbench" / "jobs.py"))
     return len(jobs["WORKLOADS"][workload].jobs)
+
+
+def pass_jobs(root: Path, workload: str, jobs: int) -> list[dict]:
+    """The job records of one pass over every job, in job order, run as
+    ``run.py`` runs a pass: PYTHONPATH led by the tree's src, no user
+    config file, CPython's default int/str limit."""
+    env = dict(os.environ)
+    src = str(root / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get(
+        "PYTHONPATH") else src
+    env.pop("GRADEFORGE_CONFIG", None)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    argv = [sys.executable, str(root / "perfbench" / "passrun.py"),
+            "--workload", workload, "--order", ",".join(map(str, range(jobs)))]
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} in {root} exited "
+                         f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)["jobs"]
+
+
+def compare_outputs(parent: list[dict], change: list[dict]) -> dict:
+    """The jobs, by name, whose exit code or output sha256 differs between
+    two passes' job records (a job on one side only differs too)."""
+    sides = [{job["name"]: (job["rc"],
+                            hashlib.sha256(job["output"].encode()).hexdigest())
+              for job in jobs} for jobs in (parent, change)]
+    differing = [name for name in dict.fromkeys([*sides[0], *sides[1]])
+                 if sides[0].get(name) != sides[1].get(name)]
+    return {"identical": not differing, "differing": differing}
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int,
@@ -139,7 +179,7 @@ def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     roots = {side: tmp / side for side in exported}
     runs = {w: [] for w in args.workload}
-    traced = {}
+    traced, outputs = {}, {}
     try:
         for side, rev in exported.items():
             archive = subprocess.run(["git", "archive", rev], cwd=checkout,
@@ -150,6 +190,9 @@ def main() -> int:
         for workload in args.workload:
             jobs = {side: jobs_per_pass(root, workload)
                     for side, root in roots.items()}
+            outputs[workload] = compare_outputs(
+                *(pass_jobs(roots[side], workload, jobs[side])
+                  for side in exported))
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = (("parent", "change") if i % 2 == 0
@@ -172,6 +215,7 @@ def main() -> int:
               "revisions": revs, "trees": trees, "src_lines": lines,
               "workloads": {
                   w: {"metrics": summary(r, spec["end_to_end"]),
+                      "outputs": outputs[w],
                       "median_passes": {
                           side: statistics.median(p[side]["passes"] for p in r)
                           for side in exported},
@@ -181,6 +225,10 @@ def main() -> int:
     print(f"src/gradeforge/*.py lines: parent {lines['parent']}, "
           f"change {lines['change']}")
     for workload, entry in report["workloads"].items():
+        differing = entry["outputs"]["differing"]
+        print(f"{workload} outputs: " + (
+            f"{len(differing)} jobs differ: {', '.join(differing)}"
+            if differing else "every job's exit code and sha256 identical"))
         passes = entry["median_passes"]
         print(f"{workload} passes per run: parent median "
               f"{passes['parent']:.4g}, change median {passes['change']:.4g}")

@@ -17,11 +17,14 @@ Three pieces deserve a note:
   product is one big-int product and a mask, and one Barrett step reduces
   every slot mod m exactly with a few whole-integer operations on each of
   at most three interleaved classes of slots, at the slot width itself.
-* ``int_roots`` bisects down to unit intervals, counting real roots with the
-  remainder sequence of c and c' divided by its last element (the Sturm
-  chain of c's squarefree part), and tests the integer endpoint.  This stays
-  exact and fast even when the constant term is hundreds of digits, where
-  the divisors-of-the-constant-term approach would need a factorization.
+* ``base_past_roots`` finds the least n >= n0 with no integer root of c at
+  or past it.  It counts real roots on (n0 - 1, B], B a Cauchy bound, with
+  the remainder sequence of c and c' divided by its last element (the Sturm
+  chain of c's squarefree part), and halves the intervals right half first
+  down to unit ones, testing the integer endpoint: the first root it meets
+  is the largest.  This stays exact and fast even when the constant term is
+  hundreds of digits, where the divisors-of-the-constant-term approach
+  would need a factorization.
 """
 
 from __future__ import annotations
@@ -362,13 +365,14 @@ def _sign_changes(chain: list[list[int]], x: int) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def int_roots(a: list[int]) -> list[int]:
-    """All integer roots of a nonzero polynomial, ascending, exact."""
+def base_past_roots(a: list[int], n0: int) -> int:
+    """The least n >= n0 such that the nonzero polynomial `a` has no integer
+    root at or past n: its largest integer root + 1, or n0 if none is >= n0."""
     if not a:
         raise ZeroDivisionError("zero polynomial has every root")
     c = primitive(a)
     if len(c) == 1:
-        return []
+        return n0
     # divided by g = gcd(c, c'): the Sturm chain of the squarefree part c/g
     chain = _remainders(c, deriv(c))
     g = primitive(chain[-1])
@@ -378,42 +382,31 @@ def int_roots(a: list[int]) -> list[int]:
     # Cauchy bound: every real root has |x| < 1 + max|c_i|/|lead|
     lead = abs(sq[-1])
     bound = 1 + (max(abs(x) for x in sq[:-1]) + lead - 1) // lead
-    roots = []
-    counts = {-bound - 1: _sign_changes(chain, -bound - 1)}
-    stack = [(-bound - 1, bound + 1)]
+    # (lo, V(lo), hi, V(hi)): V(lo) - V(hi) real roots lie in (lo, hi], none
+    # if n0 > bound; right halves pop first, so the first root met is largest
+    stack = [(n0 - 1, _sign_changes(chain, n0 - 1),
+              bound, _sign_changes(chain, bound))]
     while stack:
-        lo, hi = stack.pop()
-        if hi not in counts:
-            counts[hi] = _sign_changes(chain, hi)
-        n_roots = counts[lo] - counts[hi]
-        if n_roots <= 0:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo == v_hi:
             continue
         if hi - lo == 1:
             if eval_at(sq, hi) == 0:
-                roots.append(hi)
+                return hi + 1
             continue
         mid = (lo + hi) // 2
-        if mid not in counts:
-            counts[mid] = _sign_changes(chain, mid)
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    return sorted(roots)
-
-
-def gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive polynomial gcd: the last element of the primitive
-    remainder sequence, longer operand first."""
-    a, b = primitive(a), primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    return primitive(_remainders(a, b)[-1])
+        v_mid = _sign_changes(chain, mid)
+        stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    return n0
 
 
 def gcd_all(polys: Iterable[list[int]]) -> list[int]:
-    """Primitive gcd of the nonzero polys ([] if none), short ones first."""
+    """Primitive gcd of the nonzero polys ([] if none), short ones first:
+    each step takes the last element of the remainder sequence of the next
+    poly, made primitive, and the gcd so far."""
     g: list[int] = []
     for c in sorted((c for c in polys if c), key=len):
-        g = gcd(g, c)
+        g = primitive(_remainders(primitive(c), g)[-1])
         if g == [1]:
             break
     return g

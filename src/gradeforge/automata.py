@@ -312,9 +312,7 @@ def _exact_prefixes(rec: PRecurrence, sizes: Iterable[int], p: int,
     integers.
     """
     modulus = p ** r
-    pairs = itertools.chain(
-        ((c.numerator, c.denominator) for c in rec.initial),
-        unroll_stream(rec))
+    pairs = unroll_stream(rec)
     residues: list[int] = []
     den = inverse = 1
     for n in sizes:

@@ -45,14 +45,6 @@ from .rationals import coerce_rational, format_rational, wire_int, wire_object
 from .series import TruncSeries, hadamard_mul
 
 
-def _raise_base(lead: list[int], n0: int) -> int:
-    """Smallest base >= n0 with no integer zero of `lead` at or past it."""
-    roots = ip.int_roots(lead)
-    if roots:
-        n0 = max(n0, max(roots) + 1)
-    return n0
-
-
 @dataclass(frozen=True)
 class PRecurrence:
     """Recurrence Σ p_i(n)·a_{n+i} = 0 (n >= n0) plus initial terms.
@@ -90,7 +82,7 @@ class PRecurrence:
         r = len(dense) - 1
         dense = ip.primitive_rows(dense, dense[-1])
 
-        n0 = _raise_base(dense[-1], self.n0)
+        n0 = ip.base_past_roots(dense[-1], self.n0)
         initial = tuple(coerce_rational(x) for x in self.initial)
         need = n0 + r
         if len(initial) < need:
@@ -159,30 +151,31 @@ class PRecurrence:
 
 
 def unroll(rec: PRecurrence, n: int) -> TruncSeries:
-    """First n terms of the sequence, in exact rational arithmetic: the
-    initial terms, then `unroll_stream`'s, each reduced to a Fraction once,
-    at output."""
+    """First n terms of the sequence, in exact rational arithmetic:
+    `unroll_stream`'s, each reduced to a Fraction once, at output."""
     if n < 1:
         raise SchemaError("need at least one term")
-    out = list(rec.initial[:n])
-    steps = itertools.islice(unroll_stream(rec), max(0, n - len(out)))
-    out.extend(Fraction(a) if b == 1 else Fraction(a, b) for a, b in steps)
-    return TruncSeries(tuple(out))
+    steps = itertools.islice(unroll_stream(rec), n)
+    return TruncSeries(tuple(Fraction(a) if b == 1 else Fraction(a, b)
+                             for a, b in steps))
 
 
 def unroll_stream(rec: PRecurrence) -> Iterator[tuple[int, int]]:
-    """The terms after `rec.initial`, without end, each as integers (N, d)
-    with value N/d, d > 0 but not necessarily in lowest terms.
+    """Every term, without end, each as integers (N, d) with value N/d,
+    d > 0 but not necessarily in lowest terms: `rec.initial`, then the
+    terms the recurrence gives.
 
-    The last r terms are integer numerators over one running denominator
-    `den`, so a step is acc = −Σ p_i(m)·N_{m+i} and one divmod by p_r(m).
-    Where that division is inexact, `den` and the window are scaled by
-    s = |p_r(m)| / gcd(acc, p_r(m)), the sign of p_r(m) going into the new
-    numerator, and then divided by their gcd, so `den` stays the least
-    common denominator of the window: every prime of d divides the
-    lowest-terms denominator of this term or an earlier one.  Integer
+    Past them the last r terms are integer numerators over one running
+    denominator `den`, so a step is acc = −Σ p_i(m)·N_{m+i} and one divmod
+    by p_r(m).  Where that division is inexact, `den` and the window are
+    scaled by s = |p_r(m)| / gcd(acc, p_r(m)), the sign of p_r(m) going
+    into the new numerator, and then divided by their gcd, so `den` stays
+    the least common denominator of the window: every prime of d divides
+    the lowest-terms denominator of this term or an earlier one.  Integer
     sequences keep den = 1 and never pay a gcd.
     """
+    for c in rec.initial:
+        yield c.numerator, c.denominator
     r, coeffs = rec.order, rec.coeffs
     window, den = ip.clear_denominators(rec.initial[-r:])
     for m in itertools.count(len(rec.initial) - r):
@@ -252,11 +245,11 @@ def _finish(q_dense: list[list[int]], n0_base: int,
         # base is raised past every integer zero of its leading coefficient,
         # so from there on it pins each later term to zero.
         p1 = ip.shift_arg(q_dense[top], 1 - low)
-        n0 = _raise_base(p1, max(n0_base + low - 1, 0))
+        n0 = ip.base_past_roots(p1, max(n0_base + low - 1, 0))
         terms = terms_of(n0 + 1)
         return PRecurrence(((), tuple(p1)), n0, tuple(terms), empirical)
     shifted = [ip.shift_arg(q_dense[k], -low) for k in range(low, top + 1)]
-    n0 = _raise_base(shifted[-1], n0_base + low)
+    n0 = ip.base_past_roots(shifted[-1], n0_base + low)
     g = ip.gcd_all(shifted)
     if len(g) > 1:
         shifted = [ip.exact_div(c, g) for c in shifted]

@@ -22,6 +22,7 @@ from gradeforge.descriptors import (
     read_series,
 )
 from gradeforge.diagonals import diagonal_witness
+from gradeforge.holonomic import PRecurrence, guess_recurrence, unroll
 from gradeforge.polynomials import Poly, RatFun, poly_from_rows, rows_text
 
 SQRT1P = '{"P":[[0,2,"1"],[0,0,"-1"],[1,0,"-1"]],"y0":"1"}'
@@ -156,6 +157,31 @@ def test_hadamard_recurrence_json_digest(capsys, a, b, digest):
     out = run(capsys, "hadamard", *a, *b, "--emit-recurrence",
               "--terms", "300", "--json")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("payload, digest", [
+    # the benchmark's two guess jobs
+    (APERY_A,
+     "00cfa64623eb033149e9a2c918f0d90640fbd97a6abfe4984897a1e42845d253"),
+    (APERY_B,
+     "bf5a020da7e6fa02e632754ad927d88de22b841b5518494b0ffcd7e63be2aa31"),
+], ids=["A", "B"])
+def test_guess_recurrence_json_digest(payload, digest):
+    rec = PRecurrence.from_json_dict(json.loads(payload))
+    found = guess_recurrence(unroll(rec, 200), 3, 6)
+    text = json.dumps(found.to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_single_term_closure_json_digest(capsys):
+    # a_{n+1} = 0 leaves the product a one-term relation: the single-term
+    # branch of the closure, whose recurrence reads (n + 2)·c_{n+1} = 0
+    out = run(capsys, "hadamard", "holonomic",
+              '{"order":1,"coeffs":[[0],[1]],"n0":0,"initial":["1"]}',
+              "builtin", "catalan", "--emit-recurrence", "--terms", "8",
+              "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e0b9df9c6f4274806af77740875b00920d230c1580bfee2bb8835e6fc6e6867a")
 
 
 # ---------------------------------------------------------------------------

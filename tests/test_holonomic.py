@@ -83,8 +83,9 @@ def rational_recurrences(draw):
     poly = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
     lead = draw(poly.filter(any))
     coeffs = [draw(poly) for _ in range(r)] + [lead]
+    # |lead| >= 1 and coefficients <= 6 bound its integer roots by 7
     n0 = max([draw(st.integers(0, 2))]
-             + [x + 1 for x in ip.int_roots(ip.trim(list(lead)))])
+             + [x + 1 for x in range(-7, 8) if ip.eval_at(lead, x) == 0])
     term = st.one_of(st.just(0), st.fractions(-9, 9, max_denominator=12))
     initial = draw(st.lists(term, min_size=n0 + r, max_size=n0 + r))
     return PRecurrence.from_dense(coeffs, n0, initial)

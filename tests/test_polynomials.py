@@ -426,16 +426,19 @@ def test_sturm_chain_flips_the_sign_after_a_degree_drop_of_two(monkeypatch):
     monkeypatch.setattr(ip, "_prem_positive", spy)
     assert ip._remainders(p, ip.deriv(p)) == [p, [1, 0, 0, 4], [8, -3], [-1]]
     assert flipped == [([1, 0, 0, 4], [8, -3])]
-    assert ip.int_roots(p) == brute_roots(p, 3) == [1]
+    assert brute_roots(p, 3) == [1]
+    assert ip.base_past_roots(p, -3) == 2
 
 
 @given(st.lists(st.integers(-30, 30), max_size=4),
        st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(
            lambda q: q[-1] != 0),
        st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(
-           lambda f: f[-1] != 0))
-@example(rs=[2, -1], q=[3], f=[1, 0, 1])
-def test_int_roots_of_a_product_with_known_integer_roots(rs, q, f):
+           lambda f: f[-1] != 0),
+       st.integers(-40, 40))
+@example(rs=[2, -1], q=[3], f=[1, 0, 1], n0=0)
+@example(rs=[3], q=[1], f=[1], n0=3)  # a root at n0 itself
+def test_base_past_roots_of_a_product_with_known_integer_roots(rs, q, f, n0):
     # f enters squared: (x^2 + 1)^2 is a repeated factor without real roots
     a = ip.mul(q, ip.mul(f, f))
     for r in rs:
@@ -443,12 +446,12 @@ def test_int_roots_of_a_product_with_known_integer_roots(rs, q, f):
     # every integer root of q or f has |x| <= max|coefficient| as |lead| >= 1
     bound = max(abs(c) for c in q + f)
     want = set(rs) | set(brute_roots(q, bound)) | set(brute_roots(f, bound))
-    assert ip.int_roots(a) == sorted(want)
+    assert ip.base_past_roots(a, n0) == max([n0] + [x + 1 for x in want])
 
 
-def test_int_roots_refuses_the_zero_polynomial():
+def test_base_past_roots_refuses_the_zero_polynomial():
     with pytest.raises(ZeroDivisionError):
-        ip.int_roots([])
+        ip.base_past_roots([], 0)
 
 
 @pytest.mark.parametrize("a, b, error", [
@@ -659,11 +662,7 @@ def test_polynomial_kernel_matches_gauss_jordan_at_points(matrix):
             w = at[t]
             assert any(vt)
             assert all(a * w[j0] == b * vt[j0] for a, b in zip(vt, w))
-    g = []
-    for c in vec:
-        if c:
-            g = ip.gcd(g, c)
-    assert g == [1]
+    assert ip.gcd_all(vec) == [1]
     assert math.gcd(*(ip.content(c) for c in vec)) == 1
     assert next(c for c in vec if c)[-1] > 0
 
@@ -680,7 +679,7 @@ def test_gcd_all_matches_a_left_fold_of_gcd(polys, factor):
     want: list[int] = []
     for p in polys:
         if p:
-            want = ip.gcd(want, p)
+            want = oracles.rational_poly_gcd(want, p)
     assert ip.gcd_all(polys) == want
 
 
@@ -700,8 +699,8 @@ def test_gcd_matches_euclid_over_the_rationals(a, b, planted):
         for _ in range(k):
             a, b = ip.mul(a, f), ip.mul(b, f)
     want = oracles.rational_poly_gcd(a, b)
-    assert ip.gcd(a, b) == want
-    assert ip.gcd(b, a) == want
+    assert ip.gcd_all([a, b]) == want
+    assert ip.gcd_all([b, a]) == want
 
 
 @given(st.lists(st.integers(-6, 6), max_size=9).map(ip.trim),

@@ -143,6 +143,24 @@ def test_bench_pairs_verdicts():
                                   "wins": 2}
 
 
+def test_bench_pairs_compares_exit_codes_and_outputs():
+    compare = load("bench_pairs").compare_outputs
+    parent = [{"name": "a", "rc": 0, "output": "1\n", "seconds": 1.0},
+              {"name": "b", "rc": 2, "output": "", "seconds": 1.0}]
+
+    def change(**edits):
+        jobs = [dict(job, seconds=2.0) for job in parent]  # times never count
+        for name, edit in edits.items():
+            next(job for job in jobs if job["name"] == name).update(edit)
+        return jobs
+
+    assert compare(parent, change()) == {"identical": True, "differing": []}
+    assert compare(parent, change(a={"output": "2\n"})) == {
+        "identical": False, "differing": ["a"]}
+    assert compare(parent, change(b={"rc": 0})) == {
+        "identical": False, "differing": ["b"]}
+
+
 def test_benchmark_hooks_resolve_in_the_package(monkeypatch):
     # The traced benchmark pass rebinds these functions and reads the
     # schoolbook cutoff; a rename would otherwise fail only there.
